@@ -13,14 +13,15 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import svg
 from .core import l1_accuracy, random_logits, uniform_logits, write_policy
-from .dynamics import ALGORITHMS, AlgoConfig, run as run_dynamics
+from .dynamics import (ALGORITHMS, AlgoConfig, check_step_size,
+                       run as run_dynamics)
 from .environments import (DistancingParams, build_cooperative,
                            build_distancing, build_scg, layered_dag,
                            parse_dag_spec)
@@ -205,16 +206,10 @@ def _execute_one(env, cfg, algorithm, run_id, out_dir):
     seed = cfg.seed_base + run_id
     init_seed = seed if cfg.shared_init else (seed * len(cfg.algorithms)
                                               + cfg.algorithms.index(algorithm))
-    algo = AlgoConfig(
-        algorithm=algorithm, eta=cfg.algo.eta, eval_mode=cfg.algo.eval_mode,
-        sample_cfg=SampleConfig(
-            horizon=cfg.algo.sample_cfg.horizon,
-            batch=cfg.algo.sample_cfg.batch, seed=seed,
-            estimator=cfg.algo.sample_cfg.estimator)
-        if cfg.algo.sample_cfg is not None else None,
-        max_iters=cfg.algo.max_iters,
-        convergence_threshold=cfg.algo.convergence_threshold,
-        guard=cfg.algo.guard)
+    sample_cfg = cfg.algo.sample_cfg
+    algo = replace(cfg.algo, algorithm=algorithm,
+                   sample_cfg=replace(sample_cfg, seed=seed)
+                   if sample_cfg is not None else None)
     initial = _initial_for(env, cfg, init_seed)
 
     stem = f"{algorithm}_run{run_id:03d}"
@@ -250,11 +245,7 @@ def cmd_run(config_path, out_dir, seeds=None, threads=1, guard=None):
     """Execute the configured runs; one trace CSV per (algorithm, run)."""
     cfg = load_config(config_path)
     if guard is not None:
-        cfg.algo = AlgoConfig(
-            algorithm=cfg.algo.algorithm, eta=cfg.algo.eta,
-            eval_mode=cfg.algo.eval_mode, sample_cfg=cfg.algo.sample_cfg,
-            max_iters=cfg.algo.max_iters,
-            convergence_threshold=cfg.algo.convergence_threshold, guard=guard)
+        cfg.algo = replace(cfg.algo, guard=guard)
     if seeds is not None:
         if "," in seeds:
             explicit = [int(s) for s in seeds.split(",")]
@@ -269,6 +260,10 @@ def cmd_run(config_path, out_dir, seeds=None, threads=1, guard=None):
     env = build_environment(cfg.environment)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # every job shares the environment and eta, so the step-size guard is
+    # checked (and its warning logged) once here, not once per job
+    check_step_size(env.mdp, cfg.algo)
+    cfg.algo = replace(cfg.algo, guard="off")
 
     jobs = [(alg, r) for alg in cfg.algorithms for r in range(cfg.runs)]
     if threads > 1:

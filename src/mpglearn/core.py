@@ -17,9 +17,6 @@ import scipy.sparse as sp
 
 PROB_TOL = 1e-12
 
-# dense (S, A, S) transition tensors are only materialized below this size
-DENSE_TRANSITION_MAX = 1 << 22
-
 
 def _frozen(a, dtype=float):
     a = np.array(a, dtype=dtype, order="C", copy=True)
@@ -68,7 +65,6 @@ class MultiAgentMDP:
         if self.state_labels is not None and len(self.state_labels) != self.n_states:
             raise ValueError("state_labels length mismatch")
         self._digits = None
-        self._dense = None
         self._next_state = None
         if validate:
             problems = validate_mdp(self)
@@ -90,16 +86,6 @@ class MultiAgentMDP:
     def split_joint(self, joint):
         return tuple(int(x) for x in np.unravel_index(int(joint), self.n_actions))
 
-    def dense_transitions(self):
-        """Transition tensor (S, A, S); only built for small MDPs."""
-        if self._dense is None:
-            size = self.n_states * self.n_joint * self.n_states
-            if size > DENSE_TRANSITION_MAX:
-                raise ValueError(f"dense transition tensor too large ({size} entries)")
-            self._dense = _frozen(self.transitions.toarray().reshape(
-                self.n_states, self.n_joint, self.n_states))
-        return self._dense
-
     def deterministic_next(self):
         """(S*A,) successor index array when all transitions are deterministic, else None."""
         if self._next_state is None:
@@ -113,9 +99,6 @@ class MultiAgentMDP:
 
     def a_max(self):
         return max(self.n_actions)
-
-    def label_of(self, s):
-        return self.state_labels[s] if self.state_labels is not None else s
 
     def __repr__(self):
         return (f"MultiAgentMDP(n_agents={self.n_agents}, n_states={self.n_states}, "
@@ -223,13 +206,6 @@ class Logits:
     @property
     def n_states(self):
         return self.theta[0].shape[0]
-
-    def flat(self):
-        return np.concatenate([t.ravel() for t in self.theta])
-
-    def max_abs_diff(self, other):
-        return max(np.abs(t - u).max()
-                   for t, u in zip(self.theta, other.theta))
 
     def __repr__(self):
         shapes = ", ".join(str(t.shape) for t in self.theta)

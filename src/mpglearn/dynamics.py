@@ -8,13 +8,14 @@ the test suite holds them to entrywise agreement.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import JointPolicy, Logits, softmax_policy
 from .exact import evaluate, mismatch_bound
-from .sampling import SampleConfig, estimate_eval
+from .sampling import SampleConfig, _StreamBank, estimate_eval
 
 log = logging.getLogger("mpglearn")
 
@@ -85,18 +86,26 @@ class RunTrace:
         return len(self.iterations)
 
 
-def inpg_step(theta, report, eta, gamma):
-    """Natural-gradient logit update: add eta/(1-gamma) times the advantage."""
-    scale = eta / (1.0 - gamma)
-    new = []
-    for t, adv in zip(theta.theta, report.adv_marginal):
+def _check_finite_advantages(report):
+    """Raise on the first non-finite marginal advantage, naming its index."""
+    # a NaN or infinity anywhere makes the total non-finite; one sum per
+    # agent is the cheap common case, the scan below finds the index
+    if math.isfinite(sum(float(adv.sum()) for adv in report.adv_marginal)):
+        return
+    for i, adv in enumerate(report.adv_marginal):
         if not np.all(np.isfinite(adv)):
-            i = len(new)
             s, a = np.unravel_index(int(np.argmin(np.isfinite(adv))), adv.shape)
             raise ValueError(f"non-finite advantage at agent {i}, state {s}, "
                              f"action {a}")
-        new.append(t + scale * adv)
-    return Logits(new, validate=False)
+
+
+def inpg_step(theta, report, eta, gamma):
+    """Natural-gradient logit update: add eta/(1-gamma) times the advantage."""
+    _check_finite_advantages(report)
+    scale = eta / (1.0 - gamma)
+    return Logits([t + scale * adv
+                   for t, adv in zip(theta.theta, report.adv_marginal)],
+                  validate=False)
 
 
 def mwu_step(policy, report, eta, gamma):
@@ -127,6 +136,7 @@ def ipg_step(theta, report, eta, gamma):
     Coordinate update: eta * d(s) * pi_i(a|s) * advbar_i(s,a) / (1 - gamma),
     the exact gradient of V_i(mu) in the softmax parametrization.
     """
+    _check_finite_advantages(report)
     policy = softmax_policy(theta)
     scale = eta / (1.0 - gamma)
     new = []
@@ -150,6 +160,32 @@ def max_step_size(mdp, mismatch=None):
             "supply a MismatchBound with a manual upper value")
     n, amax, gamma = mdp.n_agents, mdp.a_max(), mdp.gamma
     return (1.0 - gamma) ** 3 / (27.0 * n ** 2 * amax ** 2 * mismatch.upper)
+
+
+def check_step_size(mdp, cfg):
+    """Apply cfg's step-size guard to cfg.eta on mdp.
+
+    "enforce" raises when eta is not below max_step_size (or the mismatch
+    bound is unavailable), "warn" logs that instead, and "off" does nothing.
+    """
+    guard = cfg.resolved_guard()
+    if guard == "off":
+        return
+    bound = mismatch_bound(mdp)
+    if bound.upper is None:
+        msg = f"step-size guard: mismatch bound unavailable ({bound.note})"
+        if guard == "enforce":
+            raise ValueError(msg + "; pass guard='warn' or 'off', or use "
+                             "a full-support initial distribution")
+        log.warning(msg)
+        return
+    limit = max_step_size(mdp, bound)
+    if cfg.eta >= limit:
+        msg = (f"eta = {float(cfg.eta)!r} is not below the "
+               f"theoretical bound {float(limit)!r}")
+        if guard == "enforce":
+            raise ValueError(msg)
+        log.warning(msg)
 
 
 def _initial_state(mdp, cfg, initial):
@@ -186,6 +222,9 @@ def run(env, cfg, initial=None, nash_gap_every=0, snapshot_every=0,
     `nash_gap_every` iterations (0 = never).  `snapshot_every` > 0 keeps
     every k-th pre-update policy plus the final one for post-hoc accuracy
     computation.  `on_iteration(record_dict)` streams rows to the caller.
+    The step-size guard (check_step_size) is applied before the first
+    update.  In sampled mode update k estimates from episodes
+    k*batch .. (k+1)*batch - 1, drawn from one _StreamBank for the run.
     """
     cfg.check()
     has_env = hasattr(env, "mdp")
@@ -193,26 +232,11 @@ def run(env, cfg, initial=None, nash_gap_every=0, snapshot_every=0,
     track_potential = (has_env and env.stage_potential is not None
                        and cfg.eval_mode == "exact")
 
-    guard = cfg.resolved_guard()
-    if guard != "off":
-        bound = mismatch_bound(mdp)
-        if bound.upper is None:
-            msg = f"step-size guard: mismatch bound unavailable ({bound.note})"
-            if guard == "enforce":
-                raise ValueError(msg + "; pass guard='warn' or 'off', or use "
-                                 "a full-support initial distribution")
-            log.warning(msg)
-        else:
-            limit = max_step_size(mdp, bound)
-            if cfg.eta >= limit:
-                msg = (f"eta = {float(cfg.eta)!r} is not below the "
-                       f"theoretical bound {float(limit)!r}")
-                if guard == "enforce":
-                    raise ValueError(msg)
-                log.warning(msg)
-
+    check_step_size(mdp, cfg)
     theta, policy = _initial_state(mdp, cfg, initial)
     target = env if track_potential else mdp
+    bank = (_StreamBank(mdp, cfg.sample_cfg)
+            if cfg.eval_mode == "sampled" else None)
 
     iters, steps, pots, gaps = [], [], [], []
     snapshots = [] if snapshot_every else None
@@ -223,7 +247,8 @@ def run(env, cfg, initial=None, nash_gap_every=0, snapshot_every=0,
             report = evaluate(target, policy)
         else:
             report = estimate_eval(mdp, policy, cfg.sample_cfg,
-                                   episode_offset=k * cfg.sample_cfg.batch)
+                                   episode_offset=k * cfg.sample_cfg.batch,
+                                   bank=bank)
         if cfg.algorithm == "inpg":
             theta = inpg_step(theta, report, cfg.eta, mdp.gamma)
             new_policy = softmax_policy(theta)

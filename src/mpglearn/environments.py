@@ -544,10 +544,14 @@ def build_distancing(params, mu="safe"):
         raise ValueError("degenerate reward range, rescale impossible")
     alpha = 1.0 / (hi - lo)
     beta = -lo / (hi - lo)
-    rewards = alpha * raw + beta
+    # rescale in place: the (n, 2, F**n) table is 8 MB on the shipped
+    # config, and every temporary copy of it raises the build's peak memory
+    rewards = raw
+    rewards *= alpha
+    rewards += beta
     if rewards.min() < -1e-12 or rewards.max() > 1 + 1e-12:
         raise ValueError("rescaled rewards escape [0, 1]")
-    rewards = np.clip(rewards, 0.0, 1.0)
+    np.clip(rewards, 0.0, 1.0, out=rewards)
     potential = alpha * phi_raw + beta
 
     max_count = counts.max(axis=1)

@@ -7,6 +7,13 @@ Episodes are therefore independent of each other and of execution order:
 sampling a batch in parallel (or stepping all of its episodes in lockstep,
 as the estimator does) is bit-identical to sampling episodes one at a time,
 and identical (mdp, policy, config) inputs reproduce the same EvalReport.
+
+The draws come from a numpy Philox4x64-10 that is bit-identical to
+`np.random.Generator(np.random.Philox(key=[seed, (episode << 8) | stream]))
+.random(count)`, computed for every (episode, stream, block) lane in one
+array pass.  Because the draws do not depend on the policy, a learning run
+keeps a _StreamBank that computes them a chunk of episodes ahead, so one
+pass serves many updates.
 """
 
 from dataclasses import dataclass
@@ -42,23 +49,116 @@ class SampleConfig:
             raise ValueError(f"unknown estimator {self.estimator!r}")
 
 
+# Philox4x64-10 (Salmon et al., SC'11, "Parallel random numbers: as easy as
+# 1, 2, 3") with numpy's constants.  Row 0 acts on counter word 0 and row 1 on
+# word 2, the two words each round multiplies.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]],
+                     dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]],
+                     dtype=np.uint64)
+_M_LO, _M_HI = _PHILOX_M & 0xFFFFFFFF, _PHILOX_M >> 32
+_PHILOX_ROUNDS = 10
+
+# episodes whose draws a _StreamBank computes in one pass
+_CHUNK_EPISODES = 640
+# Philox lanes (one lane = one 4-word block) per array pass; larger requests
+# are computed in slices of episodes so temporaries stay bounded
+_MAX_LANES = 1 << 14
+
+
+def _philox4x64(counter0, key1, seed):
+    """Philox4x64-10 blocks for counters (counter0, 0, 0, 0) under keys
+    (seed, key1), one lane per element; returns the four output words.
+
+    The 64x64 -> 128-bit products are formed from 32-bit halves, with both
+    multiplied words of every lane held in one (2, L) array; every round
+    works in place on a few such arrays.
+    """
+    x = np.zeros((2, counter0.size), dtype=np.uint64)   # words 0 and 2
+    x[0] = counter0
+    y = np.zeros_like(x)                                 # words 1 and 3
+    key = np.empty_like(x)
+    key[0] = seed
+    key[1] = key1
+    half, t, u, w = (np.empty_like(x) for _ in range(4))
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            key += _PHILOX_W
+        # high 64 bits of M * x from the halves M = (Mh, Ml), x = (xh, xl)
+        np.bitwise_and(x, 0xFFFFFFFF, out=half)          # xl
+        np.multiply(half, _M_LO, out=t)
+        np.multiply(half, _M_HI, out=u)
+        t >>= 32
+        u += t                                           # Mh*xl + Ml*xl>>32
+        np.right_shift(x, 32, out=half)                  # xh
+        np.multiply(half, _M_LO, out=w)
+        np.bitwise_and(u, 0xFFFFFFFF, out=t)
+        w += t                                           # Ml*xh + low(u)
+        u >>= 32
+        w >>= 32
+        np.multiply(half, _M_HI, out=half)
+        half += u
+        half += w                                        # mulhi(M, x)
+        np.multiply(x, _PHILOX_M, out=t)                 # mullo(M, x)
+        # (w0, w1, w2, w3) <- (hi2 ^ w1 ^ k0, lo2, hi0 ^ w3 ^ k1, lo0)
+        np.bitwise_xor(half[::-1], y, out=x)
+        x ^= key
+        y, t = t[::-1], y
+    return x[0], y[0], x[1], y[1]
+
+
+def _uniforms(seed, start, count, n_streams, n_draws):
+    """Uniform draws of episodes start..start+count-1 on every stream.
+
+    Returns u of shape (D, count, n_streams), D = n_draws rounded up to a
+    multiple of 4, where u[:n_draws, e, s] equals
+    Generator(Philox(key=[seed, ((start + e) << 8) | s])).random(n_draws).
+    """
+    if start < 0 or start + count > 1 << (64 - _STREAM_BITS):
+        raise ValueError(f"episodes {start}..{start + count - 1} do not fit "
+                         f"the stream key")
+    blocks = -(-n_draws // 4)
+    out = np.empty((blocks, 4, count, n_streams))
+    step = max(1, _MAX_LANES // (blocks * n_streams))
+    tags = np.arange(n_streams, dtype=np.uint64)
+    # numpy's Philox increments the counter before its first block
+    counter0 = np.arange(1, blocks + 1, dtype=np.uint64)
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        eps = np.arange(start + lo, start + hi, dtype=np.uint64)
+        key1 = (eps[:, None] << _STREAM_BITS) | tags
+        lanes = (blocks, hi - lo, n_streams)
+        words = _philox4x64(
+            np.broadcast_to(counter0[:, None, None], lanes).ravel(),
+            np.broadcast_to(key1, lanes).ravel(), np.uint64(seed))
+        for w, word in enumerate(words):
+            # Generator.random: the top 53 bits scaled into [0, 1)
+            out[:, w, lo:hi] = (word >> 11).reshape(lanes) * 2.0 ** -53
+    return out.reshape(4 * blocks, count, n_streams)
+
+
 class _StreamBank:
-    """One reusable Philox generator, re-keyed per (seed, episode, stream)."""
+    """Draws of one sampled run's streams, computed a chunk of episodes ahead.
 
-    def __init__(self, seed):
-        self.seed = np.uint64(seed)
-        self._bg = np.random.Philox(key=np.array([self.seed, 0],
-                                                 dtype=np.uint64))
-        self._gen = np.random.Generator(self._bg)
+    The draws depend only on (seed, episode, stream), never on the policy, so
+    one pass over _CHUNK_EPISODES episodes serves every estimate whose batch
+    falls inside the chunk; a request outside it starts a new chunk there.
+    """
 
-    def uniforms(self, episode, tag, count):
-        st = self._bg.state
-        st["state"]["key"][0] = self.seed
-        st["state"]["key"][1] = np.uint64((int(episode) << _STREAM_BITS) | tag)
-        st["state"]["counter"][:] = 0
-        st["buffer_pos"] = 4
-        self._bg.state = st
-        return self._gen.random(count)
+    def __init__(self, mdp, cfg):
+        self.key = (cfg.seed, mdp.n_agents + 1, cfg.horizon + 1)
+        self._start = 0
+        self._u = np.empty((0, 0, 0))
+
+    def draws(self, start, count):
+        """(D, count, n_agents + 1) draws of episodes start..start+count-1."""
+        lo = start - self._start
+        if lo < 0 or lo + count > self._u.shape[1]:
+            seed, n_streams, n_draws = self.key
+            self._u = _uniforms(seed, start, max(count, _CHUNK_EPISODES),
+                                n_streams, n_draws)
+            self._start, lo = start, 0
+        return self._u[:, lo:lo + count]
 
 
 def _padded_cumsum(policy, n_actions):
@@ -76,23 +176,25 @@ def _padded_cumsum(policy, n_actions):
 
 
 def _sample_batch(mdp, policy, horizon, seed, episode_offset, batch,
-                  cum_all=None):
+                  bank=None):
     """Step `batch` episodes in lockstep; returns (states, actions, rewards)
-    with shapes (T, B), (T, B, n), (T, B, n)."""
+    with shapes (T, B), (T, B, n), (T, B, n).  Draws come from `bank` when
+    given (it must be keyed to this seed, agent count and horizon), else
+    they are computed for exactly this batch."""
     if mdp.n_agents + 1 > _MAX_STREAMS:
         raise ValueError("too many agents for the stream layout")
     n, T, B = mdp.n_agents, horizon, batch
-    bank = _StreamBank(seed)
-    agent_u = np.empty((T, B, n))
-    env_u = np.empty((T + 1, B))
-    for b in range(B):
-        ep = episode_offset + b
-        for i in range(n):
-            agent_u[:, b, i] = bank.uniforms(ep, i, T)
-        env_u[:, b] = bank.uniforms(ep, n, T + 1)
+    if bank is None:
+        u = _uniforms(seed, episode_offset, B, n + 1, T + 1)
+    elif bank.key != (seed, n + 1, T + 1):
+        raise ValueError(f"stream bank keyed (seed, streams, draws) = "
+                         f"{bank.key}, batch needs {(seed, n + 1, T + 1)}")
+    else:
+        u = bank.draws(episode_offset, B)
+    agent_u = u[:T, :, :n]                            # (T, B, n)
+    env_u = u[:T + 1, :, n]                           # (T + 1, B)
 
-    if cum_all is None:
-        cum_all = _padded_cumsum(policy, mdp.n_actions)
+    cum_all = _padded_cumsum(policy, mdp.n_actions)
     mu_cdf = np.cumsum(mdp.mu)
     s = np.searchsorted(mu_cdf, env_u[0] * mu_cdf[-1], side="right")
     s = np.minimum(s, mdp.n_states - 1).astype(np.int64)
@@ -159,7 +261,7 @@ def sample_episode(mdp, policy, horizon, seed, episode=0):
     return states[:, 0], actions[:, 0], rewards[:, 0]
 
 
-def estimate_eval(mdp, policy, cfg, episode_offset=0):
+def estimate_eval(mdp, policy, cfg, episode_offset=0, bank=None):
     """Estimate values, marginal advantages and visitation from a mini-batch.
 
     V(s) averages discounted returns from visits to s (first or every visit
@@ -169,7 +271,9 @@ def estimate_eval(mdp, policy, cfg, episode_offset=0):
     batch actions were unanimous contributes an exactly-zero advantage.
     Visitation is the normalized discounted state count.  Episode k of the
     batch uses stream index episode_offset + k, letting callers draw fresh
-    episodes across iterations from one seed.
+    episodes across iterations from one seed.  A run that estimates batch
+    after batch passes one `_StreamBank(mdp, cfg)` as `bank`, so the draws
+    of many batches are computed in one pass; the report is the same.
     """
     cfg.check()
     n, S = mdp.n_agents, mdp.n_states
@@ -178,7 +282,7 @@ def estimate_eval(mdp, policy, cfg, episode_offset=0):
     first = cfg.estimator == "first_visit"
 
     states, actions, rewards = _sample_batch(mdp, policy, T, cfg.seed,
-                                             episode_offset, B)
+                                             episode_offset, B, bank)
     returns = np.empty((T, B, n))
     acc = np.zeros((B, n))
     for t in range(T - 1, -1, -1):

@@ -132,6 +132,18 @@ class TestCmdRun:
         for name in ("inpg_run000.csv", "summary.csv"):
             assert (out / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_guard_warning_logged_once_per_command(self, stage_run, tmp_path,
+                                                   caplog):
+        cfg, _, _ = stage_run
+        text = cfg.read_text().replace("eta = 0.0005", "eta = 0.5")
+        loud = cfg.parent / "loud.ini"
+        loud.write_text(text)
+        with caplog.at_level("WARNING", logger="mpglearn"):
+            rows = cmd_run(loud, tmp_path / "o5", threads=2)
+        assert len(rows) == 2
+        assert sum("theoretical bound" in r.getMessage()
+                   for r in caplog.records) == 1
+
     def test_guard_override(self, stage_run, tmp_path):
         cfg, _, _ = stage_run
         # eta far above the bound: enforce must reject

@@ -135,6 +135,12 @@ class TestIpgStep:
         expected = 0.2 * 1.0 * pol.probs[0][0] * (q - v)  # d(s)=mu(s)=1
         assert np.abs((out.theta[0] - theta.theta[0])[0] - expected).max() < 1e-12
 
+    def test_rejects_non_finite_advantage(self):
+        theta = Logits([np.zeros((1, 2)), np.zeros((1, 3))])
+        rep = report_with([np.zeros((1, 2)), np.array([[0.0, 0.0, np.nan]])])
+        with pytest.raises(ValueError, match="agent 1, state 0, action 2"):
+            m.ipg_step(theta, rep, eta=0.1, gamma=0.9)
+
 
 class TestMaxStepSize:
     def test_unit_constants(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import mpglearn as m
+from mpglearn import exact, sampling
 
 from conftest import random_mdp, random_policy
 
@@ -167,3 +168,95 @@ class TestEstimateEval:
             m.SampleConfig(horizon=1, batch=0, seed=0).check()
         with pytest.raises(ValueError):
             m.SampleConfig(estimator="bogus").check()
+
+
+def numpy_philox_uniforms(seed, key1, count):
+    key = np.array([seed, key1], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random(count)
+
+
+class TestStreamDraws:
+    """The vectorized Philox4x64-10 against numpy's own generator."""
+
+    @pytest.mark.parametrize("seed", [0, 999, 2**63, 2**64 - 1])
+    def test_matches_numpy_philox_for_every_count(self, seed):
+        start = 2**48 - 1                   # crosses into the high key bits
+        for count in range(1, 26):
+            u = sampling._uniforms(seed, start, 3, 2, count)
+            assert u.shape == (-(-count // 4) * 4, 3, 2)
+            for e in range(3):
+                for s in range(2):
+                    expect = numpy_philox_uniforms(
+                        seed, ((start + e) << 8) | s, count)
+                    assert np.array_equal(u[:count, e, s], expect)
+
+    def test_matches_numpy_philox_on_every_stream_tag(self):
+        u = sampling._uniforms(999, 2**50 + 7, 2, 256, 21)
+        for e in range(2):
+            for s in range(256):
+                expect = numpy_philox_uniforms(999, ((2**50 + 7 + e) << 8) | s,
+                                               21)
+                assert np.array_equal(u[:21, e, s], expect)
+
+    def test_lane_slices_do_not_change_draws(self, monkeypatch):
+        whole = sampling._uniforms(5, 10, 9, 3, 7)
+        monkeypatch.setattr(sampling, "_MAX_LANES", 4)
+        assert np.array_equal(sampling._uniforms(5, 10, 9, 3, 7), whole)
+
+    def test_episode_beyond_key_space_rejected(self):
+        with pytest.raises(ValueError, match="stream key"):
+            sampling._uniforms(0, 2**56 - 1, 2, 1, 4)
+
+    def test_shared_bank_equals_one_shot_estimates(self, monkeypatch):
+        # batches of 7 against chunks of 10 episodes: most batches straddle
+        # a chunk boundary, and the last request goes back to episode 0
+        monkeypatch.setattr(sampling, "_CHUNK_EPISODES", 10)
+        mdp = random_mdp(3, (2, 3), 0.9, seed=95)
+        pol = random_policy(mdp, 96)
+        cfg = m.SampleConfig(horizon=6, batch=7, seed=2**63 + 11)
+        bank = sampling._StreamBank(mdp, cfg)
+        for offset in (0, 7, 14, 21, 28, 35, 0):
+            shared = m.estimate_eval(mdp, pol, cfg, episode_offset=offset,
+                                     bank=bank)
+            alone = m.estimate_eval(mdp, pol, cfg, episode_offset=offset)
+            assert np.array_equal(shared.v, alone.v)
+            assert np.array_equal(shared.visitation, alone.visitation)
+            for x, y in zip(shared.adv_marginal, alone.adv_marginal):
+                assert np.array_equal(x, y)
+
+    def test_bank_for_another_run_rejected(self):
+        mdp = random_mdp(3, (2, 2), 0.9, seed=97)
+        pol = random_policy(mdp, 98)
+        cfg = m.SampleConfig(horizon=5, batch=4, seed=1)
+        bank = sampling._StreamBank(mdp, m.SampleConfig(5, 4, seed=2))
+        with pytest.raises(ValueError, match="stream bank"):
+            m.estimate_eval(mdp, pol, cfg, bank=bank)
+
+    def test_too_many_agents_for_stream_layout(self):
+        n = 256                             # n + 1 streams exceed 8 tag bits
+        mdp = m.MultiAgentMDP((1,) * n, np.zeros((n, 1, 1)),
+                              np.ones((1, 1, 1)), 0.9, np.ones(1))
+        pol = m.JointPolicy([np.ones((1, 1))] * n)
+        with pytest.raises(ValueError, match="stream layout"):
+            m.estimate_eval(mdp, pol, m.SampleConfig(horizon=2, batch=1))
+
+
+class TestSparseTransitionDraw:
+    def test_sparse_rows_draw_the_same_states_as_the_dense_cdf(self,
+                                                               monkeypatch):
+        # the per-episode CSR branch serves MDPs too large for the dense
+        # (S*A, S) table; force it on a small MDP and compare bit for bit
+        dense_mdp = random_mdp(5, (2, 3), 0.9, seed=99)
+        assert dense_mdp.deterministic_next() is None
+        pol = random_policy(dense_mdp, 100)
+        dense = sampling._sample_batch(dense_mdp, pol, 12, seed=7,
+                                       episode_offset=3, batch=64)
+        assert exact._flat_transitions(dense_mdp) is not None
+        monkeypatch.setattr(exact, "_DENSE_CHAIN_MAX", 0)
+        sparse_mdp = random_mdp(5, (2, 3), 0.9, seed=99)
+        assert exact._flat_transitions(sparse_mdp) is None
+        sparse = sampling._sample_batch(sparse_mdp, pol, 12, seed=7,
+                                        episode_offset=3, batch=64)
+        for x, y in zip(dense, sparse):
+            assert np.array_equal(x, y)
+        assert len(np.unique(dense[0])) > 1
