@@ -434,20 +434,53 @@ def write_policy(policy, path):
 
 
 def read_policy(path):
+    """Parse the format written by write_policy.
+
+    The declared agent count and every agent's `shape = S A` are checked
+    against the tables that follow, so a truncated file is rejected; the
+    MDPFormatError names the agent, and the row when one is at fault.
+    """
     with open(path) as f:
-        raw = [ln.rstrip("\n") for ln in f if ln.strip()]
-    if not raw or not raw[0].startswith("agents"):
-        raise MDPFormatError(f"{path}: expected 'agents = N' header")
-    tables, current, shape = [], None, None
+        raw = [ln.strip() for ln in f if ln.strip()]
+
+    def fail(msg):
+        raise MDPFormatError(f"{path}: {msg}")
+
+    head = raw[0].split("=", 1) if raw else []
+    if len(head) != 2 or head[0].strip() != "agents":
+        fail("expected 'agents = N' header")
+    try:
+        n_agents = int(head[1])
+    except ValueError:
+        fail(f"bad agent count {head[1].strip()!r}")
+    blocks = []                         # per agent: [shape line, row lines]
     for line in raw[1:]:
         if line.startswith("[agent"):
-            if current is not None:
-                tables.append(np.array(current))
-            current, shape = [], None
+            blocks.append([None, []])
+        elif not blocks:
+            fail(f"content before the first [agent] block: {line!r}")
         elif line.startswith("shape"):
-            shape = tuple(int(x) for x in line.split("=", 1)[1].split())
+            blocks[-1][0] = line.split("=", 1)[-1].split()
         else:
-            current.append([float(x) for x in line.split()])
-    if current is not None:
-        tables.append(np.array(current))
+            blocks[-1][1].append(line.split())
+    if len(blocks) != n_agents:
+        fail(f"declares {n_agents} agents but holds {len(blocks)} tables")
+    tables = []
+    for i, (shape, rows) in enumerate(blocks):
+        try:
+            n_rows, n_cols = (int(x) for x in shape)
+        except (TypeError, ValueError):
+            fail(f"agent {i}: expected 'shape = S A', got {shape!r}")
+        if len(rows) != n_rows:
+            fail(f"agent {i}: {len(rows)} rows, shape declares {n_rows}")
+        table = np.empty((n_rows, n_cols))
+        for s, row in enumerate(rows):
+            if len(row) != n_cols:
+                fail(f"agent {i}, row {s}: {len(row)} entries, shape "
+                     f"declares {n_cols}")
+            try:
+                table[s] = [float(x) for x in row]
+            except ValueError:
+                fail(f"agent {i}, row {s}: cannot parse {' '.join(row)!r}")
+        tables.append(table)
     return JointPolicy(tables)

@@ -115,6 +115,7 @@ def mwu_step(policy, report, eta, gamma):
     Computed in log space with max subtraction, so it matches the logit-space
     natural-gradient update to machine precision.
     """
+    _check_finite_advantages(report)
     scale = eta / (1.0 - gamma)
     new = []
     for i, (p, adv) in enumerate(zip(policy.probs, report.adv_marginal)):
@@ -130,14 +131,16 @@ def mwu_step(policy, report, eta, gamma):
     return JointPolicy(new, validate=False)
 
 
-def ipg_step(theta, report, eta, gamma):
+def ipg_step(theta, report, eta, gamma, policy=None):
     """Softmax policy-gradient ascent on each agent's own value.
 
     Coordinate update: eta * d(s) * pi_i(a|s) * advbar_i(s,a) / (1 - gamma),
-    the exact gradient of V_i(mu) in the softmax parametrization.
+    the exact gradient of V_i(mu) in the softmax parametrization.  `policy`,
+    when given, must be softmax_policy(theta); it saves recomputing it.
     """
     _check_finite_advantages(report)
-    policy = softmax_policy(theta)
+    if policy is None:
+        policy = softmax_policy(theta)
     scale = eta / (1.0 - gamma)
     new = []
     for t, p, adv in zip(theta.theta, policy.probs, report.adv_marginal):
@@ -253,7 +256,7 @@ def run(env, cfg, initial=None, nash_gap_every=0, snapshot_every=0,
             theta = inpg_step(theta, report, cfg.eta, mdp.gamma)
             new_policy = softmax_policy(theta)
         elif cfg.algorithm == "ipg":
-            theta = ipg_step(theta, report, cfg.eta, mdp.gamma)
+            theta = ipg_step(theta, report, cfg.eta, mdp.gamma, policy)
             new_policy = softmax_policy(theta)
         else:
             new_policy = mwu_step(policy, report, cfg.eta, mdp.gamma)

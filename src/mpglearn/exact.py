@@ -6,6 +6,12 @@ factorization (dense, partial pivoting) is shared across agents and reused
 transposed for the visitation solve, so results are bit-reproducible
 regardless of how callers parallelize per-agent work.  Systems larger than
 DENSE_SOLVE_MAX states go through a sparse factorization instead.
+
+The value columns of every requested agent (and of the potential) are
+solved as one block, backed up through the transition table in one product,
+and each agent's marginal Q is a sequential contraction of its joint-action
+Q table: every other agent's action axis is summed against that agent's
+policy rows, one batched matmul per agent.
 """
 
 from dataclasses import dataclass
@@ -45,49 +51,40 @@ class MismatchBound:
     note: str = ""
 
 
-def _agent_gathers(mdp, policy):
-    digits = mdp.digits
-    for i, p in enumerate(policy.probs):
-        if p.shape != (mdp.n_states, mdp.n_actions[i]):
-            raise ValueError(f"agent {i}: policy table {p.shape} does not "
-                             f"match ({mdp.n_states}, {mdp.n_actions[i]})")
-    return [policy.probs[i][:, digits[:, i]] for i in range(mdp.n_agents)]
-
-
 def joint_policy_table(mdp, policy):
-    """(S, n_joint) table of joint action probabilities under a product policy."""
-    gathers = _agent_gathers(mdp, policy)
-    table = gathers[0].copy()
-    for g in gathers[1:]:
-        table *= g
+    """(S, n_joint) table of joint action probabilities under a product policy.
+
+    Built as a running outer product from the last agent to agent 0, each
+    new agent's axis outermost, which is the joint-action encoding.
+    """
+    if len(policy.probs) != mdp.n_agents:
+        raise ValueError(f"policy has {len(policy.probs)} agents, the MDP "
+                         f"{mdp.n_agents}")
+    S = mdp.n_states
+    table = np.ones((S, 1))
+    for i in reversed(range(mdp.n_agents)):
+        p = policy.probs[i]
+        if p.shape != (S, mdp.n_actions[i]):
+            raise ValueError(f"agent {i}: policy table {p.shape} does not "
+                             f"match ({S}, {mdp.n_actions[i]})")
+        table = (p[:, :, None] * table[:, None, :]).reshape(S, -1)
     return table
 
 
-def _exclusion_tables(mdp, gathers):
-    """Per-agent products of everyone else's gathered probabilities."""
-    n = mdp.n_agents
-    ones = np.ones((mdp.n_states, mdp.n_joint))
-    pre = [ones]
-    for g in gathers[:-1]:
-        pre.append(pre[-1] * g)
-    suf = [ones]
-    for g in reversed(gathers[1:]):
-        suf.append(suf[-1] * g)
-    suf.reverse()
-    return [pre[i] * suf[i] for i in range(n)]
+def _marginalize(mdp, probs, table, agent):
+    """Expectation of a (S, n_joint) table over every agent's action but one.
 
-
-def exclusion_table(mdp, policy, agent):
-    """(S, n_joint) product of all policies except `agent`'s."""
-    return _exclusion_tables(mdp, _agent_gathers(mdp, policy))[agent]
-
-
-def _marginalize(mdp, weighted, agent):
-    """Sum a (S, n_joint) table over every agent's action axis except one."""
-    shaped = weighted.reshape((mdp.n_states,) + mdp.n_actions)
-    axes = tuple(1 + j for j in range(mdp.n_agents) if j != agent)
-    return shaped.sum(axis=axes) if axes else shaped.reshape(
-        mdp.n_states, mdp.n_actions[agent])
+    Contracts the other agents' action axes against their (S, A_j) policy
+    rows, the trailing agents last-first and then the leading ones, one
+    batched matmul each; returns the (S, A_agent) table.
+    """
+    S = mdp.n_states
+    t = table
+    for j in range(mdp.n_agents - 1, agent, -1):
+        t = t.reshape(S, -1, mdp.n_actions[j]) @ probs[j][:, :, None]
+    for j in range(agent):
+        t = probs[j][:, None, :] @ t.reshape(S, mdp.n_actions[j], -1)
+    return t.reshape(S, mdp.n_actions[agent])
 
 
 def _flat_transitions(mdp):
@@ -102,19 +99,22 @@ def _flat_transitions(mdp):
     return None if cached is False else cached
 
 
-def induced_chain(mdp, policy):
-    """Average the transition tensor and rewards over the joint policy."""
-    jt = joint_policy_table(mdp, policy)
+def _chain_matrix(mdp, jt):
+    """(S, S) state chain under the joint action table jt."""
     S, A = mdp.n_states, mdp.n_joint
     flat = _flat_transitions(mdp)
     if flat is not None:
-        p_pi = (jt.reshape(S, 1, A) @ flat.reshape(S, A, S)).reshape(S, S)
-    else:
-        W = sp.csr_matrix((jt.ravel(), np.arange(S * A), np.arange(0, S * A + A, A)),
-                          shape=(S, S * A))
-        p_pi = np.asarray((W @ mdp.transitions).todense())
-    r_pi = np.einsum("isa,sa->is", mdp.rewards, jt)
-    return InducedChain(p_pi=p_pi, r_pi=r_pi)
+        return (jt.reshape(S, 1, A) @ flat.reshape(S, A, S)).reshape(S, S)
+    W = sp.csr_matrix((jt.ravel(), np.arange(S * A), np.arange(0, S * A + A, A)),
+                      shape=(S, S * A))
+    return np.asarray((W @ mdp.transitions).todense())
+
+
+def induced_chain(mdp, policy):
+    """Average the transition tensor and rewards over the joint policy."""
+    jt = joint_policy_table(mdp, policy)
+    return InducedChain(p_pi=_chain_matrix(mdp, jt),
+                        r_pi=np.einsum("isa,sa->is", mdp.rewards, jt))
 
 
 class _Solver:
@@ -134,22 +134,14 @@ class _Solver:
             self._sparse = spla.splu(A)
             self._lu = None
 
-    def solve(self, b):
+    def solve(self, b, transposed=False):
+        """Solve A x = b, or A^T x = b; b is (S,) or (S, k)."""
         if self.gamma == 0.0:
             return np.array(b)
         if self._lu is not None:
-            return linalg.lu_solve(self._lu, b, check_finite=False)
-        if b.ndim == 1:
-            return self._sparse.solve(b)
-        return np.stack([self._sparse.solve(b[:, k]) for k in range(b.shape[1])],
-                        axis=1)
-
-    def solve_transposed(self, b):
-        if self.gamma == 0.0:
-            return np.array(b)
-        if self._lu is not None:
-            return linalg.lu_solve(self._lu, b, trans=1, check_finite=False)
-        return self._sparse.solve(b, trans="T")
+            return linalg.lu_solve(self._lu, b, trans=int(transposed),
+                                   check_finite=False)
+        return self._sparse.solve(b, trans="T" if transposed else "N")
 
 
 def evaluate(target, policy, want_q=False, agents=None):
@@ -157,74 +149,55 @@ def evaluate(target, policy, want_q=False, agents=None):
 
     `target` may be a MultiAgentMDP or an Environment (in which case the
     stage potential and its marginal advantages are evaluated as well).
-    `agents` restricts the per-agent work; unrequested pieces are None.
+    `agents` restricts the per-agent work: the values, marginal Q tables and
+    advantages of agents not listed are left as zeros.  `q` is None unless
+    `want_q`, and the potential fields are None without a stage potential.
     """
     env = target if hasattr(target, "mdp") else None
     mdp = env.mdp if env is not None else target
     S, A, n = mdp.n_states, mdp.n_joint, mdp.n_agents
     active = list(range(n)) if agents is None else list(agents)
 
-    gathers = _agent_gathers(mdp, policy)
-    jt = gathers[0].copy()
-    for g in gathers[1:]:
-        jt *= g
-
-    flat = _flat_transitions(mdp)
-    if flat is not None:
-        p_pi = (jt.reshape(S, 1, A) @ flat.reshape(S, A, S)).reshape(S, S)
-    else:
-        W = sp.csr_matrix((jt.ravel(), np.arange(S * A), np.arange(0, S * A + A, A)),
-                          shape=(S, S * A))
-        p_pi = np.asarray((W @ mdp.transitions).todense())
-    solver = _Solver(mdp, p_pi)
+    jt = joint_policy_table(mdp, policy)
+    solver = _Solver(mdp, _chain_matrix(mdp, jt))
+    d = solver.solve((1.0 - mdp.gamma) * mdp.mu, transposed=True)
 
     with_potential = env is not None and env.stage_potential is not None
     rhs_cols = [np.einsum("sa,sa->s", mdp.rewards[i], jt) for i in active]
     if with_potential:
         rhs_cols.append((jt * env.stage_potential).sum(axis=1))
     v = np.zeros((n, S))
-    potential = potential_mu = None
+    adv = [np.zeros((S, a)) for a in mdp.n_actions]
+    q_marg = [np.zeros((S, a)) for a in mdp.n_actions]
+    q_all = np.zeros((n, S, A)) if want_q else None
+    potential = potential_mu = adv_potential = None
     if rhs_cols:
         sol = solver.solve(np.stack(rhs_cols, axis=1))
+        flat = _flat_transitions(mdp)
+        # expected next-state value of every solved column, per (s, a)
+        nxt = ((flat if flat is not None else mdp.transitions) @ sol
+               ).reshape(S, A, len(rhs_cols))
         for k, i in enumerate(active):
             v[i] = sol[:, k]
+            q_i = mdp.gamma * nxt[:, :, k]
+            q_i += mdp.rewards[i]
+            if want_q:
+                q_all[i] = q_i
+            q_marg[i] = _marginalize(mdp, policy.probs, q_i, i)
+            adv[i] = q_marg[i] - v[i][:, None]
         if with_potential:
             potential = sol[:, -1]
             potential_mu = float(mdp.mu @ potential)
-
-    d = solver.solve_transposed((1.0 - mdp.gamma) * mdp.mu)
-
-    adv = [np.zeros((S, a)) for a in mdp.n_actions]
-    q_marg = [np.zeros((S, a)) for a in mdp.n_actions]
-    adv_potential = None
-    q_all = np.zeros((n, S, A)) if want_q else None
-    if active or with_potential:
-        excl = _exclusion_tables(mdp, gathers)
-    if with_potential:
-        if flat is not None:
-            pphi = (flat @ potential).reshape(S, A)
-        else:
-            pphi = (mdp.transitions @ potential).reshape(S, A)
-        q_phi = env.stage_potential + mdp.gamma * pphi
-        adv_potential = [np.zeros((S, a)) for a in mdp.n_actions]
-        for i in range(n):
-            adv_potential[i] = (_marginalize(mdp, excl[i] * q_phi, i)
-                                - potential[:, None])
-    for i in active:
-        if flat is not None:
-            pv = (flat @ v[i]).reshape(S, A)
-        else:
-            pv = (mdp.transitions @ v[i]).reshape(S, A)
-        q_i = mdp.rewards[i] + mdp.gamma * pv
-        if want_q:
-            q_all[i] = q_i
-        q_marg[i] = _marginalize(mdp, excl[i] * q_i, i)
-        adv[i] = q_marg[i] - v[i][:, None]
+            q_phi = mdp.gamma * nxt[:, :, -1]
+            q_phi += env.stage_potential
+            adv_potential = tuple(
+                _marginalize(mdp, policy.probs, q_phi, i) - potential[:, None]
+                for i in range(n))
 
     return EvalReport(
         v=v, adv_marginal=tuple(adv), visitation=d, q=q_all,
         q_marginal=tuple(q_marg), potential=potential, potential_mu=potential_mu,
-        adv_potential=tuple(adv_potential) if adv_potential is not None else None)
+        adv_potential=adv_potential)
 
 
 def value_functions(mdp, policy):
@@ -246,9 +219,7 @@ def q_and_advantage(mdp, policy, agent):
 
 def visitation(mdp, policy):
     """Discounted state visitation distribution from mu under the policy."""
-    chain = induced_chain(mdp, policy)
-    solver = _Solver(mdp, chain.p_pi)
-    return solver.solve_transposed((1.0 - mdp.gamma) * mdp.mu)
+    return evaluate(mdp, policy, agents=[]).visitation
 
 
 def potential_value(env, policy):

@@ -2,17 +2,19 @@
 potential-difference checks, finite-difference gradients, the smoothness
 inequality, and fixed-point residuals.
 
-All checkers are pure functions of their inputs; per-agent best responses may
-run in parallel without changing results.
+Best responses are Howard policy iteration in which every round is one
+`exact.evaluate` call, so learning runs, Nash gaps and environment
+verification share a single evaluation core.  All checkers are pure
+functions of their inputs; per-agent best responses may run in parallel
+without changing results.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import Logits, softmax_policy
-from .exact import _Solver, evaluate, exclusion_table, mismatch_bound
+from .exact import evaluate, mismatch_bound
 
 
 @dataclass(frozen=True)
@@ -54,52 +56,25 @@ class SmoothnessReport:
         return self.lhs <= self.rhs + 1e-9
 
 
-def _frozen_policy_mdp(mdp, policy, agent):
-    """Single-agent MDP for `agent` with the other agents averaged out.
-
-    Returns (p_list, r_mat): p_list[a] is the (S, S) chain when the agent
-    plays a everywhere, r_mat is (S, A_i) expected rewards.
-    """
-    S, A_i = mdp.n_states, mdp.n_actions[agent]
-    excl = exclusion_table(mdp, policy, agent)
-    digits_i = mdp.digits[:, agent]
-    p_list = []
-    r_mat = np.empty((S, A_i))
-    n_joint = mdp.n_joint
-    for a in range(A_i):
-        cols = np.flatnonzero(digits_i == a)
-        w = np.zeros((S, n_joint))
-        w[:, cols] = excl[:, cols]
-        W = sp.csr_matrix((w.ravel(), np.tile(np.arange(n_joint), S) +
-                           np.repeat(np.arange(S) * n_joint, n_joint),
-                           np.arange(0, S * n_joint + 1, n_joint)),
-                          shape=(S, S * n_joint))
-        p_list.append(np.asarray((W @ mdp.transitions).todense()))
-        r_mat[:, a] = (w * mdp.rewards[agent]).sum(axis=1)
-    return p_list, r_mat
-
-
 def best_response(mdp, policy, agent, tol=1e-12, max_rounds=500):
     """Optimal deterministic reply of one agent against the others.
 
-    Howard policy iteration on the induced single-agent MDP: greedy
-    improvement alternates with exact policy evaluation, so the returned
-    values are simultaneously optimal for every starting state, with Bellman
-    residual below `tol`.  Ties break toward the lowest action index.
+    Howard policy iteration on the induced single-agent MDP: each round runs
+    `evaluate` on the policy with the agent's table replaced by its current
+    deterministic reply, then improves greedily on the agent's marginal Q.
+    The returned values are simultaneously optimal for every starting state,
+    with Bellman residual below `tol`.  Ties break toward the lowest action
+    index.
     """
     S, A_i = mdp.n_states, mdp.n_actions[agent]
-    p_list, r_mat = _frozen_policy_mdp(mdp, policy, agent)
+    rows = np.arange(S)
     act = np.zeros(S, dtype=np.int64)
-    v = np.zeros(S)
     for _ in range(max_rounds):
-        p_act = np.stack([p_list[act[s]][s] for s in range(S)])
-        r_act = r_mat[np.arange(S), act]
-        solver = _Solver(mdp, p_act)
-        v = solver.solve(r_act)
-        q = np.stack([r_mat[:, a] + mdp.gamma * (p_list[a] @ v)
-                      for a in range(A_i)], axis=1)
+        rep = evaluate(mdp, policy.replace_agent(agent, np.eye(A_i)[act]),
+                       agents=[agent])
+        v, q = rep.v[agent], rep.q_marginal[agent]
         greedy = np.argmax(q, axis=1)
-        improved = q[np.arange(S), greedy] > q[np.arange(S), act] + tol
+        improved = q[rows, greedy] > q[rows, act] + tol
         if not improved.any():
             residual = np.abs(q.max(axis=1) - v).max()
             if residual > 100 * max(tol, 1e-14):

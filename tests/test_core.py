@@ -183,3 +183,35 @@ class TestSerialization:
         again = m.read_policy(path)
         for p, q in zip(pol.probs, again.probs):
             assert np.array_equal(p, q)
+
+    def test_truncated_policy_file_rejected(self, tmp_path):
+        mdp = random_mdp(3, (2, 3), 0.9, seed=9)
+        path = tmp_path / "pol.txt"
+        m.write_policy(random_policy(mdp, 10), path)
+        lines = path.read_text().splitlines()
+        # cut inside agent 1's table: its last row loses an entry ...
+        cut = tmp_path / "cut_row.txt"
+        cut.write_text("\n".join(lines[:-1] + [lines[-1].rsplit(" ", 1)[0]]))
+        with pytest.raises(MDPFormatError, match="agent 1, row 2: 2 entries"):
+            m.read_policy(cut)
+        # ... or the file ends before its last row
+        cut.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(MDPFormatError, match="agent 1: 2 rows, shape "
+                                                 "declares 3"):
+            m.read_policy(cut)
+        # ... or before agent 1's block
+        cut.write_text("\n".join(lines[:6]) + "\n")
+        with pytest.raises(MDPFormatError, match="declares 2 agents but "
+                                                 "holds 1"):
+            m.read_policy(cut)
+
+    def test_policy_shape_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "pol.txt"
+        path.write_text("agents = 1\n[agent 0]\nshape = 2 3\n"
+                        "0.5 0.5\n0.5 0.5\n")
+        with pytest.raises(MDPFormatError, match="agent 0, row 0: 2 entries, "
+                                                 "shape declares 3"):
+            m.read_policy(path)
+        path.write_text("agents = 1\n[agent 0]\n0.5 0.5\n")
+        with pytest.raises(MDPFormatError, match="agent 0: expected 'shape"):
+            m.read_policy(path)

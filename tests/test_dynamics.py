@@ -64,6 +64,15 @@ class TestMwuStep:
         with pytest.raises(ValueError, match="zero probability"):
             m.mwu_step(pol, rep, eta=0.05, gamma=0.9)
 
+    def test_rejects_non_finite_advantage(self):
+        pol = m.JointPolicy([np.array([[0.5, 0.5]]),
+                             np.array([[0.2, 0.3, 0.5], [0.1, 0.1, 0.8]])])
+        rep = report_with([np.zeros((1, 2)),
+                           np.array([[0.0, 0.0, 0.0], [0.0, np.nan, 0.0]])],
+                          n_states=2)
+        with pytest.raises(ValueError, match="agent 1, state 1, action 1"):
+            m.mwu_step(pol, rep, eta=0.05, gamma=0.9)
+
     def test_output_on_simplex(self):
         rng = np.random.Generator(np.random.Philox(key=np.uint64(100)))
         for trial in range(50):
@@ -134,6 +143,17 @@ class TestIpgStep:
         v = rep.v[0][0]
         expected = 0.2 * 1.0 * pol.probs[0][0] * (q - v)  # d(s)=mu(s)=1
         assert np.abs((out.theta[0] - theta.theta[0])[0] - expected).max() < 1e-12
+
+    def test_given_policy_gives_bit_identical_logits(self):
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(105)))
+        theta = Logits([rng.normal(0, 2, (3, a)) for a in (2, 3)])
+        rep = report_with([rng.normal(0, 1, (3, a)) for a in (2, 3)],
+                          visitation=rng.dirichlet(np.ones(3)))
+        own = m.ipg_step(theta, rep, eta=0.3, gamma=0.9)
+        given = m.ipg_step(theta, rep, eta=0.3, gamma=0.9,
+                           policy=m.softmax_policy(theta))
+        for a, b in zip(own.theta, given.theta):
+            assert np.array_equal(a, b)
 
     def test_rejects_non_finite_advantage(self):
         theta = Logits([np.zeros((1, 2)), np.zeros((1, 3))])

@@ -3,12 +3,25 @@ sums, exhaustive enumeration, and closed-form special cases."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mpglearn as m
-from mpglearn.exact import exclusion_table, joint_policy_table
+from mpglearn import exact
+from mpglearn.exact import joint_policy_table
 
 from conftest import (chain_of, random_mdp, random_policy, truncated_values,
                       truncated_visitation)
+
+
+def others_product(mdp, policy, agent):
+    """(S, n_joint) product of every agent's policy except `agent`'s, gathered
+    per joint action: the brute-force weights of a marginal expectation."""
+    table = np.ones((mdp.n_states, mdp.n_joint))
+    for j, p in enumerate(policy.probs):
+        if j != agent:
+            table *= p[:, mdp.digits[:, j]]
+    return table
 
 
 class TestInducedChain:
@@ -101,12 +114,118 @@ class TestQAndAdvantage:
         pol = random_policy(mdp, 35)
         rep = m.evaluate(mdp, pol, want_q=True)
         i = 1
-        excl = exclusion_table(mdp, pol, i)
+        excl = others_product(mdp, pol, i)
         for s in range(mdp.n_states):
             for a in range(mdp.n_actions[i]):
                 cols = np.flatnonzero(mdp.digits[:, i] == a)
                 direct = (excl[s, cols] * rep.q[i][s, cols]).sum()
                 assert abs(direct - rep.q_marginal[i][s, a]) < 1e-12
+
+
+def oracle_marginal(mdp, policy, table, agent):
+    """Brute-force expectation of a (S, n_joint) table over the other agents."""
+    weighted = others_product(mdp, policy, agent) * table
+    out = np.zeros((mdp.n_states, mdp.n_actions[agent]))
+    for a in range(mdp.n_actions[agent]):
+        out[:, a] = weighted[:, mdp.digits[:, agent] == a].sum(axis=1)
+    return out
+
+
+def policy_with_zeros(mdp, rng):
+    """Dirichlet rows with some entries set to exactly 0 (each row keeps its
+    largest entry), renormalized."""
+    probs = []
+    for a in mdp.n_actions:
+        p = rng.dirichlet(np.ones(a), size=mdp.n_states)
+        drop = rng.uniform(size=p.shape) < 0.4
+        drop[np.arange(mdp.n_states), p.argmax(axis=1)] = False
+        p[drop] = 0.0
+        probs.append(p / p.sum(axis=1, keepdims=True))
+    return m.JointPolicy(probs)
+
+
+def random_env(n_states, n_actions, seed):
+    mdp = random_mdp(n_states, n_actions, 0.9, seed=seed)
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed + 1)))
+    phi = rng.uniform(0, 1, (n_states, mdp.n_joint))
+    return m.Environment(mdp=mdp, stage_potential=phi, label="random")
+
+
+class TestContraction:
+    """Marginal Q tables and potential advantages against a brute-force
+    product-of-others oracle with its own dense value solves."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_actions=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+           n_states=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
+           zeros=st.booleans())
+    @example(n_actions=[2, 3, 1, 2], n_states=3, seed=0, zeros=True)
+    @example(n_actions=[3], n_states=2, seed=1, zeros=False)
+    def test_marginals_match_product_of_others(self, n_actions, n_states,
+                                               seed, zeros):
+        env = random_env(n_states, tuple(n_actions), seed)
+        mdp = env.mdp
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed + 2)))
+        pol = (policy_with_zeros(mdp, rng) if zeros
+               else m.random_product_policy(mdp, rng))
+        rep = m.evaluate(env, pol)
+
+        S, A = mdp.n_states, mdp.n_joint
+        P = mdp.transitions.toarray()
+        jt = np.ones((S, A))
+        for i in range(mdp.n_agents):
+            jt *= pol.probs[i][:, mdp.digits[:, i]]
+        lhs = np.eye(S) - mdp.gamma * (jt[:, :, None] * P.reshape(S, A, S)
+                                       ).sum(axis=1)
+        stage = np.concatenate([mdp.rewards, env.stage_potential[None]])
+        values = np.linalg.solve(lhs, (stage * jt).sum(axis=2).T).T
+        q_phi = stage[-1] + mdp.gamma * (P @ values[-1]).reshape(S, A)
+        for i in range(mdp.n_agents):
+            q_i = stage[i] + mdp.gamma * (P @ values[i]).reshape(S, A)
+            assert np.abs(rep.q_marginal[i]
+                          - oracle_marginal(mdp, pol, q_i, i)).max() < 1e-12
+            assert np.abs(rep.adv_potential[i] - (
+                oracle_marginal(mdp, pol, q_phi, i) - values[-1][:, None])
+            ).max() < 1e-12
+
+
+class TestLargeInstanceBranches:
+    """The sparse chain/back-up and the splu solve, which only instances
+    beyond the dense thresholds take, forced on a small MDP and held to the
+    dense path."""
+
+    @pytest.mark.parametrize(
+        "patch", [("_DENSE_CHAIN_MAX",), ("DENSE_SOLVE_MAX",),
+                  ("_DENSE_CHAIN_MAX", "DENSE_SOLVE_MAX")],
+        ids=["sparse-chain", "splu", "both"])
+    def test_sparse_paths_match_dense(self, monkeypatch, patch):
+        dense_env = random_env(6, (2, 3, 2), seed=120)
+        pol = random_policy(dense_env.mdp, 121)
+        dense = m.evaluate(dense_env, pol, want_q=True)
+        dense_gap = m.nash_gap(dense_env.mdp, pol)
+        assert exact._flat_transitions(dense_env.mdp) is not None
+
+        for name in patch:
+            monkeypatch.setattr(exact, name, 0)
+        env = random_env(6, (2, 3, 2), seed=120)
+        assert (exact._flat_transitions(env.mdp) is None) == (
+            "_DENSE_CHAIN_MAX" in patch)
+        assert (exact._Solver(env.mdp, np.eye(6))._sparse is not None) == (
+            "DENSE_SOLVE_MAX" in patch)
+        sparse = m.evaluate(env, pol, want_q=True)
+        for field in ("v", "visitation", "potential", "q"):
+            assert np.abs(getattr(dense, field)
+                          - getattr(sparse, field)).max() < 1e-12
+        for field in ("adv_marginal", "q_marginal", "adv_potential"):
+            for x, y in zip(getattr(dense, field), getattr(sparse, field)):
+                assert np.abs(x - y).max() < 1e-12
+        gap = m.nash_gap(env.mdp, pol)
+        assert np.abs(gap.gaps - dense_gap.gaps).max() < 1e-12
+        for i in range(env.mdp.n_agents):
+            act_d, v_d = m.best_response(dense_env.mdp, pol, i)
+            act_s, v_s = m.best_response(env.mdp, pol, i)
+            assert np.array_equal(act_d, act_s)
+            assert np.abs(v_d - v_s).max() < 1e-12
 
 
 class TestVisitation:
