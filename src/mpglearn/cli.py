@@ -70,9 +70,9 @@ def _get(section, key, cast, default=None, required=False):
         raise ConfigError(f"bad value for {key!r} in [{section.name}]: {exc}")
 
 
-def load_config(path):
-    """Parse an experiment config (INI format, sections described in README)."""
-    path = Path(path)
+def _read_config(path):
+    """Read an INI config; returns the parser and the [environment] section
+    as a dict, its DAG path resolved against the config's directory."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         with open(path) as f:
@@ -83,19 +83,24 @@ def load_config(path):
         raise ConfigError(f"cannot parse {path}: {exc}")
     if "environment" not in parser:
         raise ConfigError(f"{path}: missing [environment] section")
-    if "algorithm" not in parser:
-        raise ConfigError(f"{path}: missing [algorithm] section")
-    env_sec = parser["environment"]
-    alg_sec = parser["algorithm"]
-    exp_sec = parser["experiment"] if "experiment" in parser else {}
-
-    environment = dict(env_sec)
-    if "dag" in env_sec:
-        dag_path = (path.parent / env_sec["dag"]).resolve()
+    environment = dict(parser["environment"])
+    if "dag" in environment:
+        dag_path = (path.parent / environment["dag"]).resolve()
         if not dag_path.exists():
             raise ConfigError(f"{path}: referenced DAG file {dag_path} "
                               f"does not exist")
         environment["dag"] = str(dag_path)
+    return parser, environment
+
+
+def load_config(path):
+    """Parse an experiment config (INI format, sections described in README)."""
+    path = Path(path)
+    parser, environment = _read_config(path)
+    if "algorithm" not in parser:
+        raise ConfigError(f"{path}: missing [algorithm] section")
+    alg_sec = parser["algorithm"]
+    exp_sec = parser["experiment"] if "experiment" in parser else {}
 
     algorithms = _get(alg_sec, "algorithm", str, required=True).split()
     for a in algorithms:
@@ -195,22 +200,25 @@ def _fmt_cell(x):
     return "" if x is None or (isinstance(x, float) and np.isnan(x)) else repr(x)
 
 
-def _initial_for(env, cfg, seed):
+def _job_keys(cfg, algorithm, run_id):
+    """(seed, init_key) of one job: its run seed, which keys the sampler's
+    streams, and the Philox key of its random initial logits, if any."""
+    seed = cfg.seed_base + run_id
     if cfg.init == "uniform":
-        return uniform_logits(env.mdp)
-    return random_logits(env.mdp, seed=(seed << 16) | 0xA5,
-                         scale=cfg.init_scale)
+        return seed, None
+    init_seed = seed if cfg.shared_init else (seed * len(cfg.algorithms)
+                                              + cfg.algorithms.index(algorithm))
+    return seed, (init_seed << 16) | 0xA5
 
 
 def _execute_one(env, cfg, algorithm, run_id, out_dir):
-    seed = cfg.seed_base + run_id
-    init_seed = seed if cfg.shared_init else (seed * len(cfg.algorithms)
-                                              + cfg.algorithms.index(algorithm))
+    seed, init_key = _job_keys(cfg, algorithm, run_id)
     sample_cfg = cfg.algo.sample_cfg
     algo = replace(cfg.algo, algorithm=algorithm,
                    sample_cfg=replace(sample_cfg, seed=seed)
                    if sample_cfg is not None else None)
-    initial = _initial_for(env, cfg, init_seed)
+    initial = (uniform_logits(env.mdp) if init_key is None else
+               random_logits(env.mdp, seed=init_key, scale=cfg.init_scale))
 
     stem = f"{algorithm}_run{run_id:03d}"
     trace_path = out_dir / f"{stem}.csv"
@@ -257,6 +265,13 @@ def cmd_run(config_path, out_dir, seeds=None, threads=1, guard=None):
                                   "contiguous ascending list")
         else:
             cfg.seed_base = int(seeds)
+    jobs = [(alg, r) for alg in cfg.algorithms for r in range(cfg.runs)]
+    for alg, r in jobs:
+        seed, init_key = _job_keys(cfg, alg, r)
+        for key in (seed, init_key):
+            if key is not None and not 0 <= key < 2 ** 64:
+                raise ConfigError(f"run seed {seed} gives the Philox key "
+                                  f"{key}, outside [0, 2**64)")
     env = build_environment(cfg.environment)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -265,7 +280,6 @@ def cmd_run(config_path, out_dir, seeds=None, threads=1, guard=None):
     check_step_size(env.mdp, cfg.algo)
     cfg.algo = replace(cfg.algo, guard="off")
 
-    jobs = [(alg, r) for alg in cfg.algorithms for r in range(cfg.runs)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(
@@ -399,24 +413,7 @@ def cmd_plot(inputs, out_path, band=False, log_y=True):
 
 def cmd_verify(config_path, out_path=None, seed=0, trials=100):
     """Run the verification suite against the configured environment."""
-    cfg_parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    path = Path(config_path)
-    try:
-        with open(path) as f:
-            cfg_parser.read_file(f, source=str(path))
-    except FileNotFoundError:
-        raise ConfigError(f"config file {path} does not exist")
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}")
-    if "environment" not in cfg_parser:
-        raise ConfigError(f"{path}: missing [environment] section")
-    environment = dict(cfg_parser["environment"])
-    if "dag" in environment:
-        dag_path = (path.parent / environment["dag"]).resolve()
-        if not dag_path.exists():
-            raise ConfigError(f"{path}: referenced DAG file {dag_path} "
-                              f"does not exist")
-        environment["dag"] = str(dag_path)
+    _, environment = _read_config(Path(config_path))
     env = build_environment(environment)
     report = verify_environment(env, seed=seed, potential_trials=trials)
     text = report.text()

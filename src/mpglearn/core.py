@@ -30,7 +30,9 @@ class MultiAgentMDP:
     rewards      float array (n_agents, n_states, n_joint), entries in [0, 1]
     transitions  CSR matrix (n_states * n_joint, n_states); row s*n_joint + a
                  holds the distribution over successor states of (s, a).  A
-                 dense (S, A, S) array is also accepted and converted.
+                 dense (S, A, S) array is also accepted.  It is kept in
+                 canonical form (sorted columns, no duplicates), as a copy
+                 when the given matrix is not.
     gamma        discount factor in [0, 1)
     mu           initial state distribution, length n_states
 
@@ -56,16 +58,21 @@ class MultiAgentMDP:
         if isinstance(transitions, np.ndarray):
             if transitions.shape != (self.n_states, self.n_joint, self.n_states):
                 raise ValueError(f"transition tensor shape {transitions.shape}")
-            transitions = sp.csr_matrix(
-                transitions.reshape(self.n_states * self.n_joint, self.n_states))
-        self.transitions = transitions.tocsr()
-        if self.transitions.shape != (self.n_states * self.n_joint, self.n_states):
-            raise ValueError(f"transition matrix shape {self.transitions.shape}")
+            transitions = transitions.reshape(self.n_states * self.n_joint,
+                                              self.n_states)
+        P = sp.csr_matrix(transitions, dtype=float)
+        if P.shape != (self.n_states * self.n_joint, self.n_states):
+            raise ValueError(f"transition matrix shape {P.shape}")
+        if not P.has_canonical_format:
+            P = P.copy()                # the caller's matrix stays as it is
+            P.sum_duplicates()
+        self.transitions = P
         self.state_labels = tuple(state_labels) if state_labels is not None else None
         if self.state_labels is not None and len(self.state_labels) != self.n_states:
             raise ValueError("state_labels length mismatch")
         self._digits = None
-        self._next_state = None
+        self._chain_cells = None
+        self._successors = None
         if validate:
             problems = validate_mdp(self)
             if problems:
@@ -86,16 +93,43 @@ class MultiAgentMDP:
     def split_joint(self, joint):
         return tuple(int(x) for x in np.unravel_index(int(joint), self.n_actions))
 
-    def deterministic_next(self):
-        """(S*A,) successor index array when all transitions are deterministic, else None."""
-        if self._next_state is None:
+    @property
+    def chain_cells(self):
+        """(rows, cells) of every transition entry in CSR order: its row
+        s*n_joint + a, and the (s, s') chain cell s*n_states + s' it feeds."""
+        if self._chain_cells is None:
             P = self.transitions
-            nnz = np.diff(P.indptr)
-            if np.all(nnz == 1):
-                self._next_state = _frozen(P.indices.copy(), dtype=np.int64)
-            else:
-                self._next_state = False
-        return None if self._next_state is False else self._next_state
+            rows = np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))
+            self._chain_cells = (_frozen(rows, np.int64), _frozen(
+                rows // self.n_joint * self.n_states + P.indices, np.int64))
+        return self._chain_cells
+
+    @property
+    def successors(self):
+        """(succ, cdf, total): the transition rows as a padded draw table.
+
+        succ (S*A, W), W the longest row, lists each row's successors.  Under
+        a uniform u row r goes to succ[r, k], k the count of cdf[r] <= u *
+        total[r]: cdf (S*A, W-1) holds the row's running sums before its last
+        entry, padded with inf.  cdf and total are None when W == 1."""
+        if self._successors is None:
+            P = self.transitions
+            lengths = np.diff(P.indptr)
+            width = int(lengths.max(initial=1))
+            rows = np.repeat(np.arange(P.shape[0]), lengths)
+            pos = np.arange(P.nnz) - P.indptr[rows]
+            succ = np.zeros((P.shape[0], width), dtype=np.int64)
+            succ[rows, pos] = P.indices
+            cdf = total = None
+            if width > 1:
+                run = np.zeros(succ.shape)
+                run[rows, pos] = P.data
+                np.cumsum(run, axis=1, out=run)
+                total = _frozen(run[:, -1])
+                run[np.arange(width) >= lengths[:, None] - 1] = np.inf
+                cdf = _frozen(run[:, :-1])
+            self._successors = (_frozen(succ, np.int64), cdf, total)
+        return self._successors
 
     def a_max(self):
         return max(self.n_actions)
@@ -118,8 +152,7 @@ def validate_mdp(mdp):
     P = mdp.transitions
     if P.nnz and P.data.min() < 0:
         k = int(np.argmin(P.data))
-        row = int(np.searchsorted(P.indptr, k, side="right") - 1)
-        s, a = divmod(row, mdp.n_joint)
+        s, a = divmod(int(mdp.chain_cells[0][k]), mdp.n_joint)
         problems.append(f"negative transition probability {P.data[k]} at "
                         f"(state {s}, joint action {a})")
     row_sums = np.asarray(P.sum(axis=1)).ravel()
@@ -316,9 +349,8 @@ def write_mdp(mdp, path):
     for i, s, a in zip(*np.nonzero(r)):
         lines.append(f"{i} {s} {a} {float(r[i, s, a])!r}")
     lines.append("[transitions]")
-    P = mdp.transitions.tocoo()
-    order = np.lexsort((P.col, P.row))
-    for k in order:
+    P = mdp.transitions.tocoo()     # canonical CSR: row-major, sorted columns
+    for k in range(P.nnz):
         s, a = divmod(int(P.row[k]), mdp.n_joint)
         lines.append(f"{s} {a} {int(P.col[k])} {float(P.data[k])!r}")
     lines.append("[gamma]")
@@ -337,15 +369,19 @@ class MDPFormatError(ValueError):
 
 
 def read_mdp(path, validate=True):
-    """Parse the structured-text MDP format written by write_mdp."""
+    """Parse the structured-text MDP format written by write_mdp.
+
+    Every index is checked against the declared counts; an MDPFormatError
+    names the line, the index and its range.
+    """
     with open(path) as f:
         raw = f.readlines()
     section = None
     n_states = n_agents = None
     n_actions = None
-    labels = {}
     gamma = None
-    rewards_entries, transition_entries, mu_entries = [], [], []
+    # per kind: (line number, index tuple, value) of every entry
+    entries = {"label": [], "rewards": [], "transitions": [], "mu": []}
 
     def fail(no, msg):
         raise MDPFormatError(f"{path}: line {no}: {msg}")
@@ -368,7 +404,8 @@ def read_mdp(path, validate=True):
                     n_states = int(text.split("=", 1)[1])
                 elif text.startswith("label"):
                     head, lab = text.split("=", 1)
-                    labels[int(head.split()[1])] = lab.strip()
+                    entries["label"].append(
+                        (no, (int(head.split()[1]),), lab.strip()))
                 else:
                     fail(no, f"unexpected [states] entry: {text}")
             elif section == "agents":
@@ -380,15 +417,17 @@ def read_mdp(path, validate=True):
                     fail(no, f"unexpected [agents] entry: {text}")
             elif section == "rewards":
                 i, s, a, val = text.split()
-                rewards_entries.append((int(i), int(s), int(a), float(val)))
+                entries["rewards"].append(
+                    (no, (int(i), int(s), int(a)), float(val)))
             elif section == "transitions":
                 s, a, sp_, val = text.split()
-                transition_entries.append((int(s), int(a), int(sp_), float(val)))
+                entries["transitions"].append(
+                    (no, (int(s), int(a), int(sp_)), float(val)))
             elif section == "gamma":
                 gamma = float(text)
             elif section == "mu":
                 s, val = text.split()
-                mu_entries.append((int(s), float(val)))
+                entries["mu"].append((no, (int(s),), float(val)))
         except MDPFormatError:
             raise
         except ValueError as exc:
@@ -403,19 +442,29 @@ def read_mdp(path, validate=True):
     if gamma is None:
         raise MDPFormatError(f"{path}: missing [gamma]")
     n_joint = int(np.prod(n_actions))
+    state, joint = ("state", n_states), ("joint action", n_joint)
+    ranges = {"label": (state,), "rewards": (("agent", n_agents), state, joint),
+              "transitions": (state, joint, ("next state", n_states)),
+              "mu": (state,)}
+    for kind, items in entries.items():
+        for no, index, _ in items:
+            for k, (name, bound) in zip(index, ranges[kind]):
+                if not 0 <= k < bound:
+                    fail(no, f"{name} index {k} outside [0, {bound})")
     rewards = np.zeros((n_agents, n_states, n_joint))
-    for i, s, a, val in rewards_entries:
+    for _, (i, s, a), val in entries["rewards"]:
         rewards[i, s, a] = val
-    rows = [s * n_joint + a for s, a, _, _ in transition_entries]
-    cols = [sp_ for _, _, sp_, _ in transition_entries]
-    vals = [v for _, _, _, v in transition_entries]
+    rows = [s * n_joint + a for _, (s, a, _), _ in entries["transitions"]]
+    cols = [sp_ for _, (_, _, sp_), _ in entries["transitions"]]
+    vals = [v for _, _, v in entries["transitions"]]
     transitions = sp.csr_matrix((vals, (rows, cols)),
                                 shape=(n_states * n_joint, n_states))
     mu = np.zeros(n_states)
-    for s, val in mu_entries:
+    for _, (s,), val in entries["mu"]:
         mu[s] = val
     state_labels = None
-    if labels:
+    if entries["label"]:
+        labels = {s: lab for _, (s,), lab in entries["label"]}
         state_labels = tuple(labels.get(s, str(s)) for s in range(n_states))
     return MultiAgentMDP(n_actions, rewards, transitions, gamma, mu,
                          state_labels=state_labels, validate=validate)

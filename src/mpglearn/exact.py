@@ -1,14 +1,15 @@
 """Exact policy evaluation by linear algebra.
 
 Values, Q-functions, marginal advantages, discounted visitation and the
-potential value all come from solves against (I - gamma * P_pi).  One LU
-factorization (dense, partial pivoting) is shared across agents and reused
-transposed for the visitation solve, so results are bit-reproducible
-regardless of how callers parallelize per-agent work.  Systems larger than
-DENSE_SOLVE_MAX states go through a sparse factorization instead.
+potential value all come from solves against (I - gamma * P_pi), where P_pi
+is one bincount over the MDP's CSR transition entries.  One LU factorization
+(dense, partial pivoting) is shared across agents and reused transposed for
+the visitation solve, so results are bit-reproducible regardless of how
+callers parallelize per-agent work.  Systems larger than DENSE_SOLVE_MAX
+states go through a sparse factorization instead.
 
 The value columns of every requested agent (and of the potential) are
-solved as one block, backed up through the transition table in one product,
+solved as one block, backed up through the CSR table in one sparse product,
 and each agent's marginal Q is a sequential contraction of its joint-action
 Q table: every other agent's action axis is summed against that agent's
 policy rows, one batched matmul per agent.
@@ -24,9 +25,6 @@ from scipy import linalg
 from .core import EvalReport
 
 DENSE_SOLVE_MAX = 4096
-# dense intermediates (joint tables, weighted tensors) above this size fall
-# back to sparse arithmetic
-_DENSE_CHAIN_MAX = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -87,27 +85,12 @@ def _marginalize(mdp, probs, table, agent):
     return t.reshape(S, mdp.n_actions[agent])
 
 
-def _flat_transitions(mdp):
-    """(S*A, S) dense transition matrix, cached, for fast Q back-ups."""
-    cached = getattr(mdp, "_flat_dense", None)
-    if cached is None:
-        if mdp.n_states * mdp.n_joint * mdp.n_states <= _DENSE_CHAIN_MAX:
-            cached = mdp.transitions.toarray()
-        else:
-            cached = False
-        mdp._flat_dense = cached
-    return None if cached is False else cached
-
-
 def _chain_matrix(mdp, jt):
-    """(S, S) state chain under the joint action table jt."""
-    S, A = mdp.n_states, mdp.n_joint
-    flat = _flat_transitions(mdp)
-    if flat is not None:
-        return (jt.reshape(S, 1, A) @ flat.reshape(S, A, S)).reshape(S, S)
-    W = sp.csr_matrix((jt.ravel(), np.arange(S * A), np.arange(0, S * A + A, A)),
-                      shape=(S, S * A))
-    return np.asarray((W @ mdp.transitions).todense())
+    """(S, S) state chain: the transition entries weighted by jt, per cell."""
+    S = mdp.n_states
+    rows, cells = mdp.chain_cells
+    weights = jt.ravel()[rows] * mdp.transitions.data
+    return np.bincount(cells, weights=weights, minlength=S * S).reshape(S, S)
 
 
 def induced_chain(mdp, policy):
@@ -173,10 +156,8 @@ def evaluate(target, policy, want_q=False, agents=None):
     potential = potential_mu = adv_potential = None
     if rhs_cols:
         sol = solver.solve(np.stack(rhs_cols, axis=1))
-        flat = _flat_transitions(mdp)
         # expected next-state value of every solved column, per (s, a)
-        nxt = ((flat if flat is not None else mdp.transitions) @ sol
-               ).reshape(S, A, len(rhs_cols))
+        nxt = (mdp.transitions @ sol).reshape(S, A, len(rhs_cols))
         for k, i in enumerate(active):
             v[i] = sol[:, k]
             q_i = mdp.gamma * nxt[:, :, k]
@@ -233,19 +214,14 @@ def potential_value(env, policy):
 def reachable_states(mdp):
     """States reachable from the support of mu under some action sequence."""
     P = mdp.transitions
-    seen = np.zeros(mdp.n_states, dtype=bool)
-    frontier = list(np.flatnonzero(mdp.mu > 0))
-    for s in frontier:
-        seen[s] = True
-    while frontier:
-        s = frontier.pop()
-        lo = P.indptr[s * mdp.n_joint]
-        hi = P.indptr[(s + 1) * mdp.n_joint]
-        for nxt in np.unique(P.indices[lo:hi]):
-            if not seen[nxt]:
-                seen[nxt] = True
-                frontier.append(int(nxt))
-    return np.flatnonzero(seen)
+    src = np.repeat(np.arange(mdp.n_states), np.diff(P.indptr[::mdp.n_joint]))
+    seen = mdp.mu > 0
+    while True:
+        grown = seen.copy()
+        grown[P.indices[seen[src]]] = True
+        if np.array_equal(grown, seen):
+            return np.flatnonzero(seen)
+        seen = grown
 
 
 def _deterministic_policies(mdp):

@@ -13,7 +13,8 @@ The draws come from a numpy Philox4x64-10 that is bit-identical to
 .random(count)`, computed for every (episode, stream, block) lane in one
 array pass.  Because the draws do not depend on the policy, a learning run
 keeps a _StreamBank that computes them a chunk of episodes ahead, so one
-pass serves many updates.
+pass serves many updates.  Next states come from the successor table the
+MDP derives from its CSR transition rows (`MultiAgentMDP.successors`).
 """
 
 from dataclasses import dataclass
@@ -199,20 +200,9 @@ def _sample_batch(mdp, policy, horizon, seed, episode_offset, batch,
     s = np.searchsorted(mu_cdf, env_u[0] * mu_cdf[-1], side="right")
     s = np.minimum(s, mdp.n_states - 1).astype(np.int64)
 
-    next_det = mdp.deterministic_next()
-    P = mdp.transitions
-    row_cdf = None
-    if next_det is None:
-        from .exact import _flat_transitions
-        flat_dense = _flat_transitions(mdp)
-        if flat_dense is not None:
-            row_cdf = getattr(mdp, "_flat_cdf", None)
-            if row_cdf is None:
-                row_cdf = np.cumsum(flat_dense, axis=1)
-                mdp._flat_cdf = row_cdf
-    weights = np.ones(n, dtype=np.int64)
-    for i in range(n - 2, -1, -1):
-        weights[i] = weights[i + 1] * mdp.n_actions[i + 1]
+    succ, row_cdf, row_total = mdp.successors
+    only = succ[:, 0]                   # the successor of every row if W == 1
+    weights = np.cumprod((mdp.n_actions[1:] + (1,))[::-1])[::-1]
 
     states = np.empty((T, B), dtype=np.int64)
     actions = np.empty((T, B, n), dtype=np.int64)
@@ -226,24 +216,11 @@ def _sample_batch(mdp, policy, horizon, seed, episode_offset, batch,
         joint = actions[t] @ weights                  # (B,)
         rewards[t] = mdp.rewards[:, s, joint].T
         flat = s * mdp.n_joint + joint
-        if next_det is not None:
-            s = next_det[flat]
-        elif row_cdf is not None:
-            # counting entries <= target over the dense cdf matches the
-            # sparse searchsorted draw exactly (zero columns repeat the
-            # previous cdf value and are skipped by construction)
-            cdfs = row_cdf[flat]
-            tgt = env_u[t + 1] * cdfs[:, -1]
-            s = (cdfs <= tgt[:, None]).sum(axis=1)
+        if row_cdf is None:
+            s = only[flat]
         else:
-            nxt = np.empty(B, dtype=np.int64)
-            for b in range(B):
-                lo, hi = P.indptr[flat[b]], P.indptr[flat[b] + 1]
-                cdf = np.cumsum(P.data[lo:hi])
-                k = np.searchsorted(cdf, env_u[t + 1, b] * cdf[-1],
-                                    side="right")
-                nxt[b] = P.indices[lo + min(k, hi - lo - 1)]
-            s = nxt
+            tgt = env_u[t + 1] * row_total[flat]
+            s = succ[flat, (row_cdf[flat] <= tgt[:, None]).sum(axis=1)]
     return states, actions, rewards
 
 

@@ -26,6 +26,24 @@ def random_mdp(n_states, n_actions, gamma, seed, n_agents=None):
     return m.MultiAgentMDP(n_actions, rewards, dense, gamma, mu)
 
 
+def sparse_mdp(n_states, n_actions, gamma, seed, max_width):
+    """Like random_mdp, but each transition row has between 1 and max_width
+    successors, chosen at random and given Dirichlet probabilities."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    n_agents = len(n_actions)
+    n_joint = int(np.prod(n_actions))
+    rewards = rng.uniform(0, 1, size=(n_agents, n_states, n_joint))
+    dense = np.zeros((n_states * n_joint, n_states))
+    for row in dense:
+        succ = rng.choice(n_states, size=rng.integers(1, max_width + 1),
+                          replace=False)
+        row[succ] = rng.dirichlet(np.ones(len(succ)))
+    mu = rng.dirichlet(np.ones(n_states))
+    return m.MultiAgentMDP(n_actions, rewards,
+                           dense.reshape(n_states, n_joint, n_states), gamma,
+                           mu)
+
+
 def random_policy(mdp, seed):
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     return m.random_product_policy(mdp, rng)

@@ -155,6 +155,24 @@ class TestCmdRun:
             cmd_run(bad, tmp_path / "o3")
         cmd_run(bad, tmp_path / "o4", guard="off")
 
+    def test_seeds_outside_the_key_range_exit_2(self, tmp_path, capsys):
+        (tmp_path / "stage.dag").write_text(STAGE_DAG)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(STAGE_CONFIG)
+        out = tmp_path / "out"
+        # 2**48 - 1: the second run's random-init key (seed << 16) overflows
+        for seeds in ("-1", "-1,0", str(2 ** 48 - 1)):
+            assert main(["run", "--config", str(cfg), "--out", str(out),
+                         f"--seeds={seeds}"]) == 2
+            assert "outside [0, 2**64)" in capsys.readouterr().err
+        cfg.write_text(STAGE_CONFIG.replace("seed_base = 7", "seed_base = -3"))
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "run seed -3" in capsys.readouterr().err
+        cfg.write_text(STAGE_CONFIG.replace("init = random", "init = uniform"))
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     f"--seeds={2 ** 64}"]) == 2
+        assert not out.exists()             # rejected before any job ran
+
 
 class TestCmdAccuracy:
     def test_final_row_zero_and_monotone_tail(self, stage_run):
@@ -249,6 +267,20 @@ class TestCmdVerify:
                        "mu = uniform\n")
         assert main(["verify", "--config", str(cfg), "--trials", "20"]) == 0
         assert main(["verify", "--config", str(tmp_path / "nope.ini")]) == 2
+
+    def test_config_errors_match_load_config(self, tmp_path):
+        (tmp_path / "syntax.ini").write_text("[environment\ntype = scg\n")
+        (tmp_path / "no_env.ini").write_text(
+            "[algorithm]\nalgorithm = inpg\neta = 0.1\n")
+        (tmp_path / "no_dag.ini").write_text(
+            "[environment]\ntype = scg\ndag = missing.dag\n"
+            "[algorithm]\nalgorithm = inpg\neta = 0.1\n")
+        for name in ("nope.ini", "syntax.ini", "no_env.ini", "no_dag.ini"):
+            with pytest.raises(ConfigError) as via_verify:
+                cmd_verify(tmp_path / name)
+            with pytest.raises(ConfigError) as via_load:
+                load_config(tmp_path / name)
+            assert str(via_verify.value) == str(via_load.value)
 
     def test_full_pipeline_via_main(self, tmp_path):
         (tmp_path / "stage.dag").write_text(STAGE_DAG)

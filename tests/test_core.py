@@ -2,14 +2,17 @@
 joint-action encoding, and text serialization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mpglearn as m
 from mpglearn.core import MDPFormatError
 
-from conftest import random_mdp, random_policy
+from conftest import random_mdp, random_policy, sparse_mdp
 
 
 def tiny_mdp(**kw):
@@ -147,15 +150,30 @@ class TestImmutability:
 
 
 class TestSerialization:
-    def test_round_trip_bit_exact(self, tmp_path):
-        mdp = random_mdp(3, (2, 2), 0.97, seed=8)
-        p1 = tmp_path / "a.mdp"
-        p2 = tmp_path / "b.mdp"
+    @settings(max_examples=30, deadline=None)
+    @given(n_actions=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           n_states=st.integers(1, 4), width=st.integers(1, 4),
+           gamma=st.floats(0.0, 0.999), seed=st.integers(0, 2 ** 32 - 1),
+           labelled=st.booleans())
+    @example(n_actions=[2, 2], n_states=3, width=3, gamma=0.97, seed=8,
+             labelled=False)
+    def test_round_trip_bit_exact(self, tmp_path_factory, n_actions, n_states,
+                                  width, gamma, seed, labelled):
+        mdp = sparse_mdp(n_states, tuple(n_actions), gamma, seed,
+                         max_width=min(width, n_states))
+        if labelled:
+            mdp = m.MultiAgentMDP(mdp.n_actions, mdp.rewards, mdp.transitions,
+                                  gamma, mdp.mu, state_labels=[
+                                      f"s{k}" for k in range(n_states)])
+        tmp = tmp_path_factory.mktemp("mdp")
+        p1 = tmp / "a.mdp"
+        p2 = tmp / "b.mdp"
         m.write_mdp(mdp, p1)
         again = m.read_mdp(p1)
         m.write_mdp(again, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert again.gamma == mdp.gamma
+        assert again.state_labels == mdp.state_labels
         assert np.array_equal(again.rewards, mdp.rewards)
         assert np.array_equal(again.mu, mdp.mu)
         assert (again.transitions != mdp.transitions).nnz == 0
@@ -175,14 +193,49 @@ class TestSerialization:
         with pytest.raises(MDPFormatError, match="line 7"):
             m.read_mdp(path)
 
-    def test_policy_round_trip(self, tmp_path):
-        mdp = random_mdp(3, (2, 3), 0.9, seed=9)
-        pol = random_policy(mdp, 10)
-        path = tmp_path / "pol.txt"
-        m.write_policy(pol, path)
-        again = m.read_policy(path)
+    @settings(max_examples=30, deadline=None)
+    @given(n_actions=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+           n_states=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n_actions=[2, 3], n_states=3, seed=9)
+    def test_policy_round_trip(self, tmp_path_factory, n_actions, n_states,
+                               seed):
+        mdp = random_mdp(n_states, tuple(n_actions), 0.9, seed=seed)
+        pol = random_policy(mdp, seed + 1)
+        tmp = tmp_path_factory.mktemp("policy")
+        m.write_policy(pol, tmp / "a.txt")
+        again = m.read_policy(tmp / "a.txt")
+        m.write_policy(again, tmp / "b.txt")
+        assert (tmp / "a.txt").read_bytes() == (tmp / "b.txt").read_bytes()
         for p, q in zip(pol.probs, again.probs):
             assert np.array_equal(p, q)
+
+    @pytest.mark.parametrize("section, line, message", [
+        ("label", "label -1 = x", "state index -1 outside [0, 2)"),
+        ("label", "label 2 = x", "state index 2 outside [0, 2)"),
+        ("rewards", "-1 0 0 0.5", "agent index -1 outside [0, 2)"),
+        ("rewards", "0 2 0 0.5", "state index 2 outside [0, 2)"),
+        ("rewards", "0 0 4 0.5", "joint action index 4 outside [0, 4)"),
+        ("transitions", "0 -1 0 0.5", "joint action index -1 outside [0, 4)"),
+        ("transitions", "0 4 0 0.5", "joint action index 4 outside [0, 4)"),
+        ("transitions", "2 0 0 0.5", "state index 2 outside [0, 2)"),
+        ("transitions", "0 0 -1 0.5", "next state index -1 outside [0, 2)"),
+        ("mu", "-1 1.0", "state index -1 outside [0, 2)"),
+        ("mu", "2 1.0", "state index 2 outside [0, 2)"),
+    ])
+    def test_out_of_range_index_names_line(self, tmp_path, section, line,
+                                           message):
+        mdp = random_mdp(2, (2, 2), 0.9, seed=11)
+        path = tmp_path / "bad.mdp"
+        lines = m.write_mdp(mdp, path).splitlines()
+        header = "[states]" if section == "label" else f"[{section}]"
+        at = lines.index(header) + 1
+        if section == "label":
+            at += 1                         # after the count line
+        lines.insert(at, line)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MDPFormatError,
+                           match=rf"line {at + 1}: {re.escape(message)}"):
+            m.read_mdp(path, validate=False)
 
     def test_truncated_policy_file_rejected(self, tmp_path):
         mdp = random_mdp(3, (2, 3), 0.9, seed=9)

@@ -10,8 +10,8 @@ import mpglearn as m
 from mpglearn import exact
 from mpglearn.exact import joint_policy_table
 
-from conftest import (chain_of, random_mdp, random_policy, truncated_values,
-                      truncated_visitation)
+from conftest import (chain_of, random_mdp, random_policy, sparse_mdp,
+                      truncated_values, truncated_visitation)
 
 
 def others_product(mdp, policy, agent):
@@ -190,28 +190,25 @@ class TestContraction:
 
 
 class TestLargeInstanceBranches:
-    """The sparse chain/back-up and the splu solve, which only instances
-    beyond the dense thresholds take, forced on a small MDP and held to the
-    dense path."""
+    """The splu solve, which only chains beyond DENSE_SOLVE_MAX states take,
+    forced on small games and held to the dense LU."""
 
-    @pytest.mark.parametrize(
-        "patch", [("_DENSE_CHAIN_MAX",), ("DENSE_SOLVE_MAX",),
-                  ("_DENSE_CHAIN_MAX", "DENSE_SOLVE_MAX")],
-        ids=["sparse-chain", "splu", "both"])
-    def test_sparse_paths_match_dense(self, monkeypatch, patch):
-        dense_env = random_env(6, (2, 3, 2), seed=120)
-        pol = random_policy(dense_env.mdp, 121)
-        dense = m.evaluate(dense_env, pol, want_q=True)
-        dense_gap = m.nash_gap(dense_env.mdp, pol)
-        assert exact._flat_transitions(dense_env.mdp) is not None
+    @pytest.mark.parametrize("game", ["splu", "splu-routing"])
+    def test_sparse_paths_match_dense(self, monkeypatch, game):
+        if game == "splu":
+            env = random_env(6, (2, 3, 2), seed=120)
+        else:
+            env = m.build_scg(m.layered_dag([2, 2]), n_agents=3, gamma=0.99,
+                              reachable_only=True)
+        pol = random_policy(env.mdp, 121)
+        S = env.mdp.n_states
+        dense = m.evaluate(env, pol, want_q=True)
+        dense_gap = m.nash_gap(env.mdp, pol)
+        dense_br = [m.best_response(env.mdp, pol, i)
+                    for i in range(env.mdp.n_agents)]
 
-        for name in patch:
-            monkeypatch.setattr(exact, name, 0)
-        env = random_env(6, (2, 3, 2), seed=120)
-        assert (exact._flat_transitions(env.mdp) is None) == (
-            "_DENSE_CHAIN_MAX" in patch)
-        assert (exact._Solver(env.mdp, np.eye(6))._sparse is not None) == (
-            "DENSE_SOLVE_MAX" in patch)
+        monkeypatch.setattr(exact, "DENSE_SOLVE_MAX", 0)
+        assert exact._Solver(env.mdp, np.eye(S))._sparse is not None
         sparse = m.evaluate(env, pol, want_q=True)
         for field in ("v", "visitation", "potential", "q"):
             assert np.abs(getattr(dense, field)
@@ -221,11 +218,29 @@ class TestLargeInstanceBranches:
                 assert np.abs(x - y).max() < 1e-12
         gap = m.nash_gap(env.mdp, pol)
         assert np.abs(gap.gaps - dense_gap.gaps).max() < 1e-12
-        for i in range(env.mdp.n_agents):
-            act_d, v_d = m.best_response(dense_env.mdp, pol, i)
+        for i, (act_d, v_d) in enumerate(dense_br):
             act_s, v_s = m.best_response(env.mdp, pol, i)
             assert np.array_equal(act_d, act_s)
             assert np.abs(v_d - v_s).max() < 1e-12
+
+
+class TestEvalReportInvariants:
+    """eval_report_violations finds nothing wrong with exact reports on
+    random games with 1-4 successors per transition row."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_actions=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           n_states=st.integers(1, 4), width=st.integers(1, 4),
+           gamma=st.sampled_from([0.0, 0.5, 0.99]),
+           seed=st.integers(0, 2 ** 32 - 1), zeros=st.booleans())
+    def test_exact_reports_have_no_violations(self, n_actions, n_states,
+                                              width, gamma, seed, zeros):
+        mdp = sparse_mdp(n_states, tuple(n_actions), gamma, seed,
+                         max_width=min(width, n_states))
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed + 1)))
+        pol = (policy_with_zeros(mdp, rng) if zeros
+               else m.random_product_policy(mdp, rng))
+        assert m.eval_report_violations(m.evaluate(mdp, pol), pol, mdp) == []
 
 
 class TestVisitation:

@@ -3,11 +3,12 @@ one-step probabilities, and convergence toward exact values."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import mpglearn as m
-from mpglearn import exact, sampling
+from mpglearn import sampling
 
-from conftest import random_mdp, random_policy
+from conftest import random_mdp, random_policy, sparse_mdp
 
 
 def deterministic_line_mdp():
@@ -241,22 +242,92 @@ class TestStreamDraws:
             m.estimate_eval(mdp, pol, m.SampleConfig(horizon=2, batch=1))
 
 
-class TestSparseTransitionDraw:
-    def test_sparse_rows_draw_the_same_states_as_the_dense_cdf(self,
-                                                               monkeypatch):
-        # the per-episode CSR branch serves MDPs too large for the dense
-        # (S*A, S) table; force it on a small MDP and compare bit for bit
-        dense_mdp = random_mdp(5, (2, 3), 0.9, seed=99)
-        assert dense_mdp.deterministic_next() is None
-        pol = random_policy(dense_mdp, 100)
-        dense = sampling._sample_batch(dense_mdp, pol, 12, seed=7,
-                                       episode_offset=3, batch=64)
-        assert exact._flat_transitions(dense_mdp) is not None
-        monkeypatch.setattr(exact, "_DENSE_CHAIN_MAX", 0)
-        sparse_mdp = random_mdp(5, (2, 3), 0.9, seed=99)
-        assert exact._flat_transitions(sparse_mdp) is None
-        sparse = sampling._sample_batch(sparse_mdp, pol, 12, seed=7,
-                                        episode_offset=3, batch=64)
-        for x, y in zip(dense, sparse):
+def csr_loop_sample_batch(mdp, policy, horizon, seed, episode_offset,
+                          batch):
+    """Reference rollout whose next-state draw walks the CSR transition row
+    of each episode in turn: a cumsum of the row's stored probabilities and
+    a searchsorted of the episode's uniform, clamped to the row's last
+    successor.  Agent draws and the initial state are drawn as the sampler
+    draws them."""
+    n, T, B = mdp.n_agents, horizon, batch
+    u = sampling._uniforms(seed, episode_offset, B, n + 1, T + 1)
+    agent_u, env_u = u[:T, :, :n], u[:T + 1, :, n]
+    cum_all = sampling._padded_cumsum(policy, mdp.n_actions)
+    mu_cdf = np.cumsum(mdp.mu)
+    s = np.minimum(np.searchsorted(mu_cdf, env_u[0] * mu_cdf[-1],
+                                   side="right"), mdp.n_states - 1)
+    P = mdp.transitions
+    states = np.empty((T, B), dtype=np.int64)
+    actions = np.empty((T, B, n), dtype=np.int64)
+    rewards = np.empty((T, B, n))
+    for t in range(T):
+        states[t] = s
+        rows = cum_all[:, s, :]
+        target = agent_u[t].T * rows[:, :, -1]
+        actions[t] = (rows <= target[:, :, None]).sum(axis=2).T
+        joint = np.array([mdp.joint_index(a) for a in actions[t]])
+        rewards[t] = mdp.rewards[:, s, joint].T
+        nxt = np.empty(B, dtype=np.int64)
+        for b in range(B):
+            row = s[b] * mdp.n_joint + joint[b]
+            lo, hi = P.indptr[row], P.indptr[row + 1]
+            cdf = np.cumsum(P.data[lo:hi])
+            k = np.searchsorted(cdf, env_u[t + 1, b] * cdf[-1], side="right")
+            nxt[b] = P.indices[lo + min(k, hi - lo - 1)]
+        s = nxt
+    return states, actions, rewards
+
+
+def unsorted_csr_mdp():
+    """1 agent, 2 actions, 2 states, stored as a CSR matrix whose rows 0 and
+    2 list their columns out of order and row 2 repeats column 0; also
+    returns the same game's dense (S, A, S) tensor."""
+    data = [0.7, 0.3, 1.0, 0.2, 0.6, 0.2, 0.5, 0.5]
+    indices = [1, 0, 1, 0, 1, 0, 1, 0]
+    P = sp.csr_matrix((data, indices, [0, 2, 3, 6, 8]), shape=(4, 2))
+    dense = np.array([[[0.3, 0.7], [0.0, 1.0]], [[0.4, 0.6], [0.5, 0.5]]])
+    rewards = np.array([[[0.0, 1.0], [0.5, 0.25]]])
+    return P, dense, rewards
+
+
+class TestTransitionDraw:
+    """The padded successor-table draw, bit for bit against the per-episode
+    CSR loop."""
+
+    @pytest.mark.parametrize("kind", ["dense", "mixed-width", "deterministic",
+                                      "unsorted-csr"])
+    def test_matches_per_episode_csr_loop(self, kind):
+        if kind == "unsorted-csr":
+            P, _, rewards = unsorted_csr_mdp()
+            mdp = m.MultiAgentMDP((2,), rewards, P, 0.9, [0.5, 0.5])
+        else:
+            width = {"dense": 6, "mixed-width": 4, "deterministic": 1}[kind]
+            mdp = sparse_mdp(6, (2, 3), 0.9, seed=99, max_width=width)
+        succ, cdf, _ = mdp.successors
+        assert succ.shape[1] == (1 if kind == "deterministic"
+                                 else np.diff(mdp.transitions.indptr).max())
+        assert (cdf is None) == (kind == "deterministic")
+        pol = random_policy(mdp, 100)
+        draw = sampling._sample_batch(mdp, pol, 30, seed=7, episode_offset=3,
+                                      batch=200)
+        loop = csr_loop_sample_batch(mdp, pol, 30, 7, 3, 200)
+        for x, y in zip(draw, loop):
             assert np.array_equal(x, y)
-        assert len(np.unique(dense[0])) > 1
+        assert len(np.unique(draw[0])) > 1
+
+    def test_unsorted_csr_is_the_game_of_its_dense_tensor(self):
+        P, dense, rewards = unsorted_csr_mdp()
+        before = [a.copy() for a in (P.data, P.indices, P.indptr)]
+        mdp = m.MultiAgentMDP((2,), rewards, P, 0.9, [0.5, 0.5])
+        for a, b in zip((P.data, P.indices, P.indptr), before):
+            assert np.array_equal(a, b)     # the caller's matrix is untouched
+        assert mdp.transitions.has_canonical_format
+        twin = m.MultiAgentMDP((2,), rewards, dense, 0.9, [0.5, 0.5])
+        pol = random_policy(mdp, 101)
+        for x, y in zip(sampling._sample_batch(mdp, pol, 30, 7, 0, 200),
+                        sampling._sample_batch(twin, pol, 30, 7, 0, 200)):
+            assert np.array_equal(x, y)
+        rep = m.evaluate(mdp, pol, want_q=True)
+        rep_twin = m.evaluate(twin, pol, want_q=True)
+        for field in ("v", "visitation", "q"):
+            assert np.array_equal(getattr(rep, field), getattr(rep_twin, field))
