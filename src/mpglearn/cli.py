@@ -2,8 +2,8 @@
 post-hoc policy-space accuracy, render SVG charts, and verify environments.
 
 Subcommands: run, accuracy, plot, verify.  Artifacts are deterministic:
-identical configs and seeds produce byte-identical CSVs and SVGs regardless
-of thread count.  Set MPGLEARN_LOG=DEBUG|INFO|WARNING to control logging.
+identical configs and seeds produce byte-identical CSVs, snapshot files and
+SVGs.  Set MPGLEARN_LOG=DEBUG|INFO|WARNING to control logging.
 """
 
 import argparse
@@ -12,7 +12,7 @@ import csv
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -211,46 +211,97 @@ def _job_keys(cfg, algorithm, run_id):
     return seed, (init_seed << 16) | 0xA5
 
 
-def _execute_one(env, cfg, algorithm, run_id, out_dir):
-    seed, init_key = _job_keys(cfg, algorithm, run_id)
-    sample_cfg = cfg.algo.sample_cfg
-    algo = replace(cfg.algo, algorithm=algorithm,
-                   sample_cfg=replace(sample_cfg, seed=seed)
-                   if sample_cfg is not None else None)
-    initial = (uniform_logits(env.mdp) if init_key is None else
-               random_logits(env.mdp, seed=init_key, scale=cfg.init_scale))
+class _SnapshotFile:
+    """A `.npy` file of a run's policy snapshots, one (S, A) table appended
+    at a time.  numpy pads a format-1.0 header so that the first axis can
+    grow to any length without moving the data, so the header is written
+    for 0 tables first and rewritten in place on close; the file is then
+    byte-identical to np.save of the stacked tables."""
 
-    stem = f"{algorithm}_run{run_id:03d}"
-    trace_path = out_dir / f"{stem}.csv"
-    with open(trace_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(TRACE_COLUMNS)
+    def __init__(self, path, shape):
+        self.file = open(path, "wb")
+        self.shape = shape
+        self.count = 0
+        self._header()
+
+    def _header(self):
+        np.lib.format.write_array_header_1_0(
+            self.file, np.lib.format.header_data_from_array_1_0(
+                np.empty((self.count,) + self.shape)))
+
+    def append(self, table):
+        self.file.write(np.ascontiguousarray(table, dtype=float).data)
+        self.count += 1
+
+    def close(self):
+        self.file.seek(0)
+        self._header()
+        self.file.close()
+
+
+def _run_algorithm(env, cfg, algorithm, out_dir):
+    """All runs of one algorithm, stepped in lockstep by one run_dynamics
+    call; streams each run's trace CSV and snapshot files as it goes and
+    returns the summary rows."""
+    mdp = env.mdp
+    keys = [_job_keys(cfg, algorithm, r) for r in range(cfg.runs)]
+    initial = [uniform_logits(mdp) if init_key is None else
+               random_logits(mdp, seed=init_key, scale=cfg.init_scale)
+               for _, init_key in keys]
+    stems = [f"{algorithm}_run{r:03d}" for r in range(cfg.runs)]
+    with ExitStack() as files:
+        def open_csv(stem):
+            writer = csv.writer(files.enter_context(
+                open(out_dir / f"{stem}.csv", "w", newline="")))
+            writer.writerow(TRACE_COLUMNS)
+            return writer
+
+        def open_npy(stem, i):
+            return files.enter_context(closing(_SnapshotFile(
+                out_dir / f"{stem}_agent{i}.npy",
+                (mdp.n_states, mdp.n_actions[i]))))
+
+        writers = [open_csv(stem) for stem in stems]
+        snapshots = ([[open_npy(stem, i) for i in range(mdp.n_agents)]
+                      for stem in stems] if cfg.snapshot_every else None)
 
         def stream(rec):
-            writer.writerow([run_id, algorithm, rec["iteration"],
-                             repr(rec["max_policy_step_l1"]),
-                             _fmt_cell(rec["potential"]),
-                             _fmt_cell(rec["nash_gap"])])
+            r = rec["run"]
+            writers[r].writerow([r, algorithm, rec["iteration"],
+                                 repr(rec["max_policy_step_l1"]),
+                                 _fmt_cell(rec["potential"]),
+                                 _fmt_cell(rec["nash_gap"])])
+            if rec["policy"] is not None:
+                for f, table in zip(snapshots[r], rec["policy"]):
+                    f.append(table)
 
-        trace = run_dynamics(env, algo, initial,
-                             nash_gap_every=cfg.nash_gap_every,
-                             snapshot_every=cfg.snapshot_every,
-                             on_iteration=stream)
+        traces = run_dynamics(env, replace(cfg.algo, algorithm=algorithm),
+                              initial, nash_gap_every=cfg.nash_gap_every,
+                              snapshot_every=cfg.snapshot_every,
+                              on_iteration=stream,
+                              seeds=[seed for seed, _ in keys])
+        if snapshots is not None:
+            for files_r, trace in zip(snapshots, traces):
+                for f, table in zip(files_r, trace.final_policy.probs):
+                    f.append(table)
 
-    write_policy(trace.final_policy, out_dir / f"{stem}_final.txt")
-    if trace.snapshots is not None:
-        for i in range(env.mdp.n_agents):
-            stack = np.stack([p.probs[i] for p in trace.snapshots])
-            np.save(out_dir / f"{stem}_agent{i}.npy", stack)
-    log.info("%s: %s after %d iterations", stem, trace.status,
-             trace.n_iterations)
-    return {"run_id": run_id, "algorithm": algorithm, "seed": seed,
-            "status": trace.status, "iterations": trace.n_iterations,
-            "snapshot_every": cfg.snapshot_every if trace.snapshots else 0}
+    rows = []
+    for r, (stem, trace) in enumerate(zip(stems, traces)):
+        write_policy(trace.final_policy, out_dir / f"{stem}_final.txt")
+        log.info("%s: %s after %d iterations", stem, trace.status,
+                 trace.n_iterations)
+        rows.append({"run_id": r, "algorithm": algorithm, "seed": keys[r][0],
+                     "status": trace.status, "iterations": trace.n_iterations,
+                     "snapshot_every": cfg.snapshot_every})
+    return rows
 
 
 def cmd_run(config_path, out_dir, seeds=None, threads=1, guard=None):
-    """Execute the configured runs; one trace CSV per (algorithm, run)."""
+    """Execute the configured runs; one trace CSV per (algorithm, run).
+
+    The runs of each algorithm step together in lockstep, in one process
+    and one thread; `threads` is accepted for compatibility and has no
+    effect (outputs never depended on it)."""
     cfg = load_config(config_path)
     if guard is not None:
         cfg.algo = replace(cfg.algo, guard=guard)
@@ -265,29 +316,23 @@ def cmd_run(config_path, out_dir, seeds=None, threads=1, guard=None):
                                   "contiguous ascending list")
         else:
             cfg.seed_base = int(seeds)
-    jobs = [(alg, r) for alg in cfg.algorithms for r in range(cfg.runs)]
-    for alg, r in jobs:
-        seed, init_key = _job_keys(cfg, alg, r)
-        for key in (seed, init_key):
-            if key is not None and not 0 <= key < 2 ** 64:
-                raise ConfigError(f"run seed {seed} gives the Philox key "
-                                  f"{key}, outside [0, 2**64)")
+    for alg in cfg.algorithms:
+        for r in range(cfg.runs):
+            seed, init_key = _job_keys(cfg, alg, r)
+            for key in (seed, init_key):
+                if key is not None and not 0 <= key < 2 ** 64:
+                    raise ConfigError(f"run seed {seed} gives the Philox key "
+                                      f"{key}, outside [0, 2**64)")
     env = build_environment(cfg.environment)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # every job shares the environment and eta, so the step-size guard is
-    # checked (and its warning logged) once here, not once per job
+    # every run shares the environment and eta, so the step-size guard is
+    # checked (and its warning logged) once here, not once per algorithm
     check_step_size(env.mdp, cfg.algo)
     cfg.algo = replace(cfg.algo, guard="off")
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(
-                lambda job: _execute_one(env, cfg, job[0], job[1], out_dir),
-                jobs))
-    else:
-        rows = [_execute_one(env, cfg, alg, r, out_dir) for alg, r in jobs]
-
+    rows = [row for alg in cfg.algorithms
+            for row in _run_algorithm(env, cfg, alg, out_dir)]
     rows.sort(key=lambda r: (r["algorithm"], r["run_id"]))
     with open(out_dir / "summary.csv", "w", newline="") as f:
         writer = csv.writer(f)
@@ -437,7 +482,9 @@ def main(argv=None):
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--seeds", default=None,
                        help="seed base, or comma list of contiguous seeds")
-    p_run.add_argument("--threads", type=int, default=1)
+    p_run.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; has no effect (the "
+                            "runs of each algorithm step in lockstep)")
     p_run.add_argument("--guard", choices=("enforce", "warn", "off"),
                        default=None)
 

@@ -111,10 +111,15 @@ class MultiAgentMDP:
         succ (S*A, W), W the longest row, lists each row's successors.  Under
         a uniform u row r goes to succ[r, k], k the count of cdf[r] <= u *
         total[r]: cdf (S*A, W-1) holds the row's running sums before its last
-        entry, padded with inf.  cdf and total are None when W == 1."""
+        entry, padded with inf.  cdf and total are None when W == 1.  A row
+        with no entries has nothing to draw, and raises a ValueError."""
         if self._successors is None:
             P = self.transitions
             lengths = np.diff(P.indptr)
+            if lengths.size and lengths.min() == 0:
+                s, a = divmod(int(np.argmin(lengths)), self.n_joint)
+                raise ValueError(f"transition row (state {s}, joint action "
+                                 f"{a}) has no entries to sample from")
             width = int(lengths.max(initial=1))
             rows = np.repeat(np.arange(P.shape[0]), lengths)
             pos = np.arange(P.nnz) - P.indptr[rows]
@@ -153,14 +158,15 @@ def validate_mdp(mdp):
     if P.nnz and P.data.min() < 0:
         k = int(np.argmin(P.data))
         s, a = divmod(int(mdp.chain_cells[0][k]), mdp.n_joint)
-        problems.append(f"negative transition probability {P.data[k]} at "
-                        f"(state {s}, joint action {a})")
+        problems.append(f"negative transition probability "
+                        f"{float(P.data[k])!r} at (state {s}, joint action "
+                        f"{a})")
     row_sums = np.asarray(P.sum(axis=1)).ravel()
     bad = np.flatnonzero(np.abs(row_sums - 1.0) > PROB_TOL)
     for row in bad[:20]:
         s, a = divmod(int(row), mdp.n_joint)
         problems.append(f"transition row (state {s}, joint action {a}) sums to "
-                        f"{row_sums[row]!r}")
+                        f"{float(row_sums[row])!r}")
     if len(bad) > 20:
         problems.append(f"... and {len(bad) - 20} more transition rows")
     lo, hi = mdp.rewards.min(initial=0.0), mdp.rewards.max(initial=0.0)
@@ -168,19 +174,23 @@ def validate_mdp(mdp):
         idx = np.unravel_index(
             int(np.argmin(mdp.rewards)) if lo < 0.0 else int(np.argmax(mdp.rewards)),
             mdp.rewards.shape)
-        val = mdp.rewards[idx]
+        val = float(mdp.rewards[idx])
         problems.append(f"reward {val!r} outside [0, 1] at (agent {idx[0]}, "
                         f"state {idx[1]}, joint action {idx[2]})")
     mu_sum = mdp.mu.sum()
     if abs(mu_sum - 1.0) > PROB_TOL:
-        problems.append(f"mu sums to {mu_sum!r}")
+        problems.append(f"mu sums to {float(mu_sum)!r}")
     if mdp.mu.min(initial=0.0) < 0:
         problems.append(f"mu has negative entry at state {int(np.argmin(mdp.mu))}")
     return problems
 
 
 class JointPolicy:
-    """A product policy: one (n_states, A_i) row-stochastic table per agent."""
+    """A product policy: one (n_states, A_i) row-stochastic table per agent.
+
+    Unvalidated tables may carry a leading run axis, (R, n_states, A_i): R
+    runs stepped in lockstep, as `dynamics.run` and the sampler use them.
+    """
 
     def __init__(self, probs, validate=True):
         self.probs = tuple(_frozen(p) for p in probs)
@@ -192,13 +202,14 @@ class JointPolicy:
                 if p.min(initial=0.0) < 0:
                     s, a = np.unravel_index(int(np.argmin(p)), p.shape)
                     raise ValueError(
-                        f"agent {i}: negative probability {p[s, a]!r} at "
+                        f"agent {i}: negative probability {float(p[s, a])!r} at "
                         f"(state {s}, action {a})")
                 sums = p.sum(axis=1)
                 bad = np.flatnonzero(np.abs(sums - 1.0) > PROB_TOL)
                 if bad.size:
                     raise ValueError(
-                        f"agent {i}: row for state {bad[0]} sums to {sums[bad[0]]!r}")
+                        f"agent {i}: row for state {bad[0]} sums to "
+                        f"{float(sums[bad[0]])!r}")
 
     @property
     def n_states(self):
@@ -208,8 +219,9 @@ class JointPolicy:
         return all(p.min() > eps for p in self.probs)
 
     def per_agent_l1(self, other):
-        """Per-agent L1 distance between whole policy tables (summed over states)."""
-        return np.array([np.abs(p - q).sum()
+        """Per-agent L1 distance between whole policy tables (summed over
+        states): shape (n,), or (n, R) for tables with a leading run axis."""
+        return np.array([np.abs(p - q).sum(axis=(-2, -1))
                          for p, q in zip(self.probs, other.probs)])
 
     def replace_agent(self, agent, table):
@@ -223,7 +235,8 @@ class JointPolicy:
 
 
 class Logits:
-    """Softmax preimages of a product policy: one (n_states, A_i) table per agent."""
+    """Softmax preimages of a product policy: one (n_states, A_i) table per
+    agent, or (R, n_states, A_i) with a leading run axis."""
 
     def __init__(self, theta, validate=True):
         self.theta = tuple(_frozen(t) for t in theta)
@@ -248,15 +261,16 @@ class Logits:
 def softmax_policy(logits):
     """Row-wise softmax of each agent's logit table, with max subtraction.
 
-    Rejects non-finite logits, naming the offending index.
+    Tables may carry a leading run axis, (R, S, A_i).  Rejects non-finite
+    logits, naming the offending index.
     """
     if not isinstance(logits, Logits):
         logits = Logits(logits)
     tables = []
     for t in logits.theta:
-        z = t - t.max(axis=1, keepdims=True)
+        z = t - t.max(axis=-1, keepdims=True)
         e = np.exp(z)
-        tables.append(e / e.sum(axis=1, keepdims=True))
+        tables.append(e / e.sum(axis=-1, keepdims=True))
     return JointPolicy(tables, validate=False)
 
 
@@ -295,6 +309,8 @@ class EvalReport:
       * visitation sums to 1 and every entry is >= (1-gamma)*mu(s) - 1e-10,
       * the marginal advantage of each agent is zero-mean under its own policy.
     Sampled reports carry visited_* masks; unvisited entries are zero-filled.
+    Sampled reports of R runs estimated together carry a leading run axis on
+    every field (v is then (R, n_agents, n_states)).
     """
     v: np.ndarray                       # (n_agents, n_states)
     adv_marginal: tuple                 # per agent (n_states, A_i)
@@ -309,7 +325,7 @@ class EvalReport:
 
     @property
     def n_agents(self):
-        return self.v.shape[0]
+        return len(self.adv_marginal)
 
 
 def eval_report_violations(report, policy, mdp, tol=1e-10):
@@ -317,16 +333,18 @@ def eval_report_violations(report, policy, mdp, tol=1e-10):
     problems = []
     total = report.visitation.sum()
     if abs(total - 1.0) > tol:
-        problems.append(f"visitation sums to {total!r}")
+        problems.append(f"visitation sums to {float(total)!r}")
     floor = (1.0 - mdp.gamma) * mdp.mu - tol
     bad = np.flatnonzero(report.visitation < floor)
     for s in bad[:5]:
-        problems.append(f"visitation({s}) = {report.visitation[s]!r} below "
-                        f"(1-gamma)*mu = {(1 - mdp.gamma) * mdp.mu[s]!r}")
+        problems.append(f"visitation({s}) = {float(report.visitation[s])!r} "
+                        f"below (1-gamma)*mu = "
+                        f"{float((1 - mdp.gamma) * mdp.mu[s])!r}")
     for i, (adv, p) in enumerate(zip(report.adv_marginal, policy.probs)):
         mean = np.abs((adv * p).sum(axis=1)).max()
         if mean > tol:
-            problems.append(f"agent {i}: advantage mean {mean!r} not zero")
+            problems.append(f"agent {i}: advantage mean {float(mean)!r} "
+                            f"not zero")
     return problems
 
 

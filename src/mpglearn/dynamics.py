@@ -5,6 +5,12 @@ plus the theoretical step-size guard and the iteration loop.
 All agents update simultaneously each iteration.  The natural-gradient and
 multiplicative-weights updates are two parametrizations of the same map, and
 the test suite holds them to entrywise agreement.
+
+The update rules take tables with or without a leading run axis: `run`
+steps R runs of one configuration in lockstep on (R, S, A_i) tables, and
+every operation on them acts on each run's rows as it would on that run's
+own (S, A_i) tables, so each run's trace is bit-identical to running it
+alone.
 """
 
 import logging
@@ -13,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import JointPolicy, Logits, softmax_policy
+from .core import (EvalReport, JointPolicy, Logits, softmax_policy,
+                   uniform_logits)
 from .exact import evaluate, mismatch_bound
 from .sampling import SampleConfig, _StreamBank, estimate_eval
 
@@ -67,9 +74,7 @@ class RunTrace:
 
     Row k describes update k (0-based): the potential of the pre-update
     policy, the largest per-agent L1 policy change the update caused, and the
-    Nash gap when it was computed that iteration.  `snapshots`, when enabled,
-    holds the pre-update policy of each recorded iteration plus the final
-    policy, so its length is one more than the number of rows.
+    Nash gap when it was computed that iteration.
     """
     iterations: np.ndarray
     step_l1: np.ndarray
@@ -78,12 +83,28 @@ class RunTrace:
     status: str
     final_policy: JointPolicy
     final_logits: Logits | None
-    snapshots: list | None
 
     @property
     def n_iterations(self):
         """Number of updates performed (= converged_at + 1 when converged)."""
         return len(self.iterations)
+
+
+class _RunError(ValueError):
+    """An update failed at one entry of its tables; `run` is the entry's
+    index on the leading run axis, or None for tables without one."""
+
+    def __init__(self, run, detail):
+        super().__init__(detail if run is None else f"run axis index {run}: "
+                         f"{detail}")
+        self.run, self.detail = run, detail
+
+
+def _raise_at(bad, detail):
+    """Raise a _RunError at the first true entry of an (S, A) or (R, S, A)
+    mask; detail(s, a) describes it."""
+    *run, s, a = (int(x) for x in np.argwhere(bad)[0])
+    raise _RunError(run[0] if run else None, detail(s, a))
 
 
 def _check_finite_advantages(report):
@@ -93,10 +114,10 @@ def _check_finite_advantages(report):
     if math.isfinite(sum(float(adv.sum()) for adv in report.adv_marginal)):
         return
     for i, adv in enumerate(report.adv_marginal):
-        if not np.all(np.isfinite(adv)):
-            s, a = np.unravel_index(int(np.argmin(np.isfinite(adv))), adv.shape)
-            raise ValueError(f"non-finite advantage at agent {i}, state {s}, "
-                             f"action {a}")
+        bad = ~np.isfinite(adv)
+        if bad.any():
+            _raise_at(bad, lambda s, a: f"non-finite advantage at agent {i}, "
+                                        f"state {s}, action {a}")
 
 
 def inpg_step(theta, report, eta, gamma):
@@ -120,14 +141,13 @@ def mwu_step(policy, report, eta, gamma):
     new = []
     for i, (p, adv) in enumerate(zip(policy.probs, report.adv_marginal)):
         if p.min() <= 0.0:
-            s, a = np.unravel_index(int(np.argmin(p)), p.shape)
-            raise ValueError(f"agent {i}: zero probability at (state {s}, "
-                             f"action {a}); multiplicative update cannot "
-                             f"revive zero mass")
+            _raise_at(p <= 0.0, lambda s, a: (
+                f"agent {i}: zero probability at (state {s}, action {a}); "
+                f"multiplicative update cannot revive zero mass"))
         z = np.log(p) + scale * adv
-        z -= z.max(axis=1, keepdims=True)
+        z -= z.max(axis=-1, keepdims=True)
         e = np.exp(z)
-        new.append(e / e.sum(axis=1, keepdims=True))
+        new.append(e / e.sum(axis=-1, keepdims=True))
     return JointPolicy(new, validate=False)
 
 
@@ -144,7 +164,7 @@ def ipg_step(theta, report, eta, gamma, policy=None):
     scale = eta / (1.0 - gamma)
     new = []
     for t, p, adv in zip(theta.theta, policy.probs, report.adv_marginal):
-        new.append(t + scale * report.visitation[:, None] * p * adv)
+        new.append(t + scale * report.visitation[..., None] * p * adv)
     return Logits(new, validate=False)
 
 
@@ -191,30 +211,54 @@ def check_step_size(mdp, cfg):
         log.warning(msg)
 
 
+def _rows(x, index):
+    """Rows `index` of the run axis of a stacked JointPolicy or Logits."""
+    if isinstance(x, JointPolicy):
+        return JointPolicy([p[index] for p in x.probs], validate=False)
+    return Logits([t[index] for t in x.theta], validate=False)
+
+
 def _initial_state(mdp, cfg, initial):
-    if initial is None:
-        initial = Logits([np.zeros((mdp.n_states, a)) for a in mdp.n_actions],
-                         validate=False)
-    if cfg.algorithm in ("inpg", "ipg"):
-        if isinstance(initial, JointPolicy):
-            if not initial.is_interior():
-                raise ValueError("logit-space dynamics need an interior policy")
-            initial = Logits([np.log(p) for p in initial.probs], validate=False)
-        theta = initial
-        policy = softmax_policy(theta)
-    else:
-        if isinstance(initial, Logits):
-            policy = softmax_policy(initial)
-        else:
-            policy = initial
-        theta = None
-        if not policy.is_interior():
-            raise ValueError("multiplicative weights needs an interior policy")
-    return theta, policy
+    """Stacked (theta, policy) of the runs' initial states; theta is None
+    for multiplicative weights.  Each entry of `initial` is None (uniform),
+    a Logits or a JointPolicy."""
+    logit_space = cfg.algorithm in ("inpg", "ipg")
+    starts = []
+    for r, x in enumerate(initial):
+        if x is None:
+            x = uniform_logits(mdp)
+        if logit_space and isinstance(x, JointPolicy):
+            if not x.is_interior():
+                raise ValueError(f"run {r}: logit-space dynamics need an "
+                                 f"interior policy")
+            x = Logits([np.log(p) for p in x.probs], validate=False)
+        elif not logit_space:
+            if isinstance(x, Logits):
+                x = softmax_policy(x)
+            if not x.is_interior():
+                raise ValueError(f"run {r}: multiplicative weights needs an "
+                                 f"interior policy")
+        starts.append(x.theta if logit_space else x.probs)
+    tables = [np.stack(t) for t in zip(*starts)]
+    if logit_space:
+        theta = Logits(tables, validate=False)
+        return theta, softmax_policy(theta)
+    return None, JointPolicy(tables, validate=False)
+
+
+def _stack_reports(reports):
+    """One EvalReport with a leading run axis from per-run exact reports,
+    holding the fields the updates read: the marginal advantages and the
+    visitation."""
+    return EvalReport(
+        v=None,
+        adv_marginal=tuple(np.array(adv) for adv in
+                           zip(*(rep.adv_marginal for rep in reports))),
+        visitation=np.array([rep.visitation for rep in reports]))
 
 
 def run(env, cfg, initial=None, nash_gap_every=0, snapshot_every=0,
-        on_iteration=None):
+        on_iteration=None, seeds=None):
     """Iterate a learning dynamic until the policy stops moving.
 
     `env` may be an Environment or a bare MultiAgentMDP.  Stops when the
@@ -222,72 +266,113 @@ def run(env, cfg, initial=None, nash_gap_every=0, snapshot_every=0,
     below cfg.convergence_threshold, or after cfg.max_iters updates.  The
     potential of the pre-update policy is recorded in exact mode when the
     environment has a stage potential; the exact Nash gap is recorded every
-    `nash_gap_every` iterations (0 = never).  `snapshot_every` > 0 keeps
-    every k-th pre-update policy plus the final one for post-hoc accuracy
-    computation.  `on_iteration(record_dict)` streams rows to the caller.
-    The step-size guard (check_step_size) is applied before the first
-    update.  In sampled mode update k estimates from episodes
-    k*batch .. (k+1)*batch - 1, drawn from one _StreamBank for the run.
+    `nash_gap_every` iterations (0 = never).  The step-size guard
+    (check_step_size) is applied before the first update.  In sampled mode
+    update k estimates from episodes k*batch .. (k+1)*batch - 1.
+
+    `on_iteration(record)` streams one dict per update: run, iteration,
+    max_policy_step_l1, potential, nash_gap, and policy, which holds the
+    run's pre-update policy tables (one (S, A_i) array per agent) every
+    `snapshot_every` iterations (0 = never) and is None otherwise.
+
+    Without `seeds` this is one run from `initial` (None = uniform logits),
+    its sampler keyed by cfg.sample_cfg.seed, and a RunTrace is returned.
+    With `seeds`, a sequence of R run seeds, the R runs step together in
+    lockstep along a leading run axis and a list of R RunTraces is returned;
+    `initial` is then None or a sequence of R initial states, and run r's
+    sampler is keyed by seeds[r].  A run that converges leaves the active
+    set.  Sampled mode estimates all active runs in one `estimate_eval`
+    call from one _StreamBank; exact mode evaluates each run on its own.
+    Every run's records and final policy are bit-identical to running it
+    alone, and an error in one run names its index and seed.
     """
+    if seeds is None:
+        seed = cfg.sample_cfg.seed if cfg.sample_cfg is not None else None
+        return run(env, cfg, [initial], nash_gap_every, snapshot_every,
+                   on_iteration, seeds=[seed])[0]
     cfg.check()
     has_env = hasattr(env, "mdp")
     mdp = env.mdp if has_env else env
     track_potential = (has_env and env.stage_potential is not None
                        and cfg.eval_mode == "exact")
+    sampled = cfg.eval_mode == "sampled"
+    initial = [None] * len(seeds) if initial is None else list(initial)
+    if len(initial) != len(seeds):
+        raise ValueError(f"{len(initial)} initial states for {len(seeds)} "
+                         f"runs")
 
     check_step_size(mdp, cfg)
     theta, policy = _initial_state(mdp, cfg, initial)
     target = env if track_potential else mdp
-    bank = (_StreamBank(mdp, cfg.sample_cfg)
-            if cfg.eval_mode == "sampled" else None)
+    bank = _StreamBank(mdp, cfg.sample_cfg, seeds) if sampled else None
 
-    iters, steps, pots, gaps = [], [], [], []
-    snapshots = [] if snapshot_every else None
-    status = "max_iters"
+    runs = np.arange(len(seeds))        # the run of each row of the tables
+    rows = [[] for _ in seeds]          # per run: (step, potential, gap)
+    traces = [None] * len(seeds)
+
+    def finish(j, status):
+        steps, pots, gaps = zip(*rows[runs[j]])
+        traces[runs[j]] = RunTrace(
+            iterations=np.arange(len(steps), dtype=np.int64),
+            step_l1=np.array(steps), potential=np.array(pots),
+            nash_gap=np.array(gaps), status=status,
+            final_policy=_rows(policy, j),
+            final_logits=_rows(theta, j) if theta is not None else None)
 
     for k in range(cfg.max_iters):
-        if cfg.eval_mode == "exact":
-            report = evaluate(target, policy)
-        else:
+        if sampled:
             report = estimate_eval(mdp, policy, cfg.sample_cfg,
                                    episode_offset=k * cfg.sample_cfg.batch,
-                                   bank=bank)
-        if cfg.algorithm == "inpg":
-            theta = inpg_step(theta, report, cfg.eta, mdp.gamma)
-            new_policy = softmax_policy(theta)
-        elif cfg.algorithm == "ipg":
-            theta = ipg_step(theta, report, cfg.eta, mdp.gamma, policy)
-            new_policy = softmax_policy(theta)
+                                   bank=bank, seeds=bank.seeds)
+            phis = [np.nan] * len(runs)
         else:
-            new_policy = mwu_step(policy, report, cfg.eta, mdp.gamma)
-        step = float(policy.per_agent_l1(new_policy).max())
-        phi = report.potential_mu if track_potential else np.nan
-        gap = np.nan
-        if nash_gap_every and k % nash_gap_every == 0:
-            from .verify import nash_gap as _nash_gap
-            gap = _nash_gap(mdp, policy).overall_gap
-        iters.append(k)
-        steps.append(step)
-        pots.append(phi if phi is not None else np.nan)
-        gaps.append(gap)
-        if snapshots is not None and k % snapshot_every == 0:
-            snapshots.append(policy)
-        if on_iteration is not None:
-            on_iteration({"iteration": k, "max_policy_step_l1": step,
-                          "potential": phi, "nash_gap": gap})
+            reports = [evaluate(target, _rows(policy, j))
+                       for j in range(len(runs))]
+            report = _stack_reports(reports)
+            phis = [rep.potential_mu if track_potential else np.nan
+                    for rep in reports]
+        try:
+            if cfg.algorithm == "inpg":
+                theta = inpg_step(theta, report, cfg.eta, mdp.gamma)
+                new_policy = softmax_policy(theta)
+            elif cfg.algorithm == "ipg":
+                theta = ipg_step(theta, report, cfg.eta, mdp.gamma, policy)
+                new_policy = softmax_policy(theta)
+            else:
+                new_policy = mwu_step(policy, report, cfg.eta, mdp.gamma)
+        except _RunError as exc:
+            r = runs[exc.run]
+            seed = "" if seeds[r] is None else f" (seed {seeds[r]})"
+            raise ValueError(f"run {r}{seed}: {exc.detail}") from None
+        steps = policy.per_agent_l1(new_policy).max(axis=0)
+        snapshot = bool(snapshot_every) and k % snapshot_every == 0
+        for j, (r, step) in enumerate(zip(runs.tolist(), steps.tolist())):
+            gap = np.nan
+            if nash_gap_every and k % nash_gap_every == 0:
+                from .verify import nash_gap as _nash_gap
+                gap = _nash_gap(mdp, _rows(policy, j)).overall_gap
+            rows[r].append((step, np.nan if phis[j] is None else phis[j], gap))
+            if on_iteration is not None:
+                on_iteration({
+                    "run": r, "iteration": k, "max_policy_step_l1": step,
+                    "potential": phis[j], "nash_gap": gap,
+                    "policy": tuple(p[j] for p in policy.probs)
+                    if snapshot else None})
         policy = new_policy
-        if step < cfg.convergence_threshold:
-            status = "converged"
-            break
+        done = steps < cfg.convergence_threshold
+        if done.any():
+            for j in np.flatnonzero(done):
+                finish(j, "converged")
+            keep = ~done
+            runs = runs[keep]
+            if not runs.size:
+                break
+            policy = _rows(policy, keep)
+            if theta is not None:
+                theta = _rows(theta, keep)
+            if bank is not None:
+                bank.keep(keep)
 
-    if snapshots is not None:
-        snapshots.append(policy)
-    return RunTrace(
-        iterations=np.array(iters, dtype=np.int64),
-        step_l1=np.array(steps),
-        potential=np.array(pots),
-        nash_gap=np.array(gaps),
-        status=status,
-        final_policy=policy,
-        final_logits=theta,
-        snapshots=snapshots)
+    for j in range(len(runs)):
+        finish(j, "max_iters")
+    return traces

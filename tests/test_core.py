@@ -53,6 +53,33 @@ class TestValidateMdp:
         assert any("gamma" in p for p in problems)
         assert any("mu" in p for p in problems)
 
+    def test_messages_print_plain_floats(self):
+        # 2 states, 1 agent, 2 actions; row (state 1, action 1) is empty
+        P = np.zeros((2, 2, 2))
+        P[0, :, 1] = P[1, 0, 0] = 1.0
+        bad = m.MultiAgentMDP((2,), np.zeros((1, 2, 2)), P, 0.9,
+                              [0.5, 0.25], validate=False)
+        problems = m.validate_mdp(bad)
+        assert ("transition row (state 1, joint action 1) sums to 0.0"
+                in problems)
+        assert "mu sums to 0.75" in problems
+        with pytest.raises(ValueError, match=r"state 0 sums to 0\.5$"):
+            m.JointPolicy([np.array([[0.25, 0.25]])])
+        with pytest.raises(ValueError, match=r"probability -0\.5 at"):
+            m.JointPolicy([np.array([[1.5, -0.5]])])
+
+    def test_empty_transition_row_cannot_be_sampled(self):
+        P = np.zeros((2, 2, 2))
+        P[0, :, 1] = P[1, 0, 0] = 1.0
+        mdp = m.MultiAgentMDP((2,), np.zeros((1, 2, 2)), P, 0.9, [1.0, 0.0],
+                              validate=False)
+        with pytest.raises(ValueError, match=r"transition row \(state 1, "
+                           r"joint action 1\) has no entries"):
+            mdp.successors
+        pol = m.JointPolicy([np.full((2, 2), 0.5)])
+        with pytest.raises(ValueError, match="no entries"):
+            m.sample_episode(mdp, pol, 4, seed=0)
+
 
 class TestJointActionEncoding:
     def test_agent_zero_is_most_significant(self):

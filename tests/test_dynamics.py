@@ -268,10 +268,14 @@ class TestRunLoop:
         eta = 0.9 * m.max_step_size(stage2.mdp)
         cfg = m.AlgoConfig("inpg", eta=eta, max_iters=500,
                            convergence_threshold=1e-16)
+        snapshots = []
         trace = m.run(stage2, cfg, m.random_logits(stage2.mdp, seed=47),
-                      snapshot_every=100)
-        for pol in trace.snapshots:
-            for p in pol.probs:
+                      snapshot_every=100,
+                      on_iteration=lambda rec: snapshots.append(rec["policy"]))
+        tables = [t for t in snapshots if t is not None]
+        assert len(tables) == 5
+        for probs in tables + [trace.final_policy.probs]:
+            for p in probs:
                 assert p.min() > 0
                 assert np.abs(p.sum(axis=1) - 1).max() < 1e-12
 

@@ -204,6 +204,15 @@ class TestStreamDraws:
         monkeypatch.setattr(sampling, "_MAX_LANES", 4)
         assert np.array_equal(sampling._uniforms(5, 10, 9, 3, 7), whole)
 
+    def test_run_seeds_draw_as_their_own_streams(self, monkeypatch):
+        seeds = np.array([0, 2**64 - 1, 5, 5], dtype=np.uint64)
+        monkeypatch.setattr(sampling, "_MAX_LANES", 40)   # uneven slices
+        u = sampling._uniforms(seeds, 2**48 - 3, 6, 3, 9)
+        assert u.shape == (12, 6, 4, 3)
+        for r, seed in enumerate(seeds):
+            assert np.array_equal(u[:, :, r],
+                                  sampling._uniforms(seed, 2**48 - 3, 6, 3, 9))
+
     def test_episode_beyond_key_space_rejected(self):
         with pytest.raises(ValueError, match="stream key"):
             sampling._uniforms(0, 2**56 - 1, 2, 1, 4)
@@ -224,6 +233,52 @@ class TestStreamDraws:
             assert np.array_equal(shared.visitation, alone.visitation)
             for x, y in zip(shared.adv_marginal, alone.adv_marginal):
                 assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("estimator", ["first_visit", "every_visit"])
+    def test_stacked_runs_equal_runs_alone(self, monkeypatch, estimator):
+        # runs estimated together, through a bank that drops a run midway,
+        # match each run estimated alone bit for bit; ragged action counts
+        # and rows with up to three successors
+        monkeypatch.setattr(sampling, "_CHUNK_EPISODES", 24)
+        mdp = sparse_mdp(5, (3, 1, 2), 0.95, seed=102, max_width=3)
+        seeds = [7, 2**63 + 1, 0]
+        pols = [random_policy(mdp, 103 + r) for r in range(3)]
+        cfg = m.SampleConfig(horizon=9, batch=5, seed=0, estimator=estimator)
+        bank = sampling._StreamBank(mdp, cfg, seeds)
+        runs = [0, 1, 2]
+        for offset in (0, 5, 10, 15, 20, 25):
+            if offset == 15:
+                runs = [0, 2]
+                bank.keep(np.array([True, False, True]))
+            stacked = m.JointPolicy(
+                [np.stack([pols[r].probs[i] for r in runs])
+                 for i in range(3)], validate=False)
+            got = m.estimate_eval(mdp, stacked, cfg, episode_offset=offset,
+                                  bank=bank, seeds=[seeds[r] for r in runs])
+            assert got.v.shape == (len(runs), 3, 5) and got.n_agents == 3
+            for j, r in enumerate(runs):
+                alone = m.estimate_eval(
+                    mdp, pols[r], m.SampleConfig(9, 5, seeds[r], estimator),
+                    episode_offset=offset)
+                for field in ("v", "visitation", "visited_states"):
+                    assert (getattr(got, field)[j].tobytes()
+                            == getattr(alone, field).tobytes())
+                for field in ("adv_marginal", "q_marginal", "visited_pairs"):
+                    for x, y in zip(getattr(got, field),
+                                    getattr(alone, field)):
+                        assert x[j].tobytes() == y.tobytes()
+
+    def test_stacked_batch_is_episode_major(self):
+        mdp = sparse_mdp(4, (2, 3), 0.9, seed=104, max_width=2)
+        seeds = [11, 12]
+        pols = [random_policy(mdp, 105 + r) for r in range(2)]
+        stacked = m.JointPolicy([np.stack([p.probs[i] for p in pols])
+                                 for i in range(2)], validate=False)
+        got = sampling._sample_batch(mdp, stacked, 8, seeds, 3, 6)
+        for r in range(2):
+            alone = sampling._sample_batch(mdp, pols[r], 8, seeds[r], 3, 6)
+            for x, y in zip(got, alone):
+                assert np.array_equal(x[:, r::2], y)
 
     def test_bank_for_another_run_rejected(self):
         mdp = random_mdp(3, (2, 2), 0.9, seed=97)
