@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import svg
-from .core import l1_accuracy, random_logits, uniform_logits, write_policy
+from .core import (JointPolicy, l1_accuracy, random_logits, uniform_logits,
+                   write_policy)
 from .dynamics import (ALGORITHMS, AlgoConfig, check_step_size,
                        run as run_dynamics)
 from .environments import (DistancingParams, build_cooperative,
@@ -381,10 +382,10 @@ def cmd_accuracy(run_dir, out_dir=None):
             if every == 0 or not agent_files:
                 raise ConfigError(f"{stem}: no policy snapshots stored; rerun "
                                   f"with snapshot_every > 0")
-            stacks = [np.load(p) for p in agent_files]
+            # mapped, not read: each row is paged in when it is compared
+            stacks = [np.load(p, mmap_mode="r") for p in agent_files]
             n_snaps = stacks[0].shape[0]
             n_iters = int(rec["iterations"])
-            from .core import JointPolicy
             final = JointPolicy([s[-1] for s in stacks], validate=False)
             path = out_dir / f"accuracy_{stem}.csv"
             with open(path, "w", newline="") as g:

@@ -309,8 +309,9 @@ class EvalReport:
       * visitation sums to 1 and every entry is >= (1-gamma)*mu(s) - 1e-10,
       * the marginal advantage of each agent is zero-mean under its own policy.
     Sampled reports carry visited_* masks; unvisited entries are zero-filled.
-    Sampled reports of R runs estimated together carry a leading run axis on
-    every field (v is then (R, n_agents, n_states)).
+    Reports of R runs evaluated or estimated together carry a leading run
+    axis on every array field (v is then (R, n_agents, n_states)), and an
+    exact report's potential_mu is then a list of R floats.
     """
     v: np.ndarray                       # (n_agents, n_states)
     adv_marginal: tuple                 # per agent (n_states, A_i)
@@ -318,7 +319,7 @@ class EvalReport:
     q: np.ndarray | None = None         # (n_agents, n_states, n_joint)
     q_marginal: tuple | None = None     # per agent (n_states, A_i)
     potential: np.ndarray | None = None # (n_states,)
-    potential_mu: float | None = None
+    potential_mu: float | list | None = None
     adv_potential: tuple | None = None  # per agent (n_states, A_i)
     visited_states: np.ndarray | None = None
     visited_pairs: tuple | None = None

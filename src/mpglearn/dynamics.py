@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EvalReport, JointPolicy, Logits, softmax_policy,
-                   uniform_logits)
+from .core import JointPolicy, Logits, softmax_policy, uniform_logits
 from .exact import evaluate, mismatch_bound
 from .sampling import SampleConfig, _StreamBank, estimate_eval
 
@@ -246,17 +245,6 @@ def _initial_state(mdp, cfg, initial):
     return None, JointPolicy(tables, validate=False)
 
 
-def _stack_reports(reports):
-    """One EvalReport with a leading run axis from per-run exact reports,
-    holding the fields the updates read: the marginal advantages and the
-    visitation."""
-    return EvalReport(
-        v=None,
-        adv_marginal=tuple(np.array(adv) for adv in
-                           zip(*(rep.adv_marginal for rep in reports))),
-        visitation=np.array([rep.visitation for rep in reports]))
-
-
 def run(env, cfg, initial=None, nash_gap_every=0, snapshot_every=0,
         on_iteration=None, seeds=None):
     """Iterate a learning dynamic until the policy stops moving.
@@ -281,8 +269,8 @@ def run(env, cfg, initial=None, nash_gap_every=0, snapshot_every=0,
     lockstep along a leading run axis and a list of R RunTraces is returned;
     `initial` is then None or a sequence of R initial states, and run r's
     sampler is keyed by seeds[r].  A run that converges leaves the active
-    set.  Sampled mode estimates all active runs in one `estimate_eval`
-    call from one _StreamBank; exact mode evaluates each run on its own.
+    set.  Each update evaluates all active runs in one call: `estimate_eval`
+    from one _StreamBank in sampled mode, `evaluate` in exact mode.
     Every run's records and final policy are bit-identical to running it
     alone, and an error in one run names its index and seed.
     """
@@ -326,11 +314,9 @@ def run(env, cfg, initial=None, nash_gap_every=0, snapshot_every=0,
                                    bank=bank, seeds=bank.seeds)
             phis = [np.nan] * len(runs)
         else:
-            reports = [evaluate(target, _rows(policy, j))
-                       for j in range(len(runs))]
-            report = _stack_reports(reports)
-            phis = [rep.potential_mu if track_potential else np.nan
-                    for rep in reports]
+            report = evaluate(target, policy)
+            phis = (report.potential_mu if track_potential
+                    else [np.nan] * len(runs))
         try:
             if cfg.algorithm == "inpg":
                 theta = inpg_step(theta, report, cfg.eta, mdp.gamma)
@@ -351,7 +337,7 @@ def run(env, cfg, initial=None, nash_gap_every=0, snapshot_every=0,
             if nash_gap_every and k % nash_gap_every == 0:
                 from .verify import nash_gap as _nash_gap
                 gap = _nash_gap(mdp, _rows(policy, j)).overall_gap
-            rows[r].append((step, np.nan if phis[j] is None else phis[j], gap))
+            rows[r].append((step, phis[j], gap))
             if on_iteration is not None:
                 on_iteration({
                     "run": r, "iteration": k, "max_policy_step_l1": step,

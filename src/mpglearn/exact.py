@@ -1,18 +1,16 @@
 """Exact policy evaluation by linear algebra.
 
 Values, Q-functions, marginal advantages, discounted visitation and the
-potential value all come from solves against (I - gamma * P_pi), where P_pi
-is one bincount over the MDP's CSR transition entries.  One LU factorization
-(dense, partial pivoting) is shared across agents and reused transposed for
-the visitation solve, so results are bit-reproducible regardless of how
-callers parallelize per-agent work.  Systems larger than DENSE_SOLVE_MAX
-states go through a sparse factorization instead.
-
-The value columns of every requested agent (and of the potential) are
-solved as one block, backed up through the CSR table in one sparse product,
-and each agent's marginal Q is a sequential contraction of its joint-action
-Q table: every other agent's action axis is summed against that agent's
-policy rows, one batched matmul per agent.
+potential value all come from solves against (I - gamma * P_pi).  `evaluate`
+is the one evaluation path, for one policy or R policies on a leading run
+axis: the joint tables, the chains (one bincount over the MDP's CSR
+transition entries), the right-hand sides, the CSR back-up (one product per
+solved column) and the contractions of each agent's joint-action Q table
+against the other agents' policy rows (one batched matmul per agent) serve
+all runs at once.  Each run keeps its own LU factorization (dense, partial
+pivoting; sparse beyond DENSE_SOLVE_MAX states) for all of its value columns
+and, transposed, its visitation: a batched solve is not bit-identical to
+scipy's LU, and row r of a stacked report is run r's own report, bit for bit.
 """
 
 from dataclasses import dataclass
@@ -25,13 +23,6 @@ from scipy import linalg
 from .core import EvalReport
 
 DENSE_SOLVE_MAX = 4096
-
-
-@dataclass(frozen=True)
-class InducedChain:
-    """State chain and per-agent expected one-step rewards under a fixed policy."""
-    p_pi: np.ndarray          # (S, S), row stochastic
-    r_pi: np.ndarray          # (n_agents, S)
 
 
 @dataclass(frozen=True)
@@ -50,7 +41,8 @@ class MismatchBound:
 
 
 def joint_policy_table(mdp, policy):
-    """(S, n_joint) table of joint action probabilities under a product policy.
+    """(..., S, n_joint) table of joint action probabilities under a product
+    policy whose (..., S, A_i) tables may carry a leading run axis.
 
     Built as a running outer product from the last agent to agent 0, each
     new agent's axis outermost, which is the joint-action encoding.
@@ -59,45 +51,46 @@ def joint_policy_table(mdp, policy):
         raise ValueError(f"policy has {len(policy.probs)} agents, the MDP "
                          f"{mdp.n_agents}")
     S = mdp.n_states
-    table = np.ones((S, 1))
+    lead = policy.probs[0].shape[:-2]
+    table = np.ones(lead + (S, 1))
     for i in reversed(range(mdp.n_agents)):
         p = policy.probs[i]
-        if p.shape != (S, mdp.n_actions[i]):
+        if p.shape != lead + (S, mdp.n_actions[i]):
             raise ValueError(f"agent {i}: policy table {p.shape} does not "
-                             f"match ({S}, {mdp.n_actions[i]})")
-        table = (p[:, :, None] * table[:, None, :]).reshape(S, -1)
+                             f"match {lead + (S, mdp.n_actions[i])}")
+        table = (p[..., None] * table[..., None, :]).reshape(lead + (S, -1))
     return table
 
 
 def _marginalize(mdp, probs, table, agent):
-    """Expectation of a (S, n_joint) table over every agent's action but one.
+    """Expectation of an (R, S, n_joint) table over every agent's action but
+    one.
 
-    Contracts the other agents' action axes against their (S, A_j) policy
+    Contracts the other agents' action axes against their (R, S, A_j) policy
     rows, the trailing agents last-first and then the leading ones, one
-    batched matmul each; returns the (S, A_agent) table.
+    batched matmul each; returns the (R, S, A_agent) table.
     """
-    S = mdp.n_states
+    lead = table.shape[:-1]
     t = table
     for j in range(mdp.n_agents - 1, agent, -1):
-        t = t.reshape(S, -1, mdp.n_actions[j]) @ probs[j][:, :, None]
+        t = t.reshape(lead + (-1, mdp.n_actions[j])) @ probs[j][..., None]
     for j in range(agent):
-        t = probs[j][:, None, :] @ t.reshape(S, mdp.n_actions[j], -1)
-    return t.reshape(S, mdp.n_actions[agent])
+        t = probs[j][..., None, :] @ t.reshape(lead + (mdp.n_actions[j], -1))
+    return t.reshape(lead + (mdp.n_actions[agent],))
 
 
 def _chain_matrix(mdp, jt):
-    """(S, S) state chain: the transition entries weighted by jt, per cell."""
+    """(..., S, S) state chains: the transition entries weighted by jt, per
+    cell, as one bincount in which run r's cells are offset by r*S*S."""
     S = mdp.n_states
     rows, cells = mdp.chain_cells
-    weights = jt.ravel()[rows] * mdp.transitions.data
-    return np.bincount(cells, weights=weights, minlength=S * S).reshape(S, S)
-
-
-def induced_chain(mdp, policy):
-    """Average the transition tensor and rewards over the joint policy."""
-    jt = joint_policy_table(mdp, policy)
-    return InducedChain(p_pi=_chain_matrix(mdp, jt),
-                        r_pi=np.einsum("isa,sa->is", mdp.rewards, jt))
+    lead = jt.shape[:-2]
+    jt = jt.reshape(-1, S * mdp.n_joint)
+    R = len(jt)
+    weights = jt[:, rows] * mdp.transitions.data
+    cells = cells + S * S * np.arange(R)[:, None]
+    return np.bincount(cells.ravel(), weights=weights.ravel(),
+                       minlength=R * S * S).reshape(lead + (S, S))
 
 
 class _Solver:
@@ -127,6 +120,17 @@ class _Solver:
         return self._sparse.solve(b, trans="T" if transposed else "N")
 
 
+def _backup(mdp, sol, column, stage):
+    """(R, S, n_joint) Q table stage + gamma * P V of one solved column,
+    V = sol[r, :, column]: one CSR product over the R runs' columns."""
+    R, S, _ = sol.shape
+    q = np.ascontiguousarray((mdp.transitions @ sol[:, :, column].T).T)
+    q = q.reshape(R, S, -1)
+    q *= mdp.gamma
+    q += stage
+    return q
+
+
 def evaluate(target, policy, want_q=False, agents=None):
     """Full exact evaluation of a product policy.
 
@@ -135,6 +139,10 @@ def evaluate(target, policy, want_q=False, agents=None):
     `agents` restricts the per-agent work: the values, marginal Q tables and
     advantages of agents not listed are left as zeros.  `q` is None unless
     `want_q`, and the potential fields are None without a stage potential.
+
+    Tables with a leading run axis, (R, S, A_i), put that axis on every
+    field of the report (v is (R, n_agents, S)) and make potential_mu a list
+    of R floats; (S, A_i) tables are the R = 1 case of the same computation.
     """
     env = target if hasattr(target, "mdp") else None
     mdp = env.mdp if env is not None else target
@@ -142,54 +150,53 @@ def evaluate(target, policy, want_q=False, agents=None):
     active = list(range(n)) if agents is None else list(agents)
 
     jt = joint_policy_table(mdp, policy)
-    solver = _Solver(mdp, _chain_matrix(mdp, jt))
-    d = solver.solve((1.0 - mdp.gamma) * mdp.mu, transposed=True)
+    lead = jt.shape[:-2]
+    jt = jt.reshape(-1, S, A)
+    R = len(jt)
+    probs = [p.reshape(R, S, -1) for p in policy.probs]
+    solvers = [_Solver(mdp, chain) for chain in _chain_matrix(mdp, jt)]
+    d = np.array([solver.solve((1.0 - mdp.gamma) * mdp.mu, transposed=True)
+                  for solver in solvers])
 
     with_potential = env is not None and env.stage_potential is not None
-    rhs_cols = [np.einsum("sa,sa->s", mdp.rewards[i], jt) for i in active]
+    rhs_cols = [np.einsum("sa,rsa->rs", mdp.rewards[i], jt) for i in active]
     if with_potential:
-        rhs_cols.append((jt * env.stage_potential).sum(axis=1))
-    v = np.zeros((n, S))
-    adv = [np.zeros((S, a)) for a in mdp.n_actions]
-    q_marg = [np.zeros((S, a)) for a in mdp.n_actions]
-    q_all = np.zeros((n, S, A)) if want_q else None
+        rhs_cols.append((jt * env.stage_potential).sum(axis=-1))
+    v = np.zeros((R, n, S))
+    adv = [np.zeros((R, S, a)) for a in mdp.n_actions]
+    q_marg = [np.zeros((R, S, a)) for a in mdp.n_actions]
+    q_all = np.zeros((R, n, S, A)) if want_q else None
     potential = potential_mu = adv_potential = None
     if rhs_cols:
-        sol = solver.solve(np.stack(rhs_cols, axis=1))
-        # expected next-state value of every solved column, per (s, a)
-        nxt = (mdp.transitions @ sol).reshape(S, A, len(rhs_cols))
+        rhs = np.stack(rhs_cols, axis=-1)
+        sols = [solver.solve(b) for solver, b in zip(solvers, rhs)]
+        sol = np.array(sols)
         for k, i in enumerate(active):
-            v[i] = sol[:, k]
-            q_i = mdp.gamma * nxt[:, :, k]
-            q_i += mdp.rewards[i]
+            v[:, i] = sol[:, :, k]
+            q_i = _backup(mdp, sol, k, mdp.rewards[i])
             if want_q:
-                q_all[i] = q_i
-            q_marg[i] = _marginalize(mdp, policy.probs, q_i, i)
-            adv[i] = q_marg[i] - v[i][:, None]
+                q_all[:, i] = q_i
+            q_marg[i] = _marginalize(mdp, probs, q_i, i)
+            adv[i] = q_marg[i] - v[:, i, :, None]
         if with_potential:
-            potential = sol[:, -1]
-            potential_mu = float(mdp.mu @ potential)
-            q_phi = mdp.gamma * nxt[:, :, -1]
-            q_phi += env.stage_potential
+            potential = sol[:, :, -1]
+            # Python floats for repr in trace files; dots in solve order
+            potential_mu = [float(mdp.mu @ x[:, -1]) for x in sols]
+            q_phi = _backup(mdp, sol, -1, env.stage_potential)
             adv_potential = tuple(
-                _marginalize(mdp, policy.probs, q_phi, i) - potential[:, None]
+                _marginalize(mdp, probs, q_phi, i) - potential[..., None]
                 for i in range(n))
 
+    def runs(x):
+        return None if x is None else x.reshape(lead + x.shape[1:])
+
+    if potential_mu is not None and not lead:
+        potential_mu = potential_mu[0]
     return EvalReport(
-        v=v, adv_marginal=tuple(adv), visitation=d, q=q_all,
-        q_marginal=tuple(q_marg), potential=potential, potential_mu=potential_mu,
-        adv_potential=adv_potential)
-
-
-def value_functions(mdp, policy):
-    """Per-agent value vectors V_i(s), solved as (I - gamma*P_pi) V = r_pi."""
-    chain = induced_chain(mdp, policy)
-    solver = _Solver(mdp, chain.p_pi)
-    v = solver.solve(chain.r_pi.T).T
-    residual = np.abs(chain.r_pi - (v - mdp.gamma * (v @ chain.p_pi.T))).max()
-    if residual > 1e-8:
-        raise ArithmeticError(f"value solve residual {residual}")
-    return v
+        v=runs(v), adv_marginal=tuple(map(runs, adv)), visitation=runs(d),
+        q=runs(q_all), q_marginal=tuple(map(runs, q_marg)),
+        potential=runs(potential), potential_mu=potential_mu,
+        adv_potential=adv_potential and tuple(map(runs, adv_potential)))
 
 
 def q_and_advantage(mdp, policy, agent):

@@ -91,25 +91,29 @@ def exhaustive_best_response_value(mdp, policy, agent):
     only usable on tiny instances.
     """
     from itertools import product as iproduct
-    from .exact import value_functions
     S, A_i = mdp.n_states, mdp.n_actions[agent]
     best = np.full(S, -np.inf)
     for assignment in iproduct(range(A_i), repeat=S):
         table = np.zeros((S, A_i))
         table[np.arange(S), assignment] = 1.0
-        v = value_functions(mdp, policy.replace_agent(agent, table))[agent]
+        v = evaluate(mdp, policy.replace_agent(agent, table),
+                     agents=[agent]).v[agent]
         best = np.maximum(best, v)
     return best
 
 
 def nash_gap(mdp, policy, epsilon=None):
     """Best-response improvement available to each agent at each state."""
-    from .exact import value_functions
-    v = value_functions(mdp, policy)
+    rep = evaluate(mdp, policy)
+    # q_marginal = r + gamma P V: the mean advantage is the Bellman residual
+    residual = max(np.abs((p * adv).sum(axis=1)).max()
+                   for p, adv in zip(policy.probs, rep.adv_marginal))
+    if residual > 1e-8:
+        raise ArithmeticError(f"value solve residual {residual}")
     gaps = np.empty((mdp.n_agents, mdp.n_states))
     for i in range(mdp.n_agents):
         _, v_br = best_response(mdp, policy, i)
-        gaps[i] = v_br - v[i]
+        gaps[i] = v_br - rep.v[i]
     return NashReport(gaps=gaps, overall_gap=float(gaps.max()),
                       mu_gap=float((gaps @ mdp.mu).max()), epsilon=epsilon)
 

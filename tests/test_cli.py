@@ -118,6 +118,18 @@ class TestCmdRun:
         trace = read_trace(out / "inpg_run000.csv")
         assert all(rec["potential"] is not None for rec in trace)
 
+    def test_potential_cells_are_float_reprs(self, stage_run):
+        # the two runs step in lockstep; each cell is what repr writes for
+        # a Python float, not a numpy scalar's repr
+        _, out, _ = stage_run
+        for name in ("inpg_run000.csv", "inpg_run001.csv"):
+            with open(out / name, newline="") as f:
+                cells = [rec["potential"] for rec in csv.DictReader(f)]
+            assert cells
+            for cell in cells:
+                assert not cell.startswith("np.")
+                assert cell == repr(float(cell))
+
     def test_rerun_is_byte_identical(self, stage_run, tmp_path):
         cfg, out, _ = stage_run
         out2 = tmp_path / "out2"

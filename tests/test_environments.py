@@ -103,7 +103,7 @@ class TestBuildScg:
         assert mdp.n_states == 3
         assert mdp.state_labels == (("s",), ("t",), "terminal")
         assert mdp.n_actions == (1,)
-        v = m.value_functions(mdp, m.JointPolicy([np.ones((3, 1))]))
+        v = m.evaluate(mdp, m.JointPolicy([np.ones((3, 1))])).v
         start = mdp.state_labels.index(("s",))
         assert abs(v[0, start] - 1.0) < 1e-12
 

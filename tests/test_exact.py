@@ -33,8 +33,8 @@ class TestInducedChain:
         mdp = m.MultiAgentMDP((2,), np.zeros((1, 2, 2)), P, 0.9,
                               np.array([1.0, 0.0]))
         pol = m.JointPolicy([np.array([[1.0, 0.0], [0.0, 1.0]])])
-        chain = m.induced_chain(mdp, pol)
-        assert np.array_equal(chain.p_pi, np.array([[0.0, 1.0], [0.0, 1.0]]))
+        p_pi = exact._chain_matrix(mdp, joint_policy_table(mdp, pol))
+        assert np.array_equal(p_pi, np.array([[0.0, 1.0], [0.0, 1.0]]))
 
     def test_uniform_policy_averages_rows(self):
         P = np.zeros((2, 2, 2))
@@ -44,36 +44,39 @@ class TestInducedChain:
         mdp = m.MultiAgentMDP((2,), np.zeros((1, 2, 2)), P, 0.9,
                               np.array([1.0, 0.0]))
         pol = m.JointPolicy([np.array([[0.5, 0.5], [0.5, 0.5]])])
-        chain = m.induced_chain(mdp, pol)
-        assert np.allclose(chain.p_pi[0], [0.5, 0.5], atol=1e-15)
+        p_pi = exact._chain_matrix(mdp, joint_policy_table(mdp, pol))
+        assert np.allclose(p_pi[0], [0.5, 0.5], atol=1e-15)
 
     def test_random_instance_matches_direct_summation(self):
         mdp = random_mdp(3, (2, 2), 0.9, seed=21)
         pol = random_policy(mdp, 22)
-        chain = m.induced_chain(mdp, pol)
+        p_pi = exact._chain_matrix(mdp, joint_policy_table(mdp, pol))
         p_ref, r_ref = chain_of(mdp, pol)
-        assert np.abs(chain.p_pi - p_ref).max() < 1e-14
-        assert np.abs(chain.r_pi - r_ref).max() < 1e-14
+        assert np.abs(p_pi - p_ref).max() < 1e-14
+        # at gamma = 0 the values are the expected one-step rewards
+        myopic = m.MultiAgentMDP(mdp.n_actions, mdp.rewards, mdp.transitions,
+                                 0.0, mdp.mu)
+        assert np.abs(m.evaluate(myopic, pol).v - r_ref).max() < 1e-14
 
 
 class TestValueFunctions:
     def test_single_state_geometric_series(self):
         mdp = m.MultiAgentMDP((1,), np.ones((1, 1, 1)), np.ones((1, 1, 1)),
                               0.99, np.ones(1))
-        v = m.value_functions(mdp, m.JointPolicy([np.ones((1, 1))]))
+        v = m.evaluate(mdp, m.JointPolicy([np.ones((1, 1))])).v
         assert abs(v[0, 0] - 100.0) < 1e-10
 
     def test_zero_rewards_zero_values(self):
         mdp = random_mdp(4, (2,), 0.95, seed=23)
         zero = m.MultiAgentMDP(mdp.n_actions, np.zeros_like(mdp.rewards),
                                mdp.transitions, mdp.gamma, mdp.mu)
-        v = m.value_functions(zero, random_policy(zero, 24))
+        v = m.evaluate(zero, random_policy(zero, 24)).v
         assert np.abs(v).max() == 0.0
 
     def test_random_instance_matches_truncated_sum(self):
         mdp = random_mdp(4, (2, 2), 0.9, seed=25)
         pol = random_policy(mdp, 26)
-        v = m.value_functions(mdp, pol)
+        v = m.evaluate(mdp, pol).v
         v_ref = truncated_values(mdp, pol, horizon=2000)
         assert np.abs(v - v_ref).max() < 1e-6
 
@@ -222,6 +225,151 @@ class TestLargeInstanceBranches:
             act_s, v_s = m.best_response(env.mdp, pol, i)
             assert np.array_equal(act_d, act_s)
             assert np.abs(v_d - v_s).max() < 1e-12
+
+
+def reference_evaluate(target, policy, want_q=False, agents=None):
+    """One policy's exact evaluation as `evaluate` computed it before it took
+    a run axis: the (S, n_joint) joint table as a running outer product, the
+    chain as one bincount, one `exact._Solver` for the visitation and the
+    stacked value columns, one CSR product backing all columns up, and the
+    marginal Q tables contracted agent by agent.  Every arithmetic step is
+    the one `evaluate` takes per run, so rows must agree byte for byte."""
+    env = target if hasattr(target, "mdp") else None
+    mdp = env.mdp if env is not None else target
+    S, A, n = mdp.n_states, mdp.n_joint, mdp.n_agents
+    active = list(range(n)) if agents is None else list(agents)
+
+    def marginalize(table, agent):
+        t = table
+        for j in range(n - 1, agent, -1):
+            t = t.reshape(S, -1, mdp.n_actions[j]) @ policy.probs[j][:, :, None]
+        for j in range(agent):
+            t = policy.probs[j][:, None, :] @ t.reshape(S, mdp.n_actions[j], -1)
+        return t.reshape(S, mdp.n_actions[agent])
+
+    jt = np.ones((S, 1))
+    for p in reversed(policy.probs):
+        jt = (p[:, :, None] * jt[:, None, :]).reshape(S, -1)
+    rows, cells = mdp.chain_cells
+    chain = np.bincount(cells, weights=jt.ravel()[rows] * mdp.transitions.data,
+                        minlength=S * S).reshape(S, S)
+    solver = exact._Solver(mdp, chain)
+    d = solver.solve((1.0 - mdp.gamma) * mdp.mu, transposed=True)
+
+    with_potential = env is not None and env.stage_potential is not None
+    rhs_cols = [np.einsum("sa,sa->s", mdp.rewards[i], jt) for i in active]
+    if with_potential:
+        rhs_cols.append((jt * env.stage_potential).sum(axis=1))
+    v = np.zeros((n, S))
+    adv = [np.zeros((S, a)) for a in mdp.n_actions]
+    q_marg = [np.zeros((S, a)) for a in mdp.n_actions]
+    q_all = np.zeros((n, S, A)) if want_q else None
+    potential = potential_mu = adv_potential = None
+    if rhs_cols:
+        sol = solver.solve(np.stack(rhs_cols, axis=1))
+        nxt = (mdp.transitions @ sol).reshape(S, A, len(rhs_cols))
+        for k, i in enumerate(active):
+            v[i] = sol[:, k]
+            q_i = mdp.gamma * nxt[:, :, k]
+            q_i += mdp.rewards[i]
+            if want_q:
+                q_all[i] = q_i
+            q_marg[i] = marginalize(q_i, i)
+            adv[i] = q_marg[i] - v[i][:, None]
+        if with_potential:
+            potential = sol[:, -1]
+            potential_mu = float(mdp.mu @ potential)
+            q_phi = mdp.gamma * nxt[:, :, -1]
+            q_phi += env.stage_potential
+            adv_potential = tuple(marginalize(q_phi, i) - potential[:, None]
+                                  for i in range(n))
+    return m.EvalReport(
+        v=v, adv_marginal=tuple(adv), visitation=d, q=q_all,
+        q_marginal=tuple(q_marg), potential=potential,
+        potential_mu=potential_mu, adv_potential=adv_potential)
+
+
+def assert_report_bytes(got, want):
+    """Every field of `got` equals `want` byte for byte, in shape and type."""
+    for field in ("v", "visitation", "q", "potential"):
+        x, y = getattr(got, field), getattr(want, field)
+        assert (x is None) == (y is None), field
+        if y is not None:
+            assert x.shape == y.shape, field
+            assert np.ascontiguousarray(x).tobytes() == \
+                np.ascontiguousarray(y).tobytes(), field
+    for field in ("adv_marginal", "q_marginal", "adv_potential"):
+        xs, ys = getattr(got, field), getattr(want, field)
+        assert (xs is None) == (ys is None), field
+        for x, y in zip(xs or (), ys or ()):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), field
+    assert type(got.potential_mu) is type(want.potential_mu)
+    assert repr(got.potential_mu) == repr(want.potential_mu)
+
+
+class TestRunAxis:
+    """`evaluate` on (R, S, A_i) tables: row r is reference_evaluate of run
+    r's own tables, byte for byte in every field, and (S, A_i) tables are
+    the R = 1 case."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_actions=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           n_states=st.integers(1, 4), width=st.integers(1, 3),
+           gamma=st.sampled_from([0.0, 0.5, 0.99]), runs=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1), zeros=st.booleans(),
+           with_potential=st.booleans(), want_q=st.booleans(),
+           subset=st.booleans(), dense_solve=st.booleans())
+    @example(n_actions=[2, 3], n_states=3, width=2, gamma=0.99, runs=3,
+             seed=5, zeros=True, with_potential=True, want_q=True,
+             subset=False, dense_solve=True)
+    @example(n_actions=[3, 1, 2], n_states=4, width=3, gamma=0.5, runs=4,
+             seed=6, zeros=False, with_potential=True, want_q=False,
+             subset=True, dense_solve=False)
+    def test_rows_equal_reference(self, n_actions, n_states,
+                                  width, gamma, runs, seed, zeros,
+                                  with_potential, want_q, subset,
+                                  dense_solve):
+        mdp = sparse_mdp(n_states, tuple(n_actions), gamma, seed,
+                         max_width=min(width, n_states))
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed + 1)))
+        target = mdp
+        if with_potential:
+            target = m.Environment(
+                mdp=mdp, stage_potential=rng.uniform(
+                    0, 1, (n_states, mdp.n_joint)), label="random")
+        agents = None
+        if subset:
+            agents = [int(i) for i in rng.permutation(mdp.n_agents)[
+                :rng.integers(0, mdp.n_agents + 1)]]
+        pols = [policy_with_zeros(mdp, rng) if zeros
+                else m.random_product_policy(mdp, rng) for _ in range(runs)]
+        with pytest.MonkeyPatch.context() as patch:
+            if not dense_solve:
+                patch.setattr(exact, "DENSE_SOLVE_MAX", 0)
+            stacked = m.evaluate(target, m.JointPolicy(
+                [np.stack(t) for t in zip(*(p.probs for p in pols))],
+                validate=False), want_q=want_q, agents=agents)
+            alone = [m.evaluate(target, p, want_q=want_q, agents=agents)
+                     for p in pols]
+            want = [reference_evaluate(target, p, want_q=want_q,
+                                       agents=agents) for p in pols]
+        assert stacked.v.shape == (runs, mdp.n_agents, n_states)
+        assert (stacked.potential_mu is None) == (not with_potential)
+        for r in range(runs):
+            row = m.EvalReport(
+                v=stacked.v[r],
+                adv_marginal=tuple(a[r] for a in stacked.adv_marginal),
+                visitation=stacked.visitation[r],
+                q=None if stacked.q is None else stacked.q[r],
+                q_marginal=tuple(a[r] for a in stacked.q_marginal),
+                potential=(None if stacked.potential is None
+                           else stacked.potential[r]),
+                potential_mu=(None if stacked.potential_mu is None
+                              else stacked.potential_mu[r]),
+                adv_potential=(None if stacked.adv_potential is None else
+                               tuple(a[r] for a in stacked.adv_potential)))
+            assert_report_bytes(row, want[r])
+            assert_report_bytes(alone[r], want[r])
 
 
 class TestEvalReportInvariants:

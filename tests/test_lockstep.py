@@ -116,6 +116,28 @@ def test_exact_runs_record_the_potential(coop):
 
 
 @pytest.mark.parametrize("algorithm", ["inpg", "ipg", "mwu"])
+def test_exact_mode_evaluates_once_per_step(monkeypatch, coop, algorithm):
+    # runs stop at different updates, so the later steps have fewer rows
+    initial = initial_states(coop.mdp, algorithm, "random")
+    probe = m.run(coop, algo_cfg(algorithm, "exact"), initial, seeds=SEEDS)
+    steps = np.concatenate([t.step_l1 for t in probe])
+    cfg = algo_cfg(algorithm, "exact", float(np.quantile(steps, 0.1)))
+    rows = []
+
+    def counted(target, policy, *args, **kw):
+        rows.append(policy.probs[0].shape[0])
+        return evaluate(target, policy, *args, **kw)
+
+    evaluate = dynamics.evaluate
+    monkeypatch.setattr(dynamics, "evaluate", counted)
+    traces = m.run(coop, cfg, initial, seeds=SEEDS)
+    lengths = [t.n_iterations for t in traces]
+    assert len(set(lengths)) > 1
+    assert len(rows) == max(lengths)
+    assert rows == [sum(n > k for n in lengths) for k in range(max(lengths))]
+
+
+@pytest.mark.parametrize("algorithm", ["inpg", "ipg", "mwu"])
 def test_non_finite_advantage_names_the_run(monkeypatch, algorithm):
     # run 2 (seed 0) gets a NaN after run 1 has stopped, so its row on
     # the run axis is no longer its run index

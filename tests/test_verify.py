@@ -15,7 +15,7 @@ class TestBestResponse:
         mdp = random_mdp(3, (1, 1), 0.9, seed=60)
         pol = m.JointPolicy([np.ones((3, 1)), np.ones((3, 1))])
         _, v_br = m.best_response(mdp, pol, agent=0)
-        v = m.value_functions(mdp, pol)
+        v = m.evaluate(mdp, pol).v
         assert np.abs(v_br - v[0]).max() < 1e-12
 
     def test_single_state_myopic_row_choice(self):
@@ -48,7 +48,7 @@ class TestBestResponse:
         table[np.arange(3), act] = 1.0
         replied = pol.replace_agent(1, table)
         _, v_again = m.best_response(mdp, replied, agent=1)
-        v = m.value_functions(mdp, replied)
+        v = m.evaluate(mdp, replied).v
         assert np.abs(v_again - v[1]).max() < 1e-9
 
 
@@ -78,7 +78,7 @@ class TestNashGap:
         mdp = random_mdp(1, (2, 3), 0.6, seed=67)
         uniform = m.JointPolicy([np.full((1, 2), 0.5), np.full((1, 3), 1 / 3)])
         rep = m.nash_gap(mdp, uniform)
-        v = m.value_functions(mdp, uniform)
+        v = m.evaluate(mdp, uniform).v
         worst = 0.0
         for i in range(2):
             v_enum = exhaustive_best_response_value(mdp, uniform, i)
