@@ -154,7 +154,9 @@ def evaluate(target, policy, want_q=False, agents=None):
     jt = jt.reshape(-1, S, A)
     R = len(jt)
     probs = [p.reshape(R, S, -1) for p in policy.probs]
-    solvers = [_Solver(mdp, chain) for chain in _chain_matrix(mdp, jt)]
+    # at gamma = 0 the solver reads no chain, so none is built
+    chains = [None] * R if mdp.gamma == 0.0 else _chain_matrix(mdp, jt)
+    solvers = [_Solver(mdp, chain) for chain in chains]
     d = np.array([solver.solve((1.0 - mdp.gamma) * mdp.mu, transposed=True)
                   for solver in solvers])
 

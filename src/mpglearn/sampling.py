@@ -11,7 +11,7 @@ and identical (mdp, policy, config) inputs reproduce the same EvalReport.
 The same holds across runs.  Given R seeds and a policy whose tables carry
 a leading run axis, (R, S, A_i), the sampler steps the batches of all R
 runs together: column b*R + r holds episode b of run r (episode-major,
-run-minor), every np.unique / np.bincount key carries the run's offset, and
+run-minor), every first-visit and np.bincount key carries the run's offset, and
 each bin sums its entries in the order a single run sums them, so run r of
 the stacked report is bit-identical to a report computed for run r alone.
 A single run is the case of a scalar seed and (S, A_i) tables.
@@ -19,10 +19,16 @@ A single run is the case of a scalar seed and (S, A_i) tables.
 The draws come from a numpy Philox4x64-10 that is bit-identical to
 `np.random.Generator(np.random.Philox(key=[seed, (episode << 8) | stream]))
 .random(count)`, computed for every (episode, run, stream, block) lane in
-one array pass.  Because the draws do not depend on the policy, a learning
-run keeps a _StreamBank that computes them a chunk of episodes ahead, so one
-pass serves many updates.  Next states come from the successor table the
-MDP derives from its CSR transition rows (`MultiAgentMDP.successors`).
+one array pass.  Only the draws an episode of T steps reads are computed:
+T on each agent stream, and on the environment stream draw 0 for the
+initial state plus draws 1..T-1 for the transitions, which it reads only
+when some transition row has more than one successor (else it computes 1
+draw).  No draw is made for the transition out of the last step, whose
+state is never recorded.  Because the draws do not depend on the policy, a
+learning run keeps a _StreamBank that computes them a chunk of episodes
+ahead, so one pass serves many updates.  Next states come from the
+successor table the MDP derives from its CSR transition rows
+(`MultiAgentMDP.successors`).
 """
 
 from dataclasses import dataclass
@@ -119,8 +125,53 @@ def _philox4x64(counter0, key1, seed):
     return x[0], y[0], x[1], y[1]
 
 
+def _stream_uniforms(seeds, start, count, groups):
+    """Uniform draws of episodes start..start+count-1 of R run seeds, for
+    groups of streams that draw different counts, in one Philox pass.
+
+    `groups` lists (streams, n_draws) pairs.  Returns one u per group, of
+    shape (D, count, R, len(streams)) with D = n_draws rounded up to a
+    multiple of 4, where u[:n_draws, e, r, k] equals
+    Generator(Philox(key=[seeds[r], ((start + e) << 8) | streams[k]]))
+    .random(n_draws).  A stream computes only its ceil(n_draws / 4) Philox
+    blocks, block j under counter j + 1 as in any longer draw.
+    """
+    if start < 0 or start + count > 1 << (64 - _STREAM_BITS):
+        raise ValueError(f"episodes {start}..{start + count - 1} do not fit "
+                         f"the stream key")
+    runs = seeds.size
+    tags = [np.asarray(streams, dtype=np.uint64) for streams, _ in groups]
+    blocks = [-(-n_draws // 4) for _, n_draws in groups]
+    # one lane per (group, block, stream) of every (episode, run); numpy's
+    # Philox increments the counter before its first block
+    counter0 = np.concatenate([
+        np.repeat(np.arange(1, b + 1, dtype=np.uint64), t.size)
+        for t, b in zip(tags, blocks)])
+    lane_tags = np.concatenate([np.tile(t, b) for t, b in zip(tags, blocks)])
+    out = np.empty((lane_tags.size, 4, count, runs))
+    step = max(1, _MAX_LANES // (lane_tags.size * runs))
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        eps = np.arange(start + lo, start + hi, dtype=np.uint64)
+        key1 = (eps << _STREAM_BITS) | lane_tags[:, None]
+        lanes = (lane_tags.size, hi - lo, runs)
+        words = _philox4x64(
+            np.broadcast_to(counter0[:, None, None], lanes).ravel(),
+            np.broadcast_to(key1[:, :, None], lanes).ravel(),
+            np.broadcast_to(seeds, lanes).ravel())
+        for w, word in enumerate(words):
+            # Generator.random: the top 53 bits scaled into [0, 1)
+            out[:, w, lo:hi] = (word >> 11).reshape(lanes) * 2.0 ** -53
+    # each group's (block, stream, word) lanes, laid out draw-major
+    ends = np.cumsum([t.size * b for t, b in zip(tags, blocks)])
+    return [out[end - t.size * b:end].reshape(b, t.size, 4, count, runs)
+            .transpose(0, 2, 3, 4, 1).reshape(4 * b, count, runs, t.size)
+            for t, b, end in zip(tags, blocks, ends)]
+
+
 def _uniforms(seed, start, count, n_streams, n_draws):
-    """Uniform draws of episodes start..start+count-1 on every stream.
+    """Uniform draws of episodes start..start+count-1 on streams
+    0..n_streams-1, n_draws on each.
 
     `seed` is one seed, or an array of R run seeds.  Returns u of shape
     (D, count, n_streams), or (D, count, R, n_streams) for R seeds, with
@@ -128,30 +179,30 @@ def _uniforms(seed, start, count, n_streams, n_draws):
     (u[:n_draws, e, r, s]) equals
     Generator(Philox(key=[seed, ((start + e) << 8) | s])).random(n_draws).
     """
-    if start < 0 or start + count > 1 << (64 - _STREAM_BITS):
-        raise ValueError(f"episodes {start}..{start + count - 1} do not fit "
-                         f"the stream key")
     seeds = np.asarray(seed, dtype=np.uint64)
-    runs = seeds.size
-    blocks = -(-n_draws // 4)
-    out = np.empty((blocks, 4, count, runs, n_streams))
-    step = max(1, _MAX_LANES // (blocks * runs * n_streams))
-    tags = np.arange(n_streams, dtype=np.uint64)
-    # numpy's Philox increments the counter before its first block
-    counter0 = np.arange(1, blocks + 1, dtype=np.uint64)
-    for lo in range(0, count, step):
-        hi = min(lo + step, count)
-        eps = np.arange(start + lo, start + hi, dtype=np.uint64)
-        key1 = (eps[:, None, None] << _STREAM_BITS) | tags
-        lanes = (blocks, hi - lo, runs, n_streams)
-        words = _philox4x64(
-            np.broadcast_to(counter0[:, None, None, None], lanes).ravel(),
-            np.broadcast_to(key1, lanes).ravel(),
-            np.broadcast_to(seeds.reshape(runs, 1), lanes).ravel())
-        for w, word in enumerate(words):
-            # Generator.random: the top 53 bits scaled into [0, 1)
-            out[:, w, lo:hi] = (word >> 11).reshape(lanes) * 2.0 ** -53
-    return out.reshape((4 * blocks, count) + seeds.shape + (n_streams,))
+    u, = _stream_uniforms(seeds.ravel(), start, count,
+                          [(range(n_streams), n_draws)])
+    return u.reshape(u.shape[:2] + seeds.shape + (n_streams,))
+
+
+def _draw_counts(mdp, horizon):
+    """(agents, agent draws, environment draws) that an episode of
+    `horizon` steps reads: each agent stream one draw per step; the
+    environment stream draw 0 for the initial state, and draws 1..T-1 for
+    the transitions into recorded states, which it reads only when a
+    transition row has more than one successor."""
+    stochastic = mdp.successors[1] is not None
+    return mdp.n_agents, horizon, horizon if stochastic else 1
+
+
+def _rollout_uniforms(seeds, start, count, counts):
+    """(agent_u, env_u) of shapes (D, count, R, n) and (D_env, count, R, 1)
+    on the agent streams 0..n-1 and the environment stream n, for `counts`
+    = (n, agent draws, environment draws): one Philox pass that computes
+    no block the rollout does not read."""
+    n, agent_draws, env_draws = counts
+    return _stream_uniforms(seeds, start, count,
+                            [(range(n), agent_draws), ([n], env_draws)])
 
 
 class _StreamBank:
@@ -161,46 +212,46 @@ class _StreamBank:
     The draws depend only on (seed, episode, stream), never on the policy, so
     one pass over a chunk of episodes of every run serves every estimate
     whose batch falls inside the chunk; a request outside it starts a new
-    chunk there.  `seeds` defaults to the one seed of `cfg`; `keep` drops
-    the runs that have stopped.
+    chunk there.  The bank computes only what `_sample_batch` reads on
+    `mdp` (`_draw_counts`): T draws per agent stream, and 1 environment
+    draw, or T when a transition row has more than one successor.  `seeds`
+    defaults to the one seed of `cfg`; `keep` drops the runs that have
+    stopped.
     """
 
     def __init__(self, mdp, cfg, seeds=None):
         self.seeds = np.atleast_1d(np.asarray(
             cfg.seed if seeds is None else seeds, dtype=np.uint64))
-        self.shape = (mdp.n_agents + 1, cfg.horizon + 1)   # streams, draws
+        self.counts = _draw_counts(mdp, cfg.horizon)
         self._start = 0
-        self._u = np.empty((0, 0, self.seeds.size, 0))
+        self._u = [np.empty((0, 0, self.seeds.size, 0))] * 2
 
     def draws(self, start, count):
-        """(D, count, R, n_agents + 1) draws of episodes start, ...,
-        start + count - 1."""
+        """(agent_u, env_u) of episodes start, ..., start + count - 1, as
+        `_rollout_uniforms` lays them out."""
         lo = start - self._start
-        if lo < 0 or lo + count > self._u.shape[1]:
+        if lo < 0 or lo + count > self._u[0].shape[1]:
             chunk = max(count, _CHUNK_EPISODES // self.seeds.size)
-            self._u = _uniforms(self.seeds, start, chunk, *self.shape)
+            self._u = _rollout_uniforms(self.seeds, start, chunk, self.counts)
             self._start, lo = start, 0
-        return self._u[:, lo:lo + count]
+        return [u[:, lo:lo + count] for u in self._u]
 
     def keep(self, mask):
         """Keep the runs where `mask` is true, with the draws already made."""
         self.seeds = self.seeds[mask]
-        self._u = self._u[:, :, mask]
+        self._u = [u[:, :, mask] for u in self._u]
 
 
-def _padded_cumsum(policy, n_actions):
-    """(n, rows, A_max) cdf tables of every policy row, padded by repeating
-    the last column; rows = S, or R*S (run-major) for (R, S, A_i) tables."""
-    a_max = max(n_actions)
-    n = len(policy.probs)
+def _cdf_table(policy, n_actions):
+    """(rows, n, A_max) cdf rows of every agent's policy, padded with the
+    row's total; rows = S, or R*S (run-major) for (R, S, A_i) tables.  One
+    cumsum over the zero-padded rows adds the same terms in the same order
+    as a cumsum of each agent's own rows."""
     rows = policy.probs[0].size // n_actions[0]
-    out = np.empty((n, rows, a_max))
+    out = np.zeros((rows, len(n_actions), max(n_actions)))
     for i, p in enumerate(policy.probs):
-        c = np.cumsum(p.reshape(rows, n_actions[i]), axis=1)
-        out[i, :, :c.shape[1]] = c
-        if c.shape[1] < a_max:
-            out[i, :, c.shape[1]:] = c[:, -1:]
-    return out
+        out[:, i, :n_actions[i]] = p.reshape(rows, n_actions[i])
+    return np.cumsum(out, axis=2, out=out)
 
 
 def _sample_batch(mdp, policy, horizon, seed, episode_offset, batch,
@@ -211,29 +262,39 @@ def _sample_batch(mdp, policy, horizon, seed, episode_offset, batch,
     (R, S, A_i) tables; column b*R + r then holds episode
     episode_offset + b of run r (R = 1 for one seed).  Returns (states,
     actions, rewards) with shapes (T, B*R), (T, B*R, n), (T, B*R, n).
-    Draws come from `bank` when given (it must be keyed to these seeds,
-    agent count and horizon), else they are computed for exactly this
-    batch."""
+    Draws come from `bank` when given (it must be keyed to these seeds and
+    to the draw counts of this MDP and horizon), else they are computed for
+    exactly this batch.
+
+    The horizon loop carries only the state and the joint action: every
+    agent's action is the count of its cdf entries at or below u * total,
+    so the joint action is one product of the (B*R, n*A_max) comparison
+    with each agent's joint-index weight repeated A_max times.  Per-agent
+    actions and rewards are read off the joint actions after the loop."""
     if mdp.n_agents + 1 > _MAX_STREAMS:
         raise ValueError("too many agents for the stream layout")
     n, S, T, B = mdp.n_agents, mdp.n_states, horizon, batch
     seeds = np.asarray(seed, dtype=np.uint64)
     R = seeds.size
+    E = B * R
+    counts = _draw_counts(mdp, T)
     if bank is None:
-        u = _uniforms(seeds, episode_offset, B, n + 1, T + 1)
-    elif (bank.shape != (n + 1, T + 1)
+        agent_u, env_u = _rollout_uniforms(seeds.ravel(), episode_offset, B,
+                                           counts)
+    elif (bank.counts != counts
           or not np.array_equal(bank.seeds, seeds.ravel())):
-        raise ValueError(f"stream bank keyed (seeds, streams, draws) = "
-                         f"{(bank.seeds.tolist(), *bank.shape)}, batch needs "
-                         f"{(seeds.ravel().tolist(), n + 1, T + 1)}")
+        raise ValueError(
+            f"stream bank keyed (seeds, agents, agent draws, environment "
+            f"draws) = {(bank.seeds.tolist(), *bank.counts)}, batch needs "
+            f"{(seeds.ravel().tolist(), *counts)}")
     else:
-        u = bank.draws(episode_offset, B)
-    u = u.reshape(u.shape[0], B * R, n + 1)
-    agent_u = u[:T, :, :n]                            # (T, B*R, n)
-    env_u = u[:T + 1, :, n]                           # (T + 1, B*R)
+        agent_u, env_u = bank.draws(episode_offset, B)
+    # (D, B*R, n) and (D_env, B*R): draw counts rounded up to whole blocks
+    agent_u = agent_u.reshape(-1, E, n)
+    env_u = env_u.reshape(-1, E)
 
-    cum_all = _padded_cumsum(policy, mdp.n_actions)   # (n, R*S, A_max)
-    run_rows = np.tile(S * np.arange(R), B)           # run r's rows: r*S on
+    cdf = _cdf_table(policy, mdp.n_actions)           # (R*S, n, A_max)
+    run_rows = S * (np.arange(E) % R)                 # run r's rows: r*S on
     mu_cdf = np.cumsum(mdp.mu)
     s = np.searchsorted(mu_cdf, env_u[0] * mu_cdf[-1], side="right")
     s = np.minimum(s, S - 1).astype(np.int64)
@@ -241,25 +302,28 @@ def _sample_batch(mdp, policy, horizon, seed, episode_offset, batch,
     succ, row_cdf, row_total = mdp.successors
     only = succ[:, 0]                   # the successor of every row if W == 1
     weights = np.cumprod((mdp.n_actions[1:] + (1,))[::-1])[::-1]
+    digit_weights = np.repeat(weights, cdf.shape[2])
 
-    states = np.empty((T, B * R), dtype=np.int64)
-    actions = np.empty((T, B * R, n), dtype=np.int64)
-    rewards = np.empty((T, B * R, n))
+    states = np.empty((T, E), dtype=np.int64)
+    joints = np.empty((T, E), dtype=np.int64)
     for t in range(T):
         states[t] = s
-        rows = cum_all[:, s + run_rows, :]            # (n, B*R, A_max)
-        target = agent_u[t].T * rows[:, :, -1]        # (n, B*R)
-        acts = (rows <= target[:, :, None]).sum(axis=2)
-        actions[t] = acts.T
-        joint = actions[t] @ weights                  # (B*R,)
-        rewards[t] = mdp.rewards[:, s, joint].T
+        rows = cdf.take(s + run_rows, axis=0)         # (B*R, n, A_max)
+        target = agent_u[t] * rows[:, :, -1]          # (B*R, n)
+        joint = np.matmul((rows <= target[:, :, None]).reshape(E, -1),
+                          digit_weights, out=joints[t])
+        if t == T - 1:                  # the last successor is never recorded
+            break
         flat = s * mdp.n_joint + joint
         if row_cdf is None:
             s = only[flat]
         else:
             tgt = env_u[t + 1] * row_total[flat]
             s = succ[flat, (row_cdf[flat] <= tgt[:, None]).sum(axis=1)]
-    return states, actions, rewards
+    actions = np.stack(np.unravel_index(joints, mdp.n_actions))
+    rewards = mdp.rewards[:, states, joints]
+    # both (n, T, B*R), returned as (T, B*R, n) views
+    return states, actions.transpose(1, 2, 0), rewards.transpose(1, 2, 0)
 
 
 def sample_episode(mdp, policy, horizon, seed, episode=0):
@@ -274,6 +338,14 @@ def sample_episode(mdp, policy, horizon, seed, episode=0):
     states, actions, rewards = _sample_batch(mdp, policy, horizon, seed,
                                              episode, 1)
     return states[:, 0], actions[:, 0], rewards[:, 0]
+
+
+def _earliest(keys, n_keys):
+    """Per entry of `keys` (integers below n_keys), the position of the
+    first entry with the same key."""
+    first = np.full(n_keys, keys.size)
+    np.minimum.at(first, keys, np.arange(keys.size))
+    return first[keys]
 
 
 def estimate_eval(mdp, policy, cfg, episode_offset=0, bank=None, seeds=None):
@@ -305,69 +377,69 @@ def estimate_eval(mdp, policy, cfg, episode_offset=0, bank=None, seeds=None):
 
     states, actions, rewards = _sample_batch(mdp, policy, T, seeds,
                                              episode_offset, B, bank)
-    returns = np.empty((n, E, T))           # agent, episode, time
-    acc = np.zeros((E, n))
-    for t in range(T - 1, -1, -1):
-        acc *= gamma
-        acc += rewards[t]
-        returns[:, :, t] = acc.T
+    # discounted returns, time-major, each the running sum
+    # (0 * gamma + r_{T-1}) * gamma + r_{T-2} ...; then agent, episode, time
+    rewards = rewards.transpose(2, 0, 1)              # (n, T, B*R)
+    ret = np.zeros((T, n, E))
+    ret[T - 1] += rewards[:, T - 1]
+    for t in range(T - 2, -1, -1):
+        np.multiply(ret[t + 1], gamma, out=ret[t])
+        ret[t] += rewards[:, t]
+    returns = np.ascontiguousarray(ret.transpose(1, 2, 0))
 
-    # keys carry the run's offset: column e is run e % R, and since
-    # e = b*R + r, (state + S*e) % (R*S) is state + S*r
+    # column e is run e % R, whose states are offset by S*r
     disc = gamma ** np.arange(T)
     run_state = states + S * (np.arange(E) % R)
     d_acc = np.bincount(run_state.ravel(),
                         weights=np.broadcast_to(disc[:, None], (T, E)).ravel(),
                         minlength=R * S).reshape(R, S)
 
-    # Episode-major, time-minor orders put each episode's steps in time
-    # order, so np.unique(..., return_index) lands on first visits.  The
-    # agents are handled together: agent i's (episode, state, action) keys
-    # start at E*S*(a_0 + ... + a_{i-1}) and its (run, state, action) bins
-    # at R*S*(a_0 + ... + a_{i-1}), so each bin still sums its entries in
-    # episode order.
+    # Visits are laid out (agent,) episode, time, as the returns are, so
+    # each (run, state) bin and each (agent, run, state, action) bin sums
+    # its entries in episode order, as a run estimated alone sums them.
+    # Agent i's bins start at R*S*(a_0 + ... + a_{i-1}).
     a = np.array(mdp.n_actions)
-    ep_state = (states + S * np.arange(E)).T          # (E, T)
-    key_base = E * S * np.concatenate(([0], np.cumsum(a)[:-1]))
-    pairs = (ep_state * a[:, None, None] + actions.transpose(2, 1, 0)
-             + key_base[:, None, None]).ravel()
+    a_base = np.concatenate(([0], np.cumsum(a)))
+    bin_base = R * S * a_base
+    visits = run_state.T.ravel()                      # (E*T,)
+    actions = actions.transpose(2, 1, 0).reshape(n, -1)
+    pairs = (bin_base[:-1, None] + visits * a[:, None] + actions).ravel()
+    v_weights, q_weights = returns.reshape(n, -1), returns.ravel()
     if first:
-        s_keys, idx = np.unique(ep_state.ravel(), return_index=True)
-        v_weights = returns.reshape(n, -1)[:, idx]
-        keys, idx = np.unique(pairs, return_index=True)
-        q_weights = returns.ravel()[idx]
-    else:
-        s_keys, v_weights = ep_state.ravel(), returns.reshape(n, -1)
-        keys, q_weights = pairs, returns.ravel()
+        # a first visit is the earliest position of its (episode, state)
+        # key; a pair's key is (agent, first position of its state, action)
+        state_first = _earliest((states + S * np.arange(E)).T.ravel(), E * S)
+        pair_keys = (E * T * a_base[:-1, None] + state_first * a[:, None]
+                     + actions).ravel()
+        v_first = state_first == np.arange(E * T)
+        q_first = (_earliest(pair_keys, E * T * a_base[-1])
+                   == np.arange(n * E * T))
+        visits, v_weights = visits[v_first], v_weights[:, v_first]
+        pairs, q_weights = pairs[q_first], q_weights[q_first]
 
-    s_part = s_keys % (R * S)
-    v_cnt = np.bincount(s_part, minlength=R * S).astype(float)
-    v_sum = np.bincount((s_part + R * S * np.arange(n)[:, None]).ravel(),
+    v_cnt = np.bincount(visits, minlength=R * S).astype(float)
+    v_sum = np.bincount((visits + R * S * np.arange(n)[:, None]).ravel(),
                         weights=v_weights.ravel(),
                         minlength=n * R * S).reshape(n, R * S)
     visited_states = v_cnt > 0
     v = np.zeros((n, R * S))
     v[:, visited_states] = v_sum[:, visited_states] / v_cnt[visited_states]
 
-    bins = R * S * a                                  # per agent
-    bin_base = np.concatenate(([0], np.cumsum(bins)))
-    agent = np.searchsorted(key_base, keys, side="right") - 1
-    local = (keys - key_base[agent]) % bins[agent] + bin_base[agent]
-    cnt = np.bincount(local, minlength=bin_base[-1]).astype(float)
-    qs = np.bincount(local, weights=q_weights, minlength=bin_base[-1])
+    cnt = np.bincount(pairs, minlength=bin_base[-1]).astype(float)
+    qs = np.bincount(pairs, weights=q_weights, minlength=bin_base[-1])
     mask = cnt > 0
     qm = np.zeros(bin_base[-1])
     qm[mask] = qs[mask] / cnt[mask]
     # the entry of v that bin (i, r, s, a) subtracts: i*R*S + r*S + s
-    bin_agent = np.repeat(np.arange(n), bins)
+    bin_agent = np.repeat(np.arange(n), R * S * a)
     v_bin = ((np.arange(bin_base[-1]) - bin_base[bin_agent]) // a[bin_agent]
              + R * S * bin_agent)
     ad = np.zeros(bin_base[-1])
     ad[mask] = qm[mask] - v.ravel()[v_bin[mask]]
 
     def per_agent(x):
-        return tuple(part.reshape(R, S, a_i)
-                     for part, a_i in zip(np.split(x, bin_base[1:-1]), a))
+        return tuple(x[lo:hi].reshape(R, S, a_i)
+                     for lo, hi, a_i in zip(bin_base, bin_base[1:], a))
 
     # every episode visits its initial state with weight 1, so no row is 0
     fields = dict(v=v.reshape(n, R, S).transpose(1, 0, 2),

@@ -58,6 +58,24 @@ class TestInducedChain:
                                  0.0, mdp.mu)
         assert np.abs(m.evaluate(myopic, pol).v - r_ref).max() < 1e-14
 
+    @pytest.mark.parametrize("gamma, calls", [(0.0, 0), (0.5, 1)])
+    def test_chains_built_only_when_read(self, monkeypatch, gamma, calls):
+        # at gamma = 0 the solver reads no chain, so evaluate builds none
+        built = []
+        chain_matrix = exact._chain_matrix
+
+        def counting(mdp, jt):
+            built.append(jt.shape)
+            return chain_matrix(mdp, jt)
+
+        monkeypatch.setattr(exact, "_chain_matrix", counting)
+        mdp = random_mdp(3, (2, 2), gamma, seed=23)
+        pols = [random_policy(mdp, 24 + r) for r in range(3)]
+        stacked = m.JointPolicy([np.stack([p.probs[i] for p in pols])
+                                 for i in range(2)], validate=False)
+        m.evaluate(mdp, stacked)
+        assert built == [(3, 3, 4)] * calls
+
 
 class TestValueFunctions:
     def test_single_state_geometric_series(self):

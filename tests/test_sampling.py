@@ -1,9 +1,13 @@
 """Monte Carlo estimation: determinism, marginal correctness against exact
 one-step probabilities, and convergence toward exact values."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mpglearn as m
 from mpglearn import sampling
@@ -280,6 +284,17 @@ class TestStreamDraws:
             for x, y in zip(got, alone):
                 assert np.array_equal(x[:, r::2], y)
 
+    def test_bank_for_a_deterministic_mdp_rejected_by_a_stochastic_one(self):
+        # same agents and horizon; only the environment draw count differs
+        det = sparse_mdp(4, (2, 2), 0.9, seed=106, max_width=1)
+        sto = sparse_mdp(4, (2, 2), 0.9, seed=107, max_width=3)
+        assert det.successors[1] is None and sto.successors[1] is not None
+        cfg = m.SampleConfig(horizon=5, batch=4, seed=1)
+        bank = sampling._StreamBank(det, cfg)
+        with pytest.raises(ValueError, match=r"environment draws\) = \(\[1\], "
+                           r"2, 5, 1\), batch needs \(\[1\], 2, 5, 5\)"):
+            m.estimate_eval(sto, random_policy(sto, 108), cfg, bank=bank)
+
     def test_bank_for_another_run_rejected(self):
         mdp = random_mdp(3, (2, 2), 0.9, seed=97)
         pol = random_policy(mdp, 98)
@@ -297,6 +312,66 @@ class TestStreamDraws:
             m.estimate_eval(mdp, pol, m.SampleConfig(horizon=2, batch=1))
 
 
+def padded_cumsum(policy, n_actions):
+    """(n, rows, A_max) cdf tables of every policy row, padded by repeating
+    the last column; rows = S, or R*S (run-major) for (R, S, A_i) tables."""
+    a_max = max(n_actions)
+    n = len(policy.probs)
+    rows = policy.probs[0].size // n_actions[0]
+    out = np.empty((n, rows, a_max))
+    for i, p in enumerate(policy.probs):
+        c = np.cumsum(p.reshape(rows, n_actions[i]), axis=1)
+        out[i, :, :c.shape[1]] = c
+        if c.shape[1] < a_max:
+            out[i, :, c.shape[1]:] = c[:, -1:]
+    return out
+
+
+def reference_sample_batch(mdp, policy, horizon, seed, episode_offset, batch):
+    """Reference rollout that draws horizon + 1 values on every stream and
+    steps per-agent actions through the horizon loop: each agent's action
+    is its count of cdf entries at or below u * total, the joint action the
+    weighted sum of the agents' actions, and the transition at the last
+    step is drawn as well.  (states, actions, rewards) as `_sample_batch`
+    returns them."""
+    n, S, T, B = mdp.n_agents, mdp.n_states, horizon, batch
+    seeds = np.asarray(seed, dtype=np.uint64)
+    R = seeds.size
+    u = sampling._uniforms(seeds, episode_offset, B, n + 1, T + 1)
+    u = u.reshape(u.shape[0], B * R, n + 1)
+    agent_u = u[:T, :, :n]                            # (T, B*R, n)
+    env_u = u[:T + 1, :, n]                           # (T + 1, B*R)
+
+    cum_all = padded_cumsum(policy, mdp.n_actions)    # (n, R*S, A_max)
+    run_rows = np.tile(S * np.arange(R), B)
+    mu_cdf = np.cumsum(mdp.mu)
+    s = np.searchsorted(mu_cdf, env_u[0] * mu_cdf[-1], side="right")
+    s = np.minimum(s, S - 1).astype(np.int64)
+
+    succ, row_cdf, row_total = mdp.successors
+    only = succ[:, 0]
+    weights = np.cumprod((mdp.n_actions[1:] + (1,))[::-1])[::-1]
+
+    states = np.empty((T, B * R), dtype=np.int64)
+    actions = np.empty((T, B * R, n), dtype=np.int64)
+    rewards = np.empty((T, B * R, n))
+    for t in range(T):
+        states[t] = s
+        rows = cum_all[:, s + run_rows, :]            # (n, B*R, A_max)
+        target = agent_u[t].T * rows[:, :, -1]        # (n, B*R)
+        acts = (rows <= target[:, :, None]).sum(axis=2)
+        actions[t] = acts.T
+        joint = actions[t] @ weights                  # (B*R,)
+        rewards[t] = mdp.rewards[:, s, joint].T
+        flat = s * mdp.n_joint + joint
+        if row_cdf is None:
+            s = only[flat]
+        else:
+            tgt = env_u[t + 1] * row_total[flat]
+            s = succ[flat, (row_cdf[flat] <= tgt[:, None]).sum(axis=1)]
+    return states, actions, rewards
+
+
 def csr_loop_sample_batch(mdp, policy, horizon, seed, episode_offset,
                           batch):
     """Reference rollout whose next-state draw walks the CSR transition row
@@ -307,7 +382,7 @@ def csr_loop_sample_batch(mdp, policy, horizon, seed, episode_offset,
     n, T, B = mdp.n_agents, horizon, batch
     u = sampling._uniforms(seed, episode_offset, B, n + 1, T + 1)
     agent_u, env_u = u[:T, :, :n], u[:T + 1, :, n]
-    cum_all = sampling._padded_cumsum(policy, mdp.n_actions)
+    cum_all = padded_cumsum(policy, mdp.n_actions)
     mu_cdf = np.cumsum(mdp.mu)
     s = np.minimum(np.searchsorted(mu_cdf, env_u[0] * mu_cdf[-1],
                                    side="right"), mdp.n_states - 1)
@@ -386,3 +461,188 @@ class TestTransitionDraw:
         rep_twin = m.evaluate(twin, pol, want_q=True)
         for field in ("v", "visitation", "q"):
             assert np.array_equal(getattr(rep, field), getattr(rep_twin, field))
+
+
+def as_bytes(x):
+    return x.shape, x.dtype, np.ascontiguousarray(x).tobytes()
+
+
+def zero_first_actions(policy):
+    """The policy with each agent's first action of every row given
+    probability 0 (where it has another), so cdf rows start with ties."""
+    tables = []
+    for p in policy.probs:
+        p = np.array(p)
+        if p.shape[-1] > 1:
+            p[..., 0] = 0.0
+            p /= p.sum(axis=-1, keepdims=True)
+        tables.append(p)
+    return m.JointPolicy(tables, validate=False)
+
+
+class TestRolloutOracle:
+    """`_sample_batch` against `reference_sample_batch`, byte for byte in
+    states, actions and rewards: with and without a stream bank, over ragged
+    actions, one to three successors per row, one to three runs, and
+    horizons that are and are not multiples of 4."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n_actions=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           n_states=st.integers(1, 4), width=st.integers(1, 3),
+           runs=st.integers(1, 3),
+           horizon=st.sampled_from([1, 2, 3, 4, 5, 20]),
+           batch=st.integers(1, 7), offset=st.integers(0, 2 ** 40),
+           seeds=st.lists(st.integers(0, 2 ** 64 - 1), min_size=3,
+                          max_size=3),
+           seed=st.integers(0, 2 ** 32 - 1), banked=st.booleans(),
+           chunk=st.integers(1, 24), lanes=st.sampled_from([1, 7, 1 << 14]),
+           scalar=st.booleans(), zeros=st.booleans())
+    @example(n_actions=[3, 1, 2], n_states=4, width=3, runs=3, horizon=5,
+             batch=4, offset=9, seeds=[0, 2 ** 64 - 1, 7], seed=1,
+             banked=True, chunk=10, lanes=7, scalar=False, zeros=True)
+    @example(n_actions=[2], n_states=3, width=1, runs=1, horizon=1,
+             batch=3, offset=0, seeds=[5, 0, 0], seed=2, banked=True,
+             chunk=4, lanes=1 << 14, scalar=True, zeros=False)
+    def test_matches_reference(self, n_actions, n_states, width, runs,
+                               horizon, batch, offset, seeds, seed, banked,
+                               chunk, lanes, scalar, zeros):
+        mdp = sparse_mdp(n_states, tuple(n_actions), 0.9, seed,
+                         max_width=min(width, n_states))
+        pols = [random_policy(mdp, seed + 1 + r) for r in range(runs)]
+        if zeros:
+            pols = [zero_first_actions(p) for p in pols]
+        if runs == 1 and scalar:
+            policy, run_seeds = pols[0], seeds[0]
+        else:
+            policy = m.JointPolicy(
+                [np.stack([p.probs[i] for p in pols])
+                 for i in range(mdp.n_agents)], validate=False)
+            run_seeds = seeds[:runs]
+        bank = None
+        if banked:
+            bank = sampling._StreamBank(
+                mdp, m.SampleConfig(horizon=horizon, batch=batch), run_seeds)
+        # chunks of `chunk` episodes, computed in slices of `lanes` lanes
+        with mock.patch.multiple(sampling, _CHUNK_EPISODES=chunk,
+                                 _MAX_LANES=lanes):
+            # consecutive batches, so banked requests straddle chunks
+            for k in range(3):
+                start = offset + k * batch
+                got = sampling._sample_batch(mdp, policy, horizon, run_seeds,
+                                             start, batch, bank)
+                want = reference_sample_batch(mdp, policy, horizon,
+                                              run_seeds, start, batch)
+                for x, y in zip(got, want):
+                    assert as_bytes(x) == as_bytes(y)
+
+
+def reference_estimate(mdp, policy, cfg, episode_offset, seeds):
+    """(v, q_marginal, visitation) of R runs from `reference_sample_batch`'s
+    episodes, by a loop over the episodes in batch order: each step's
+    discounted return is summed into its (run, state) bin and into each
+    agent's (run, state, action) bin, at the first visit of that bin in the
+    episode (or at every visit), and the bins' means are taken; the
+    discounted state counts are summed step by step and normalized."""
+    n, S, T, R = mdp.n_agents, mdp.n_states, cfg.horizon, len(seeds)
+    gamma, every = mdp.gamma, cfg.estimator == "every_visit"
+    states, actions, rewards = reference_sample_batch(
+        mdp, policy, T, seeds, episode_offset, cfg.batch)
+    disc = gamma ** np.arange(T)
+    d = np.zeros((R, S))
+    for t in range(T):
+        for e, s in enumerate(states[t]):
+            d[e % R, s] += disc[t]
+    v_sum, v_cnt = np.zeros((R, n, S)), np.zeros((R, S))
+    q_sum = [np.zeros((R, S, a)) for a in mdp.n_actions]
+    q_cnt = [np.zeros((R, S, a)) for a in mdp.n_actions]
+    for e in range(states.shape[1]):
+        r, acc, ret = e % R, np.zeros(n), np.zeros((T, n))
+        for t in range(T - 1, -1, -1):
+            acc = acc * gamma + rewards[t, e]
+            ret[t] = acc
+        seen = set()
+        for t in range(T):
+            s = states[t, e]
+            if every or s not in seen:
+                v_sum[r, :, s] += ret[t]
+                v_cnt[r, s] += 1
+            for i, a in enumerate(actions[t, e]):
+                if every or (i, s, a) not in seen:
+                    q_sum[i][r, s, a] += ret[t, i]
+                    q_cnt[i][r, s, a] += 1
+                seen.add((i, s, a))
+            seen.add(s)
+    v = np.divide(v_sum, v_cnt[:, None], out=np.zeros_like(v_sum),
+                  where=v_cnt[:, None] > 0)
+    q = [np.divide(x, c, out=np.zeros_like(x), where=c > 0)
+         for x, c in zip(q_sum, q_cnt)]
+    adv = [np.where(c > 0, q_i - v[:, i, :, None], 0.0)
+           for i, (q_i, c) in enumerate(zip(q, q_cnt))]
+    return dict(v=v, q_marginal=q, adv_marginal=adv,
+                visitation=d / d.sum(axis=1, keepdims=True),
+                visited_states=v_cnt > 0,
+                visited_pairs=[c > 0 for c in q_cnt])
+
+
+class TestEstimatorOracle:
+    """`estimate_eval` against `reference_estimate`, byte for byte in its
+    values, marginal Q tables, advantages, visitation and visited flags."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_actions=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           n_states=st.integers(1, 4), width=st.integers(1, 3),
+           runs=st.integers(1, 3), horizon=st.sampled_from([1, 2, 5, 20]),
+           batch=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+           gamma=st.sampled_from([0.0, 0.5, 0.99]),
+           estimator=st.sampled_from(["first_visit", "every_visit"]))
+    def test_matches_reference(self, n_actions, n_states, width, runs,
+                               horizon, batch, seed, gamma, estimator):
+        mdp = sparse_mdp(n_states, tuple(n_actions), gamma, seed,
+                         max_width=min(width, n_states))
+        pols = [random_policy(mdp, seed + 1 + r) for r in range(runs)]
+        policy = m.JointPolicy([np.stack([p.probs[i] for p in pols])
+                                for i in range(mdp.n_agents)], validate=False)
+        seeds = [seed + 7 * r for r in range(runs)]
+        cfg = m.SampleConfig(horizon, batch, 0, estimator)
+        got = m.estimate_eval(mdp, policy, cfg, episode_offset=3,
+                              seeds=seeds)
+        want = reference_estimate(mdp, policy, cfg, 3, seeds)
+        for field in ("v", "visitation", "visited_states"):
+            assert as_bytes(getattr(got, field)) == as_bytes(want[field])
+        for field in ("q_marginal", "adv_marginal", "visited_pairs"):
+            for x, y in zip(getattr(got, field), want[field], strict=True):
+                assert as_bytes(x) == as_bytes(y)
+
+
+class TestDrawCounts:
+    """The Philox lanes a rollout computes: T draws on every agent stream,
+    and 1 environment draw, or T when a transition row has more than one
+    successor."""
+
+    @pytest.mark.parametrize("horizon", [1, 3, 4, 5, 20])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_bank_chunk_computes_only_read_lanes(self, monkeypatch, horizon,
+                                                 width):
+        lanes = []
+        philox = sampling._philox4x64
+
+        def counting(counter0, key1, seed):
+            lanes.append(counter0.size)
+            return philox(counter0, key1, seed)
+
+        monkeypatch.setattr(sampling, "_philox4x64", counting)
+        mdp = sparse_mdp(5, (2, 3, 2), 0.9, seed=109, max_width=width)
+        n, blocks = mdp.n_agents, -(-horizon // 4)
+        stochastic = mdp.successors[1] is not None
+        assert stochastic == (width > 1)
+        per_run = n * blocks + (blocks if stochastic else 1)
+        seeds = [3, 4]
+        bank = sampling._StreamBank(mdp, m.SampleConfig(horizon, 6), seeds)
+        bank.draws(0, 6)
+        chunk = sampling._CHUNK_EPISODES // len(seeds)
+        assert sum(lanes) == chunk * len(seeds) * per_run
+        # a batch drawn without a bank computes the same lanes per episode
+        lanes.clear()
+        pol = random_policy(mdp, 110)
+        sampling._sample_batch(mdp, pol, horizon, 3, 0, 6)
+        assert sum(lanes) == 6 * per_run

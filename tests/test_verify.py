@@ -3,8 +3,11 @@ smoothness, and fixed points, cross-checked by enumeration."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mpglearn as m
+from mpglearn.environments import CostDescriptor
 from mpglearn.verify import exhaustive_best_response_value
 
 from conftest import random_mdp, random_policy
@@ -97,6 +100,24 @@ class TestCheckPotential:
 
     def test_scg_hundred_trials(self, scg3):
         assert m.check_potential(scg3, trials=100, seed=69) <= 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(layers=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+           n_agents=st.integers(2, 3), reachable_only=st.booleans(),
+           gamma=st.sampled_from([0.0, 0.5, 0.99]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_potential_identity_on_random_layered_dags(
+            self, layers, n_agents, reachable_only, gamma, seed):
+        # every edge of a random small layered DAG gets its own base
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        names = ([["s"]] + [[f"v{k}_{j}" for j in range(size)]
+                            for k, size in enumerate(layers)] + [["t"]])
+        costs = {(u, w): CostDescriptor("inverse_load",
+                                        (float(rng.uniform(0.05, 1.0)),))
+                 for a, b in zip(names, names[1:]) for u in a for w in b}
+        env = m.build_scg(m.layered_dag(layers, costs), n_agents=n_agents,
+                          gamma=gamma, reachable_only=reachable_only)
+        assert m.check_potential(env, trials=10, seed=seed) <= 1e-9
 
     def test_corrupted_reward_detected(self, scg3):
         rewards = np.array(scg3.mdp.rewards)
