@@ -24,6 +24,13 @@ def _frozen(a, dtype=float):
     return a
 
 
+def joint_digits(n_actions):
+    """(n_joint, n_agents) table decoding each joint index into per-agent
+    actions: row j is np.unravel_index(j, n_actions)."""
+    joints = np.arange(int(np.prod(n_actions)))
+    return np.stack(np.unravel_index(joints, n_actions), axis=1)
+
+
 class MultiAgentMDP:
     """A finite n-agent MDP with joint-action reward and transition tables.
 
@@ -72,6 +79,7 @@ class MultiAgentMDP:
             raise ValueError("state_labels length mismatch")
         self._digits = None
         self._chain_cells = None
+        self._upper_triangular = None
         self._successors = None
         if validate:
             problems = validate_mdp(self)
@@ -82,9 +90,7 @@ class MultiAgentMDP:
     def digits(self):
         """(n_joint, n_agents) table decoding each joint index into per-agent actions."""
         if self._digits is None:
-            d = np.stack(np.unravel_index(np.arange(self.n_joint), self.n_actions),
-                         axis=1)
-            self._digits = _frozen(d, dtype=np.int64)
+            self._digits = _frozen(joint_digits(self.n_actions), np.int64)
         return self._digits
 
     def joint_index(self, actions):
@@ -103,6 +109,18 @@ class MultiAgentMDP:
             self._chain_cells = (_frozen(rows, np.int64), _frozen(
                 rows // self.n_joint * self.n_states + P.indices, np.int64))
         return self._chain_cells
+
+    @property
+    def upper_triangular(self):
+        """True when every transition entry leads to a state index >= its
+        source state, so that every chain I - gamma * P_pi is upper
+        triangular: acyclic games numbered in topological order, such as
+        the routing games with an absorbing goal."""
+        if self._upper_triangular is None:
+            rows, _ = self.chain_cells
+            self._upper_triangular = bool(
+                np.all(self.transitions.indices >= rows // self.n_joint))
+        return self._upper_triangular
 
     @property
     def successors(self):

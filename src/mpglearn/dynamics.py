@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import JointPolicy, Logits, softmax_policy, uniform_logits
+from .core import (EvalReport, JointPolicy, Logits, softmax_policy,
+                   uniform_logits)
 from .exact import evaluate, mismatch_bound
 from .sampling import SampleConfig, _StreamBank, estimate_eval
 
@@ -217,6 +218,14 @@ def _rows(x, index):
     return Logits([t[index] for t in x.theta], validate=False)
 
 
+def _report_row(report, j):
+    """Row j of the run axis of an exact report: the values, marginal
+    advantages and visitation that `nash_gap` reads."""
+    return EvalReport(v=report.v[j],
+                      adv_marginal=tuple(a[j] for a in report.adv_marginal),
+                      visitation=report.visitation[j])
+
+
 def _initial_state(mdp, cfg, initial):
     """Stacked (theta, policy) of the runs' initial states; theta is None
     for multiplicative weights.  Each entry of `initial` is None (uniform),
@@ -270,7 +279,10 @@ def run(env, cfg, initial=None, nash_gap_every=0, snapshot_every=0,
     `initial` is then None or a sequence of R initial states, and run r's
     sampler is keyed by seeds[r].  A run that converges leaves the active
     set.  Each update evaluates all active runs in one call: `estimate_eval`
-    from one _StreamBank in sampled mode, `evaluate` in exact mode.
+    from one _StreamBank in sampled mode, `evaluate` in exact mode.  That
+    exact report skips the potential's marginal advantages, which no update
+    rule reads, and an exact-mode Nash gap reuses its row of the report
+    instead of evaluating the policy again.
     Every run's records and final policy are bit-identical to running it
     alone, and an error in one run names its index and seed.
     """
@@ -314,7 +326,7 @@ def run(env, cfg, initial=None, nash_gap_every=0, snapshot_every=0,
                                    bank=bank, seeds=bank.seeds)
             phis = [np.nan] * len(runs)
         else:
-            report = evaluate(target, policy)
+            report = evaluate(target, policy, want_adv_potential=False)
             phis = (report.potential_mu if track_potential
                     else [np.nan] * len(runs))
         try:
@@ -336,7 +348,8 @@ def run(env, cfg, initial=None, nash_gap_every=0, snapshot_every=0,
             gap = np.nan
             if nash_gap_every and k % nash_gap_every == 0:
                 from .verify import nash_gap as _nash_gap
-                gap = _nash_gap(mdp, _rows(policy, j)).overall_gap
+                gap = _nash_gap(mdp, _rows(policy, j), report=None if sampled
+                                else _report_row(report, j)).overall_gap
             rows[r].append((step, phis[j], gap))
             if on_iteration is not None:
                 on_iteration({

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .core import JointPolicy, MultiAgentMDP, _frozen
+from .core import JointPolicy, MultiAgentMDP, _frozen, joint_digits
 
 
 @dataclass(frozen=True)
@@ -352,7 +352,7 @@ def build_scg(spec, n_agents=None, gamma=0.99, reachable_only=False,
 
     n_actions = (n_act,) * n
     n_joint = n_act ** n
-    digits = np.stack(np.unravel_index(np.arange(n_joint), n_actions), axis=1)
+    digits = joint_digits(n_actions)
     radix = V ** np.arange(n - 1, -1, -1, dtype=np.int64)
     terminal_needed = goal == "absorb"
 
@@ -524,7 +524,7 @@ def build_distancing(params, mu="safe"):
     w = np.array(params.resolved_weights())
     c = float(params.penalty)
     n_joint = F ** n
-    digits = np.stack(np.unravel_index(np.arange(n_joint), (F,) * n), axis=1)
+    digits = joint_digits((F,) * n)
 
     counts = np.zeros((n_joint, F), dtype=np.int64)
     np.add.at(counts, (np.repeat(np.arange(n_joint), n), digits.ravel()), 1)

@@ -7,10 +7,14 @@ axis: the joint tables, the chains (one bincount over the MDP's CSR
 transition entries), the right-hand sides, the CSR back-up (one product per
 solved column) and the contractions of each agent's joint-action Q table
 against the other agents' policy rows (one batched matmul per agent) serve
-all runs at once.  Each run keeps its own LU factorization (dense, partial
-pivoting; sparse beyond DENSE_SOLVE_MAX states) for all of its value columns
-and, transposed, its visitation: a batched solve is not bit-identical to
-scipy's LU, and row r of a stacked report is run r's own report, bit for bit.
+all runs at once.  Each run keeps its own solver for all of its value
+columns and, transposed, its visitation: a batched solve is not
+bit-identical to scipy's, and row r of a stacked report is run r's own
+report, bit for bit.  The solver takes one of three paths (`_Solver`):
+splu beyond DENSE_SOLVE_MAX states; a triangular solve on the chain itself
+when the MDP is upper triangular (every transition leads to a state index
+>= its source, as in the acyclic routing games); and a dense
+partial-pivoting LU for every other chain.
 """
 
 from dataclasses import dataclass
@@ -94,26 +98,43 @@ def _chain_matrix(mdp, jt):
 
 
 class _Solver:
-    """Factor (I - gamma * p_pi) once; solve for many right-hand sides."""
+    """Solve (I - gamma * p_pi) x = b, or its transpose, for many b.
+
+    Three paths, chosen from the MDP: beyond DENSE_SOLVE_MAX states one
+    splu factorization; on an upper-triangular MDP no factorization at all,
+    since partial-pivoting LU of an upper-triangular matrix with a positive
+    diagonal pivots nothing and returns L = I, U = A exactly, so a
+    triangular solve on the Fortran-ordered A gives lu_solve's bytes; and
+    otherwise one dense LU (`linalg.lu_factor`) for chains with a back edge.
+    At gamma = 0 the matrix is I and nothing is solved.
+    """
 
     def __init__(self, mdp, p_pi):
         self.gamma = mdp.gamma
         S = mdp.n_states
+        self._lu = self._sparse = self._upper = None
         if self.gamma == 0.0:
-            self._lu = self._sparse = None
-        elif S <= DENSE_SOLVE_MAX:
-            A = np.eye(S) - self.gamma * p_pi
-            self._lu = linalg.lu_factor(A, check_finite=False)
-            self._sparse = None
-        else:
+            return
+        if S > DENSE_SOLVE_MAX:
             A = sp.identity(S, format="csc") - self.gamma * sp.csc_matrix(p_pi)
             self._sparse = spla.splu(A)
-            self._lu = None
+            return
+        A = np.eye(S) - self.gamma * p_pi
+        if mdp.upper_triangular:
+            # lu_solve reads a Fortran-ordered factor; a C-ordered A makes
+            # the transposed solve differ from it in the last bits
+            self._upper = np.asfortranarray(A)
+        else:
+            self._lu = linalg.lu_factor(A, check_finite=False)
 
     def solve(self, b, transposed=False):
         """Solve A x = b, or A^T x = b; b is (S,) or (S, k)."""
         if self.gamma == 0.0:
             return np.array(b)
+        if self._upper is not None:
+            return linalg.solve_triangular(self._upper, b,
+                                           trans=int(transposed),
+                                           check_finite=False)
         if self._lu is not None:
             return linalg.lu_solve(self._lu, b, trans=int(transposed),
                                    check_finite=False)
@@ -131,7 +152,8 @@ def _backup(mdp, sol, column, stage):
     return q
 
 
-def evaluate(target, policy, want_q=False, agents=None):
+def evaluate(target, policy, want_q=False, agents=None,
+             want_adv_potential=True):
     """Full exact evaluation of a product policy.
 
     `target` may be a MultiAgentMDP or an Environment (in which case the
@@ -139,6 +161,9 @@ def evaluate(target, policy, want_q=False, agents=None):
     `agents` restricts the per-agent work: the values, marginal Q tables and
     advantages of agents not listed are left as zeros.  `q` is None unless
     `want_q`, and the potential fields are None without a stage potential.
+    `adv_potential` is also None unless `want_adv_potential`: the
+    potential's Q back-up and its n contractions are skipped, and every
+    other field is unchanged.
 
     Tables with a leading run axis, (R, S, A_i), put that axis on every
     field of the report (v is (R, n_agents, S)) and make potential_mu a list
@@ -184,6 +209,7 @@ def evaluate(target, policy, want_q=False, agents=None):
             potential = sol[:, :, -1]
             # Python floats for repr in trace files; dots in solve order
             potential_mu = [float(mdp.mu @ x[:, -1]) for x in sols]
+        if with_potential and want_adv_potential:
             q_phi = _backup(mdp, sol, -1, env.stage_potential)
             adv_potential = tuple(
                 _marginalize(mdp, probs, q_phi, i) - potential[..., None]

@@ -102,9 +102,15 @@ def exhaustive_best_response_value(mdp, policy, agent):
     return best
 
 
-def nash_gap(mdp, policy, epsilon=None):
-    """Best-response improvement available to each agent at each state."""
-    rep = evaluate(mdp, policy)
+def nash_gap(mdp, policy, epsilon=None, report=None):
+    """Best-response improvement available to each agent at each state.
+
+    `report`, when given, must be an exact evaluation of `policy` with every
+    agent active (an Environment's report serves as well); its values and
+    marginal advantages stand in for a fresh `evaluate` call.  The Bellman
+    residual is checked either way.
+    """
+    rep = evaluate(mdp, policy) if report is None else report
     # q_marginal = r + gamma P V: the mean advantage is the Bellman residual
     residual = max(np.abs((p * adv).sum(axis=1)).max()
                    for p, adv in zip(policy.probs, rep.adv_marginal))

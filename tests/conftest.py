@@ -26,17 +26,24 @@ def random_mdp(n_states, n_actions, gamma, seed, n_agents=None):
     return m.MultiAgentMDP(n_actions, rewards, dense, gamma, mu)
 
 
-def sparse_mdp(n_states, n_actions, gamma, seed, max_width):
+def sparse_mdp(n_states, n_actions, gamma, seed, max_width, upper=False):
     """Like random_mdp, but each transition row has between 1 and max_width
-    successors, chosen at random and given Dirichlet probabilities."""
+    successors, chosen at random and given Dirichlet probabilities.  With
+    `upper` the successors of state s are drawn from states s..S-1 only (at
+    most S - s of them), so every chain is upper triangular."""
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     n_agents = len(n_actions)
     n_joint = int(np.prod(n_actions))
     rewards = rng.uniform(0, 1, size=(n_agents, n_states, n_joint))
     dense = np.zeros((n_states * n_joint, n_states))
-    for row in dense:
-        succ = rng.choice(n_states, size=rng.integers(1, max_width + 1),
-                          replace=False)
+    for k, row in enumerate(dense):
+        if upper:
+            s = k // n_joint
+            width = min(int(rng.integers(1, max_width + 1)), n_states - s)
+            succ = s + rng.choice(n_states - s, size=width, replace=False)
+        else:
+            succ = rng.choice(n_states, size=rng.integers(1, max_width + 1),
+                              replace=False)
         row[succ] = rng.dirichlet(np.ones(len(succ)))
     mu = rng.dirichlet(np.ones(n_states))
     return m.MultiAgentMDP(n_actions, rewards,
@@ -151,6 +158,17 @@ def distancing3():
     params = m.DistancingParams(n_agents=3, n_facilities=2,
                                 weights=(0.1, 0.25), penalty=0.4,
                                 spread_trigger=2, return_trigger=1,
+                                gamma=0.9)
+    return m.build_distancing(params, mu="uniform")
+
+
+@pytest.fixture(scope="session")
+def distancing_return():
+    """Like distancing3, but two agents on one facility are few enough for a
+    spread to return to safe: its chains have a back edge."""
+    params = m.DistancingParams(n_agents=3, n_facilities=2,
+                                weights=(0.1, 0.25), penalty=0.4,
+                                spread_trigger=2, return_trigger=2,
                                 gamma=0.9)
     return m.build_distancing(params, mu="uniform")
 

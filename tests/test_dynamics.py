@@ -323,6 +323,22 @@ class TestRunLoop:
             means[algo] = float(np.mean(counts))
         assert means["inpg"] < means["ipg"]
 
+    @pytest.mark.parametrize("game", ["scg3", "distancing_return"])
+    def test_recorded_gap_equals_nash_gap_of_the_policy(self, request, game):
+        # the loop hands nash_gap its step's report instead of evaluating
+        # the policy again; the gap must be the one a fresh call computes
+        env = request.getfixturevalue(game)
+        cfg = m.AlgoConfig("inpg", eta=0.05, max_iters=7, guard="off",
+                           convergence_threshold=1e-16)
+        records = []
+        m.run(env, cfg, m.random_logits(env.mdp, seed=50), nash_gap_every=3,
+              snapshot_every=3, on_iteration=records.append)
+        snapped = [rec for rec in records if rec["policy"] is not None]
+        assert [rec["iteration"] for rec in snapped] == [0, 3, 6]
+        for rec in snapped:
+            want = m.nash_gap(env.mdp, m.JointPolicy(rec["policy"]))
+            assert repr(rec["nash_gap"]) == repr(want.overall_gap)
+
     def test_nash_gap_cadence_recorded(self, stage2):
         eta = 0.9 * m.max_step_size(stage2.mdp)
         cfg = m.AlgoConfig("inpg", eta=eta, max_iters=10,

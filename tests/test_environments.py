@@ -1,6 +1,8 @@
 """Environment builders: DAG parsing, the routing game, the distancing game,
 and the potential-identity guarantees of each."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,18 @@ class TestBuildScg:
         for env in (scg3, distancing3):
             assert env.mdp.rewards.min() >= 0.0
             assert env.mdp.rewards.max() <= 1.0
+
+    def test_benchmark_routing_game_is_upper_triangular(self):
+        # the reachable-state numbering of the 8-agent routing game sends
+        # every transition forward, so exact evaluation solves its chains
+        # without factoring them; a change to the numbering that breaks
+        # this silently brings back one dense LU per evaluation
+        path = (Path(__file__).resolve().parent.parent / "configs" / "dags"
+                / "routing6_steep.dag")
+        spec = m.parse_dag_spec(path.read_text(), name=str(path))
+        env = m.build_scg(spec, n_agents=8, gamma=0.9975, reachable_only=True)
+        assert env.mdp.n_states == 515
+        assert env.mdp.upper_triangular
 
     def test_return_edge_variant_loops_forever(self):
         env = m.build_scg(m.parallel_dag([1.0, 0.5]), n_agents=1, gamma=0.9,

@@ -1,10 +1,13 @@
 """Exact evaluation against independent oracles: truncated-horizon chain
 sums, exhaustive enumeration, and closed-form special cases."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 
 import mpglearn as m
 from mpglearn import exact
@@ -245,6 +248,100 @@ class TestLargeInstanceBranches:
             assert np.abs(v_d - v_s).max() < 1e-12
 
 
+class TestTriangularBranch:
+    """The triangular solve that upper-triangular MDPs take in place of the
+    dense LU, held to lu_factor/lu_solve byte for byte, and the detection
+    that selects it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_actions=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           n_states=st.integers(1, 6), width=st.integers(1, 3),
+           gamma=st.sampled_from([0.5, 0.99]), runs=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1), zeros=st.booleans())
+    @example(n_actions=[2, 3], n_states=6, width=3, gamma=0.99, runs=3,
+             seed=7, zeros=True)
+    def test_solves_equal_lu(self, n_actions, n_states, width, gamma, runs,
+                             seed, zeros):
+        mdp = sparse_mdp(n_states, tuple(n_actions), gamma, seed,
+                         max_width=width, upper=True)
+        assert mdp.upper_triangular
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed + 1)))
+        pols = [policy_with_zeros(mdp, rng) if zeros
+                else m.random_product_policy(mdp, rng) for _ in range(runs)]
+        jt = np.stack([joint_policy_table(mdp, p) for p in pols])
+        rhs = np.einsum("isa,rsa->rsi", mdp.rewards, jt)
+        mu = (1.0 - gamma) * mdp.mu
+        for chain, b in zip(exact._chain_matrix(mdp, jt), rhs):
+            solver = exact._Solver(mdp, chain)
+            assert solver._lu is None and solver._upper is not None
+            lu = linalg.lu_factor(np.eye(n_states) - gamma * chain,
+                                  check_finite=False)
+            for got, want in [
+                    (solver.solve(b), linalg.lu_solve(lu, b,
+                                                      check_finite=False)),
+                    (solver.solve(b[:, 0]),
+                     linalg.lu_solve(lu, b[:, 0], check_finite=False)),
+                    (solver.solve(mu, transposed=True),
+                     linalg.lu_solve(lu, mu, trans=1, check_finite=False))]:
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def game(request, name):
+        if name == "scg_return":
+            return m.build_scg(m.layered_dag([2, 2]), n_agents=2, gamma=0.9,
+                               reachable_only=True, goal="return")
+        if name == "back-edge":
+            mdp = sparse_mdp(4, (2, 2), 0.9, seed=130, max_width=2,
+                             upper=True)
+            P = mdp.transitions.toarray()
+            P[3 * mdp.n_joint] = np.eye(4)[0]   # state 3 back to state 0
+            return m.Environment(mdp=m.MultiAgentMDP(
+                mdp.n_actions, mdp.rewards, P.reshape(4, 4, 4), mdp.gamma,
+                mdp.mu), stage_potential=None, label="back-edge")
+        return request.getfixturevalue(name)
+
+    @pytest.mark.parametrize("name, upper", [
+        ("scg3", True), ("distancing3", True), ("scg_return", False),
+        ("distancing_return", False), ("back-edge", False)])
+    def test_detection_selects_the_solve(self, request, name, upper):
+        # a routing game with an absorbing goal, numbered over its reachable
+        # states, is triangular, and so is distancing3, whose spread never
+        # returns to safe; a return edge, a spread that can return, and one
+        # back edge in a random game each close a cycle
+        mdp = self.game(request, name).mdp
+        assert mdp.upper_triangular is upper
+        uniform = m.JointPolicy([np.full((mdp.n_states, a), 1.0 / a)
+                                 for a in mdp.n_actions])
+        solver = exact._Solver(mdp, exact._chain_matrix(
+            mdp, joint_policy_table(mdp, uniform)))
+        assert (solver._upper is not None) is upper
+        assert (solver._lu is not None) is (not upper)
+
+    @pytest.mark.parametrize("name, calls", [("scg3", 0),
+                                             ("distancing_return", 3)])
+    def test_lu_factor_calls(self, monkeypatch, request, name, calls):
+        # a triangular game factors nothing; any other game factors each
+        # run's chain once
+        factored = []
+        lu_factor = linalg.lu_factor
+
+        def counting(a, *args, **kwargs):
+            factored.append(a.shape)
+            return lu_factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(exact.linalg, "lu_factor", counting)
+        env = self.game(request, name)
+        mdp = env.mdp
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(131)))
+        pols = [m.random_product_policy(mdp, rng) for _ in range(3)]
+        stacked = m.JointPolicy([np.stack(t) for t in
+                                 zip(*(p.probs for p in pols))],
+                                validate=False)
+        m.evaluate(env, stacked)
+        assert len(factored) == calls
+
+
 def reference_evaluate(target, policy, want_q=False, agents=None):
     """One policy's exact evaluation as `evaluate` computed it before it took
     a run axis: the (S, n_joint) joint table as a running outer product, the
@@ -336,17 +433,18 @@ class TestRunAxis:
            gamma=st.sampled_from([0.0, 0.5, 0.99]), runs=st.integers(1, 4),
            seed=st.integers(0, 2 ** 32 - 1), zeros=st.booleans(),
            with_potential=st.booleans(), want_q=st.booleans(),
-           subset=st.booleans(), dense_solve=st.booleans())
+           subset=st.booleans(), dense_solve=st.booleans(),
+           want_adv_potential=st.booleans())
     @example(n_actions=[2, 3], n_states=3, width=2, gamma=0.99, runs=3,
              seed=5, zeros=True, with_potential=True, want_q=True,
-             subset=False, dense_solve=True)
+             subset=False, dense_solve=True, want_adv_potential=True)
     @example(n_actions=[3, 1, 2], n_states=4, width=3, gamma=0.5, runs=4,
              seed=6, zeros=False, with_potential=True, want_q=False,
-             subset=True, dense_solve=False)
+             subset=True, dense_solve=False, want_adv_potential=False)
     def test_rows_equal_reference(self, n_actions, n_states,
                                   width, gamma, runs, seed, zeros,
                                   with_potential, want_q, subset,
-                                  dense_solve):
+                                  dense_solve, want_adv_potential):
         mdp = sparse_mdp(n_states, tuple(n_actions), gamma, seed,
                          max_width=min(width, n_states))
         rng = np.random.Generator(np.random.Philox(key=np.uint64(seed + 1)))
@@ -366,11 +464,15 @@ class TestRunAxis:
                 patch.setattr(exact, "DENSE_SOLVE_MAX", 0)
             stacked = m.evaluate(target, m.JointPolicy(
                 [np.stack(t) for t in zip(*(p.probs for p in pols))],
-                validate=False), want_q=want_q, agents=agents)
-            alone = [m.evaluate(target, p, want_q=want_q, agents=agents)
+                validate=False), want_q=want_q, agents=agents,
+                want_adv_potential=want_adv_potential)
+            alone = [m.evaluate(target, p, want_q=want_q, agents=agents,
+                                want_adv_potential=want_adv_potential)
                      for p in pols]
             want = [reference_evaluate(target, p, want_q=want_q,
                                        agents=agents) for p in pols]
+        if not want_adv_potential:
+            want = [dataclasses.replace(w, adv_potential=None) for w in want]
         assert stacked.v.shape == (runs, mdp.n_agents, n_states)
         assert (stacked.potential_mu is None) == (not with_potential)
         for r in range(runs):

@@ -77,6 +77,19 @@ class TestNashGap:
         assert rep.overall_gap < 1e-12
         assert rep.satisfies_epsilon
 
+    @pytest.mark.parametrize("game", ["scg3", "distancing_return"])
+    def test_report_from_environment_gives_the_same_gap(self, request, game):
+        # scg3's chains take the triangular solve, distancing_return's the
+        # dense LU; an Environment's report carries one more solved column,
+        # the potential, than the MDP's
+        env = request.getfixturevalue(game)
+        pol = random_policy(env.mdp, 68)
+        fresh = m.nash_gap(env.mdp, pol)
+        reused = m.nash_gap(env.mdp, pol, report=m.evaluate(env, pol))
+        assert reused.gaps.tobytes() == fresh.gaps.tobytes()
+        assert repr((reused.overall_gap, reused.mu_gap)) == \
+            repr((fresh.overall_gap, fresh.mu_gap))
+
     def test_uniform_policy_gap_matches_enumeration(self):
         mdp = random_mdp(1, (2, 3), 0.6, seed=67)
         uniform = m.JointPolicy([np.full((1, 2), 0.5), np.full((1, 3), 1 / 3)])
