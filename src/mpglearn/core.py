@@ -44,7 +44,10 @@ class MultiAgentMDP:
     mu           initial state distribution, length n_states
 
     Episodic problems are modeled with an absorbing zero-reward terminal
-    state; rewards outside [0, 1] are rejected rather than clamped.
+    state; rewards outside [0, 1] are rejected rather than clamped.  The
+    `absorbing` flags mark such states: a sampled batch is not stepped
+    once all of its episodes sit in them, and its remaining joint actions
+    come from the same draws in one pass.
     """
 
     def __init__(self, n_actions, rewards, transitions, gamma, mu,
@@ -80,6 +83,7 @@ class MultiAgentMDP:
         self._digits = None
         self._chain_cells = None
         self._upper_triangular = None
+        self._absorbing = None
         self._successors = None
         if validate:
             problems = validate_mdp(self)
@@ -121,6 +125,21 @@ class MultiAgentMDP:
             self._upper_triangular = bool(
                 np.all(self.transitions.indices >= rows // self.n_joint))
         return self._upper_triangular
+
+    @property
+    def absorbing(self):
+        """(n_states,) bool: state s is absorbing when every transition
+        entry of every joint action from s leads back to s, whether its rows
+        are deterministic or stochastic.  An episode that reaches such a
+        state stays there, so the sampler stops stepping a batch once every
+        episode has reached one."""
+        if self._absorbing is None:
+            rows, _ = self.chain_cells
+            source = rows // self.n_joint
+            absorbing = np.ones(self.n_states, dtype=bool)
+            absorbing[source[self.transitions.indices != source]] = False
+            self._absorbing = _frozen(absorbing, bool)
+        return self._absorbing
 
     @property
     def successors(self):

@@ -28,7 +28,10 @@ state is never recorded.  Because the draws do not depend on the policy, a
 learning run keeps a _StreamBank that computes them a chunk of episodes
 ahead, so one pass serves many updates.  Next states come from the
 successor table the MDP derives from its CSR transition rows
-(`MultiAgentMDP.successors`).
+(`MultiAgentMDP.successors`).  Once every episode of a batch is in an
+absorbing state (`MultiAgentMDP.absorbing`) the batch is no longer
+stepped: its states stay put, and the joint actions of the remaining steps
+come from the same agent draws in one pass.
 """
 
 from dataclasses import dataclass
@@ -254,6 +257,18 @@ def _cdf_table(policy, n_actions):
     return np.cumsum(out, axis=2, out=out)
 
 
+def _joint_actions(rows, u, digit_weights, out):
+    """Joint actions of the draws u, (..., B*R, n), on the episodes' cdf
+    rows (B*R, n, A_max): every agent's action is the count of its cdf
+    entries at or below u * total, so the joint action is one product of
+    the (..., B*R, n*A_max) comparison with each agent's joint-index weight
+    repeated A_max times.  Written to `out`, (..., B*R), and returned."""
+    target = u * rows[:, :, -1]                       # (..., B*R, n)
+    below = rows <= target[..., None]
+    return np.matmul(below.reshape(target.shape[:-1] + (-1,)),
+                     digit_weights, out=out)
+
+
 def _sample_batch(mdp, policy, horizon, seed, episode_offset, batch,
                   bank=None):
     """Step `batch` episodes of every run in lockstep.
@@ -266,11 +281,13 @@ def _sample_batch(mdp, policy, horizon, seed, episode_offset, batch,
     to the draw counts of this MDP and horizon), else they are computed for
     exactly this batch.
 
-    The horizon loop carries only the state and the joint action: every
-    agent's action is the count of its cdf entries at or below u * total,
-    so the joint action is one product of the (B*R, n*A_max) comparison
-    with each agent's joint-index weight repeated A_max times.  Per-agent
-    actions and rewards are read off the joint actions after the loop."""
+    The horizon loop carries only the state and the joint action
+    (`_joint_actions`).  Per-agent actions and rewards are read off the
+    joint actions after the loop.  Once every episode's state is absorbing
+    (`MultiAgentMDP.absorbing`), no episode is stepped again: the state is
+    recorded for every remaining step, and the remaining joint actions
+    come from the same agent draws in one pass.  An MDP without an
+    absorbing state steps every step."""
     if mdp.n_agents + 1 > _MAX_STREAMS:
         raise ValueError("too many agents for the stream layout")
     n, S, T, B = mdp.n_agents, mdp.n_states, horizon, batch
@@ -304,14 +321,20 @@ def _sample_batch(mdp, policy, horizon, seed, episode_offset, batch,
     weights = np.cumprod((mdp.n_actions[1:] + (1,))[::-1])[::-1]
     digit_weights = np.repeat(weights, cdf.shape[2])
 
+    # checked per step only on an MDP that has an absorbing state
+    absorbing = mdp.absorbing if mdp.absorbing.any() else None
+
     states = np.empty((T, E), dtype=np.int64)
     joints = np.empty((T, E), dtype=np.int64)
     for t in range(T):
-        states[t] = s
         rows = cdf.take(s + run_rows, axis=0)         # (B*R, n, A_max)
-        target = agent_u[t] * rows[:, :, -1]          # (B*R, n)
-        joint = np.matmul((rows <= target[:, :, None]).reshape(E, -1),
-                          digit_weights, out=joints[t])
+        if absorbing is not None and absorbing[s].all():
+            # every episode stays in s: steps t.. from their draws at once
+            states[t:] = s
+            _joint_actions(rows, agent_u[t:T], digit_weights, out=joints[t:])
+            break
+        states[t] = s
+        joint = _joint_actions(rows, agent_u[t], digit_weights, out=joints[t])
         if t == T - 1:                  # the last successor is never recorded
             break
         flat = s * mdp.n_joint + joint
@@ -378,11 +401,14 @@ def estimate_eval(mdp, policy, cfg, episode_offset=0, bank=None, seeds=None):
     states, actions, rewards = _sample_batch(mdp, policy, T, seeds,
                                              episode_offset, B, bank)
     # discounted returns, time-major, each the running sum
-    # (0 * gamma + r_{T-1}) * gamma + r_{T-2} ...; then agent, episode, time
+    # (0 * gamma + r_{T-1}) * gamma + r_{T-2} ...; then agent, episode, time.
+    # The sum is +0.0 at every step after the last nonzero reward, so the
+    # recurrence starts there.
+    live = np.flatnonzero(rewards.any(axis=(1, 2)))
     rewards = rewards.transpose(2, 0, 1)              # (n, T, B*R)
     ret = np.zeros((T, n, E))
     ret[T - 1] += rewards[:, T - 1]
-    for t in range(T - 2, -1, -1):
+    for t in range(min(live[-1] if live.size else -1, T - 2), -1, -1):
         np.multiply(ret[t + 1], gamma, out=ret[t])
         ret[t] += rewards[:, t]
     returns = np.ascontiguousarray(ret.transpose(1, 2, 0))

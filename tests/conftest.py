@@ -26,11 +26,14 @@ def random_mdp(n_states, n_actions, gamma, seed, n_agents=None):
     return m.MultiAgentMDP(n_actions, rewards, dense, gamma, mu)
 
 
-def sparse_mdp(n_states, n_actions, gamma, seed, max_width, upper=False):
+def sparse_mdp(n_states, n_actions, gamma, seed, max_width, upper=False,
+               absorbing=0):
     """Like random_mdp, but each transition row has between 1 and max_width
     successors, chosen at random and given Dirichlet probabilities.  With
     `upper` the successors of state s are drawn from states s..S-1 only (at
-    most S - s of them), so every chain is upper triangular."""
+    most S - s of them), so every chain is upper triangular.  The last
+    `absorbing` states lead back to themselves under every joint action and
+    pay no reward; the random draws are those of `absorbing` = 0."""
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     n_agents = len(n_actions)
     n_joint = int(np.prod(n_actions))
@@ -46,6 +49,9 @@ def sparse_mdp(n_states, n_actions, gamma, seed, max_width, upper=False):
                               replace=False)
         row[succ] = rng.dirichlet(np.ones(len(succ)))
     mu = rng.dirichlet(np.ones(n_states))
+    for s in range(n_states - absorbing, n_states):
+        dense[s * n_joint:(s + 1) * n_joint] = np.eye(n_states)[s]
+        rewards[:, s] = 0.0
     return m.MultiAgentMDP(n_actions, rewards,
                            dense.reshape(n_states, n_joint, n_states), gamma,
                            mu)
@@ -155,6 +161,10 @@ def parallel2():
 
 @pytest.fixture(scope="session")
 def distancing3():
+    """Three agents on two facilities.  Spread returns to safe only when
+    every facility holds at most one agent, which three agents on two
+    facilities never do: the spread state is absorbing and every chain is
+    upper triangular (distancing_return is the game with a back edge)."""
     params = m.DistancingParams(n_agents=3, n_facilities=2,
                                 weights=(0.1, 0.25), penalty=0.4,
                                 spread_trigger=2, return_trigger=1,

@@ -94,6 +94,28 @@ class TestJointActionEncoding:
             assert mdp.joint_index(mdp.digits[j]) == j
 
 
+class TestAbsorbing:
+    @settings(max_examples=60, deadline=None)
+    @given(n_actions=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           n_states=st.integers(1, 6), width=st.integers(1, 3),
+           absorbing=st.integers(0, 3), upper=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_dense_per_state_check(self, n_actions, n_states, width,
+                                           absorbing, upper, seed):
+        absorbing = min(absorbing, n_states)
+        mdp = sparse_mdp(n_states, tuple(n_actions), 0.9, seed,
+                         max_width=min(width, n_states), upper=upper,
+                         absorbing=absorbing)
+        S, A = mdp.n_states, mdp.n_joint
+        dense = mdp.transitions.toarray().reshape(S, A, S)
+        want = [all(dense[s, a, t] == 0.0 for a in range(A) for t in range(S)
+                    if t != s) for s in range(S)]
+        assert mdp.absorbing.tolist() == want
+        assert mdp.absorbing[S - absorbing:].all()
+        assert mdp.absorbing[-1] or not upper   # upper: S-1 leads only to S-1
+        assert not mdp.absorbing.flags.writeable
+
+
 class TestSoftmax:
     def test_all_zero_logits_uniform(self):
         pol = m.softmax_policy(m.Logits([np.zeros((1, 3))]))

@@ -267,8 +267,10 @@ class TestPotentialInvariant:
     def test_scg_200_random_deviations(self, scg3):
         assert m.check_potential(scg3, trials=200, seed=7) <= 1e-9
 
-    def test_distancing_200_random_deviations(self, distancing3):
-        assert m.check_potential(distancing3, trials=200, seed=8) <= 1e-9
+    @pytest.mark.parametrize("game", ["distancing3", "distancing_return"])
+    def test_distancing_200_random_deviations(self, request, game):
+        env = request.getfixturevalue(game)
+        assert m.check_potential(env, trials=200, seed=8) <= 1e-9
 
     def test_cooperative_unrestricted_deviations(self, coop):
         assert m.check_potential(coop, trials=200, seed=9) <= 1e-9

@@ -1,6 +1,7 @@
 """Monte Carlo estimation: determinism, marginal correctness against exact
 one-step probabilities, and convergence toward exact values."""
 
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,8 +12,11 @@ from hypothesis import strategies as st
 
 import mpglearn as m
 from mpglearn import sampling
+from mpglearn.cli import build_environment, load_config
 
 from conftest import random_mdp, random_policy, sparse_mdp
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def deterministic_line_mdp():
@@ -483,8 +487,10 @@ def zero_first_actions(policy):
 class TestRolloutOracle:
     """`_sample_batch` against `reference_sample_batch`, byte for byte in
     states, actions and rewards: with and without a stream bank, over ragged
-    actions, one to three successors per row, one to three runs, and
-    horizons that are and are not multiples of 4."""
+    actions, one to three successors per row, one to three runs, horizons
+    that are and are not multiples of 4, and MDPs with absorbing states,
+    whose batches leave the horizon loop once every episode is absorbed
+    (at t = 0 when S = 1)."""
 
     @settings(max_examples=80, deadline=None)
     @given(n_actions=st.lists(st.integers(1, 3), min_size=1, max_size=3),
@@ -496,18 +502,34 @@ class TestRolloutOracle:
                           max_size=3),
            seed=st.integers(0, 2 ** 32 - 1), banked=st.booleans(),
            chunk=st.integers(1, 24), lanes=st.sampled_from([1, 7, 1 << 14]),
-           scalar=st.booleans(), zeros=st.booleans())
+           scalar=st.booleans(), zeros=st.booleans(),
+           absorbing=st.integers(0, 2), upper=st.booleans())
     @example(n_actions=[3, 1, 2], n_states=4, width=3, runs=3, horizon=5,
              batch=4, offset=9, seeds=[0, 2 ** 64 - 1, 7], seed=1,
-             banked=True, chunk=10, lanes=7, scalar=False, zeros=True)
+             banked=True, chunk=10, lanes=7, scalar=False, zeros=True,
+             absorbing=0, upper=False)
     @example(n_actions=[2], n_states=3, width=1, runs=1, horizon=1,
              batch=3, offset=0, seeds=[5, 0, 0], seed=2, banked=True,
-             chunk=4, lanes=1 << 14, scalar=True, zeros=False)
+             chunk=4, lanes=1 << 14, scalar=True, zeros=False, absorbing=0,
+             upper=False)
+    @example(n_actions=[2, 3], n_states=1, width=1, runs=2, horizon=20,
+             batch=3, offset=0, seeds=[5, 6, 0], seed=3, banked=True,
+             chunk=4, lanes=7, scalar=False, zeros=False, absorbing=1,
+             upper=False)
+    @example(n_actions=[2, 2], n_states=4, width=3, runs=3, horizon=20,
+             batch=5, offset=2, seeds=[1, 2, 3], seed=39, banked=False,
+             chunk=4, lanes=1 << 14, scalar=False, zeros=True, absorbing=1,
+             upper=False)
+    @example(n_actions=[2, 2], n_states=4, width=1, runs=2, horizon=20,
+             batch=4, offset=0, seeds=[1, 2, 3], seed=5, banked=True,
+             chunk=6, lanes=1 << 14, scalar=False, zeros=False, absorbing=1,
+             upper=True)
     def test_matches_reference(self, n_actions, n_states, width, runs,
                                horizon, batch, offset, seeds, seed, banked,
-                               chunk, lanes, scalar, zeros):
+                               chunk, lanes, scalar, zeros, absorbing, upper):
         mdp = sparse_mdp(n_states, tuple(n_actions), 0.9, seed,
-                         max_width=min(width, n_states))
+                         max_width=min(width, n_states), upper=upper,
+                         absorbing=min(absorbing, n_states))
         pols = [random_policy(mdp, seed + 1 + r) for r in range(runs)]
         if zeros:
             pols = [zero_first_actions(p) for p in pols]
@@ -586,7 +608,9 @@ def reference_estimate(mdp, policy, cfg, episode_offset, seeds):
 
 class TestEstimatorOracle:
     """`estimate_eval` against `reference_estimate`, byte for byte in its
-    values, marginal Q tables, advantages, visitation and visited flags."""
+    values, marginal Q tables, advantages, visitation and visited flags,
+    also on MDPs whose absorbing zero-reward states end the rollout and the
+    return recurrence early."""
 
     @settings(max_examples=60, deadline=None)
     @given(n_actions=st.lists(st.integers(1, 3), min_size=1, max_size=3),
@@ -594,11 +618,23 @@ class TestEstimatorOracle:
            runs=st.integers(1, 3), horizon=st.sampled_from([1, 2, 5, 20]),
            batch=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
            gamma=st.sampled_from([0.0, 0.5, 0.99]),
-           estimator=st.sampled_from(["first_visit", "every_visit"]))
+           estimator=st.sampled_from(["first_visit", "every_visit"]),
+           absorbing=st.integers(0, 2), upper=st.booleans())
+    @example(n_actions=[2, 3], n_states=1, width=1, runs=2, horizon=20,
+             batch=3, seed=3, gamma=0.99, estimator="first_visit",
+             absorbing=1, upper=False)
+    @example(n_actions=[2, 2], n_states=4, width=3, runs=3, horizon=20,
+             batch=5, seed=9, gamma=0.99, estimator="every_visit",
+             absorbing=1, upper=False)
+    @example(n_actions=[2, 2], n_states=4, width=1, runs=2, horizon=20,
+             batch=4, seed=5, gamma=0.5, estimator="first_visit",
+             absorbing=1, upper=True)
     def test_matches_reference(self, n_actions, n_states, width, runs,
-                               horizon, batch, seed, gamma, estimator):
+                               horizon, batch, seed, gamma, estimator,
+                               absorbing, upper):
         mdp = sparse_mdp(n_states, tuple(n_actions), gamma, seed,
-                         max_width=min(width, n_states))
+                         max_width=min(width, n_states), upper=upper,
+                         absorbing=min(absorbing, n_states))
         pols = [random_policy(mdp, seed + 1 + r) for r in range(runs)]
         policy = m.JointPolicy([np.stack([p.probs[i] for p in pols])
                                 for i in range(mdp.n_agents)], validate=False)
@@ -612,6 +648,65 @@ class TestEstimatorOracle:
         for field in ("q_marginal", "adv_marginal", "visited_pairs"):
             for x, y in zip(getattr(got, field), want[field], strict=True):
                 assert as_bytes(x) == as_bytes(y)
+
+
+class CountingNumpy:
+    """numpy, counting the np.multiply calls made through it."""
+
+    def __init__(self):
+        self.multiplies = 0
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name != "multiply":
+            return attr
+
+        def multiply(*args, **kwargs):
+            self.multiplies += 1
+            return attr(*args, **kwargs)
+        return multiply
+
+
+class TestAbsorbedExit:
+    """The steps a sampled estimate takes at horizon 20: every episode of
+    the routing game is absorbed at step 4 and earns its last nonzero reward
+    at step 2, so the horizon loop steps 4 times and computes the other 16
+    joint actions in one pass, and the return recurrence takes 3 steps; the
+    distancing game has no absorbing state and rewards at every step."""
+
+    @pytest.mark.parametrize("game, absorbing, single, tail, recurrence", [
+        ("scg4", [34], 4, [16], 3),
+        ("distancing_return", [], 20, [], 19)],
+        ids=["scg4", "distancing_return"])
+    def test_steps_taken(self, request, monkeypatch, game, absorbing, single,
+                         tail, recurrence):
+        if game == "scg4":
+            cfg = load_config(CONFIGS / "scg4.ini")
+            mdp = build_environment(cfg.environment).mdp
+        else:
+            mdp = request.getfixturevalue(game).mdp
+        assert np.flatnonzero(mdp.absorbing).tolist() == absorbing
+        seeds = [0, 1]
+        policy = m.JointPolicy(
+            [np.full((len(seeds), mdp.n_states, a), 1.0 / a)
+             for a in mdp.n_actions], validate=False)
+        cfg = m.SampleConfig(horizon=20, batch=20)
+        bank = sampling._StreamBank(mdp, cfg, seeds)
+        bank.draws(0, cfg.batch)            # no Philox pass while counting
+        steps = []
+        joint_actions = sampling._joint_actions
+
+        def counting(rows, u, digit_weights, out):
+            steps.append(u.shape[0] if u.ndim == 3 else None)
+            return joint_actions(rows, u, digit_weights, out)
+
+        counted = CountingNumpy()
+        monkeypatch.setattr(sampling, "_joint_actions", counting)
+        monkeypatch.setattr(sampling, "np", counted)
+        m.estimate_eval(mdp, policy, cfg, bank=bank, seeds=seeds)
+        assert steps.count(None) == single
+        assert [k for k in steps if k is not None] == tail
+        assert counted.multiplies == recurrence
 
 
 class TestDrawCounts:

@@ -104,10 +104,12 @@ class TestNashGap:
 
 
 class TestCheckPotential:
-    def test_null_deviation_no_mismatch(self, distancing3):
+    @pytest.mark.parametrize("game", ["distancing3", "distancing_return"])
+    def test_null_deviation_no_mismatch(self, request, game):
+        env = request.getfixturevalue(game)
         rng = np.random.Generator(np.random.Philox(key=np.uint64(68)))
-        base = distancing3.sample_base_profile(rng)
-        ra = m.evaluate(distancing3, base, agents=[0])
+        base = env.sample_base_profile(rng)
+        ra = m.evaluate(env, base, agents=[0])
         assert np.abs((ra.potential - ra.potential)
                       - (ra.v[0] - ra.v[0])).max() == 0.0
 
