@@ -32,6 +32,17 @@ successor table the MDP derives from its CSR transition rows
 absorbing state (`MultiAgentMDP.absorbing`) the batch is no longer
 stepped: its states stay put, and the joint actions of the remaining steps
 come from the same agent draws in one pass.
+
+Every table that depends only on (MDP, horizon, batch, run count) -- the
+initial-state cdf, the joint-index weights, the run and episode offsets,
+the estimator's bin bases and bin-to-value index, the discount weights --
+sits in an _IndexPlan that the bank builds once per run (again when runs
+stop); a call without a bank builds one for that call.  Per-agent actions
+are decoded from the joint actions through the MDP's digit table, and
+rewards gathered in one take, straight into the estimator's (agent,)
+episode, step layout.  First visits are not compressed out of that layout:
+their masks are np.bincount weights, which leave every bin's count and sum
+exactly what the first visits alone give.
 """
 
 from dataclasses import dataclass
@@ -208,24 +219,76 @@ def _rollout_uniforms(seeds, start, count, counts):
                             [(range(n), agent_draws), ([n], env_draws)])
 
 
+class _IndexPlan:
+    """The tables of a sampled batch that depend only on (MDP, horizon,
+    batch, run count), never on the policy or the draws.
+
+    A run's _StreamBank builds its plan once, and again in `keep` for the
+    new run count; a call without a bank builds one for that call.  Columns
+    e = b*R + r are episode-major, run-minor; the estimator lays its arrays
+    out (agent,) episode, step, and bin (i, r, s, a) of agent i's marginal
+    tables is R*S*(a_0 + ... + a_{i-1}) + (r*S + s)*a_i + a.
+    """
+
+    def __init__(self, mdp, horizon, batch, runs):
+        n, S, T = mdp.n_agents, mdp.n_states, horizon
+        E = batch * runs
+        self.mdp, self.horizon, self.batch = mdp, T, batch
+        # the rollout; `only` is every row's successor when W == 1
+        self.mu_cdf = np.cumsum(mdp.mu)
+        self.succ, self.row_cdf, self.row_total = mdp.successors
+        self.only = self.succ[:, 0]
+        weights = np.cumprod((mdp.n_actions[1:] + (1,))[::-1])[::-1]
+        self.digit_weights = np.repeat(weights, max(mdp.n_actions))
+        # checked per step only on an MDP that has an absorbing state
+        self.absorbing = mdp.absorbing if mdp.absorbing.any() else None
+        self.run_rows = S * (np.arange(E) % runs)     # run r's rows: r*S on
+        self.digits = mdp.digits                      # (n_joint, n)
+        self.rewards = mdp.rewards.reshape(n, -1)     # (n, S*n_joint)
+        # the estimator
+        self.run_col = self.run_rows[:, None]
+        self.episode_col = S * np.arange(E)[:, None]
+        self.disc = np.repeat(mdp.gamma ** np.arange(T), E)   # step-major
+        self.positions = np.arange(E * T)
+        self.pair_positions = np.arange(n * E * T)
+        a = np.array(mdp.n_actions)
+        a_base = np.concatenate(([0], np.cumsum(a)))
+        self.a_col = a[:, None, None]
+        self.pair_col = E * T * a_base[:-1, None, None]
+        self.n_pair_keys = E * T * a_base[-1]
+        self.agent_rows = runs * S * np.arange(n)[:, None]
+        bin_base = runs * S * a_base
+        self.bin_col = bin_base[:-1, None, None]
+        self.n_bins = bin_base[-1]
+        # the entry of v that bin (i, r, s, a) subtracts: i*R*S + r*S + s
+        bin_agent = np.repeat(np.arange(n), runs * S * a)
+        self.v_bin = ((np.arange(self.n_bins) - bin_base[bin_agent])
+                      // a[bin_agent] + runs * S * bin_agent)
+        self.splits = [(lo, hi, (runs, S, a_i))
+                       for lo, hi, a_i in zip(bin_base, bin_base[1:], a)]
+
+
 class _StreamBank:
     """Draws of the streams of R sampled runs, computed a chunk of episodes
-    ahead.
+    ahead, and the runs' _IndexPlan.
 
     The draws depend only on (seed, episode, stream), never on the policy, so
     one pass over a chunk of episodes of every run serves every estimate
     whose batch falls inside the chunk; a request outside it starts a new
     chunk there.  The bank computes only what `_sample_batch` reads on
     `mdp` (`_draw_counts`): T draws per agent stream, and 1 environment
-    draw, or T when a transition row has more than one successor.  `seeds`
-    defaults to the one seed of `cfg`; `keep` drops the runs that have
-    stopped.
+    draw, or T when a transition row has more than one successor.  The
+    index tables of `mdp`, cfg.horizon, cfg.batch and the run count are
+    built once, here.  `seeds` defaults to the one seed of `cfg`; `keep`
+    drops the runs that have stopped and rebuilds the plan for the runs
+    left.
     """
 
     def __init__(self, mdp, cfg, seeds=None):
         self.seeds = np.atleast_1d(np.asarray(
             cfg.seed if seeds is None else seeds, dtype=np.uint64))
         self.counts = _draw_counts(mdp, cfg.horizon)
+        self.plan = _IndexPlan(mdp, cfg.horizon, cfg.batch, self.seeds.size)
         self._start = 0
         self._u = [np.empty((0, 0, self.seeds.size, 0))] * 2
 
@@ -240,9 +303,13 @@ class _StreamBank:
         return [u[:, lo:lo + count] for u in self._u]
 
     def keep(self, mask):
-        """Keep the runs where `mask` is true, with the draws already made."""
+        """Keep the runs where `mask` is true, with the draws already made,
+        and build the plan of the runs kept."""
         self.seeds = self.seeds[mask]
         self._u = [u[:, :, mask] for u in self._u]
+        plan = self.plan
+        self.plan = _IndexPlan(plan.mdp, plan.horizon, plan.batch,
+                               self.seeds.size)
 
 
 def _cdf_table(policy, n_actions):
@@ -269,33 +336,22 @@ def _joint_actions(rows, u, digit_weights, out):
                      digit_weights, out=out)
 
 
-def _sample_batch(mdp, policy, horizon, seed, episode_offset, batch,
-                  bank=None):
-    """Step `batch` episodes of every run in lockstep.
-
-    `seed` is one seed with (S, A_i) policy tables, or R run seeds with
-    (R, S, A_i) tables; column b*R + r then holds episode
-    episode_offset + b of run r (R = 1 for one seed).  Returns (states,
-    actions, rewards) with shapes (T, B*R), (T, B*R, n), (T, B*R, n).
-    Draws come from `bank` when given (it must be keyed to these seeds and
-    to the draw counts of this MDP and horizon), else they are computed for
-    exactly this batch.
-
-    The horizon loop carries only the state and the joint action
-    (`_joint_actions`).  Per-agent actions and rewards are read off the
-    joint actions after the loop.  Once every episode's state is absorbing
-    (`MultiAgentMDP.absorbing`), no episode is stepped again: the state is
-    recorded for every remaining step, and the remaining joint actions
-    come from the same agent draws in one pass.  An MDP without an
-    absorbing state steps every step."""
+def _rollout(mdp, policy, horizon, seeds, episode_offset, batch, bank):
+    """The episodes of `_sample_batch`, in the estimator's layout: (plan,
+    states, actions, rewards) with shapes (B*R, T), (B*R, T, n) and
+    (n, B*R, T), `seeds` an array of shape () or (R,)."""
     if mdp.n_agents + 1 > _MAX_STREAMS:
         raise ValueError("too many agents for the stream layout")
+    if policy.probs[0].shape[:-2] != seeds.shape:
+        raise ValueError(
+            f"policy tables of shape {policy.probs[0].shape} need a run axis "
+            f"of the seeds' shape {seeds.shape}")
     n, S, T, B = mdp.n_agents, mdp.n_states, horizon, batch
-    seeds = np.asarray(seed, dtype=np.uint64)
     R = seeds.size
     E = B * R
     counts = _draw_counts(mdp, T)
     if bank is None:
+        plan = _IndexPlan(mdp, T, B, R)
         agent_u, env_u = _rollout_uniforms(seeds.ravel(), episode_offset, B,
                                            counts)
     elif (bank.counts != counts
@@ -304,49 +360,76 @@ def _sample_batch(mdp, policy, horizon, seed, episode_offset, batch,
             f"stream bank keyed (seeds, agents, agent draws, environment "
             f"draws) = {(bank.seeds.tolist(), *bank.counts)}, batch needs "
             f"{(seeds.ravel().tolist(), *counts)}")
+    elif bank.plan.mdp is not mdp or bank.plan.batch != B:
+        raise ValueError(f"stream bank planned for batches of "
+                         f"{bank.plan.batch} on {bank.plan.mdp!r}, batch "
+                         f"needs {B} on {mdp!r}")
     else:
+        plan = bank.plan
         agent_u, env_u = bank.draws(episode_offset, B)
     # (D, B*R, n) and (D_env, B*R): draw counts rounded up to whole blocks
     agent_u = agent_u.reshape(-1, E, n)
     env_u = env_u.reshape(-1, E)
 
     cdf = _cdf_table(policy, mdp.n_actions)           # (R*S, n, A_max)
-    run_rows = S * (np.arange(E) % R)                 # run r's rows: r*S on
-    mu_cdf = np.cumsum(mdp.mu)
-    s = np.searchsorted(mu_cdf, env_u[0] * mu_cdf[-1], side="right")
+    s = np.searchsorted(plan.mu_cdf, env_u[0] * plan.mu_cdf[-1],
+                        side="right")
     s = np.minimum(s, S - 1).astype(np.int64)
 
-    succ, row_cdf, row_total = mdp.successors
-    only = succ[:, 0]                   # the successor of every row if W == 1
-    weights = np.cumprod((mdp.n_actions[1:] + (1,))[::-1])[::-1]
-    digit_weights = np.repeat(weights, cdf.shape[2])
-
-    # checked per step only on an MDP that has an absorbing state
-    absorbing = mdp.absorbing if mdp.absorbing.any() else None
-
-    states = np.empty((T, E), dtype=np.int64)
-    joints = np.empty((T, E), dtype=np.int64)
+    # recorded episode-major, written one step (column) at a time
+    states = np.empty((E, T), dtype=np.int64)
+    joints = np.empty((E, T), dtype=np.int64)
+    by_step, joint_by_step = states.T, joints.T
     for t in range(T):
-        rows = cdf.take(s + run_rows, axis=0)         # (B*R, n, A_max)
-        if absorbing is not None and absorbing[s].all():
+        rows = cdf.take(s + plan.run_rows, axis=0)    # (B*R, n, A_max)
+        if plan.absorbing is not None and plan.absorbing[s].all():
             # every episode stays in s: steps t.. from their draws at once
-            states[t:] = s
-            _joint_actions(rows, agent_u[t:T], digit_weights, out=joints[t:])
+            by_step[t:] = s
+            _joint_actions(rows, agent_u[t:T], plan.digit_weights,
+                           out=joint_by_step[t:])
             break
-        states[t] = s
-        joint = _joint_actions(rows, agent_u[t], digit_weights, out=joints[t])
+        by_step[t] = s
+        joint = _joint_actions(rows, agent_u[t], plan.digit_weights,
+                               out=joint_by_step[t])
         if t == T - 1:                  # the last successor is never recorded
             break
         flat = s * mdp.n_joint + joint
-        if row_cdf is None:
-            s = only[flat]
+        if plan.row_cdf is None:
+            s = plan.only[flat]
         else:
-            tgt = env_u[t + 1] * row_total[flat]
-            s = succ[flat, (row_cdf[flat] <= tgt[:, None]).sum(axis=1)]
-    actions = np.stack(np.unravel_index(joints, mdp.n_actions))
-    rewards = mdp.rewards[:, states, joints]
-    # both (n, T, B*R), returned as (T, B*R, n) views
-    return states, actions.transpose(1, 2, 0), rewards.transpose(1, 2, 0)
+            tgt = env_u[t + 1] * plan.row_total[flat]
+            s = plan.succ[flat, (plan.row_cdf[flat] <= tgt[:, None])
+                          .sum(axis=1)]
+    actions = plan.digits.take(joints, axis=0)
+    rewards = plan.rewards.take(states * mdp.n_joint + joints, axis=1)
+    return plan, states, actions, rewards
+
+
+def _sample_batch(mdp, policy, horizon, seed, episode_offset, batch,
+                  bank=None):
+    """Step `batch` episodes of every run in lockstep.
+
+    `seed` is one seed with (S, A_i) policy tables, or R run seeds with
+    (R, S, A_i) tables; column b*R + r then holds episode
+    episode_offset + b of run r (R = 1 for one seed).  Returns (states,
+    actions, rewards) with shapes (T, B*R), (T, B*R, n), (T, B*R, n), as
+    views of the episode-major arrays the estimator reads.  Draws and the
+    _IndexPlan come from `bank` when given (it must be keyed to these
+    seeds, to the draw counts of this MDP and horizon, and to this MDP and
+    batch), else they are made for exactly this batch.
+
+    The horizon loop carries only the state and the joint action
+    (`_joint_actions`).  After the loop, per-agent actions are read off the
+    joint actions in the MDP's digit table (`MultiAgentMDP.digits`), and
+    rewards in one take from the flat (n, S*n_joint) reward view.  Once
+    every episode's state is absorbing (`MultiAgentMDP.absorbing`), no
+    episode is stepped again: the state is recorded for every remaining
+    step, and the remaining joint actions come from the same agent draws in
+    one pass.  An MDP without an absorbing state steps every step."""
+    _, states, actions, rewards = _rollout(
+        mdp, policy, horizon, np.asarray(seed, dtype=np.uint64),
+        episode_offset, batch, bank)
+    return states.T, actions.transpose(1, 0, 2), rewards.transpose(2, 1, 0)
 
 
 def sample_episode(mdp, policy, horizon, seed, episode=0):
@@ -363,11 +446,11 @@ def sample_episode(mdp, policy, horizon, seed, episode=0):
     return states[:, 0], actions[:, 0], rewards[:, 0]
 
 
-def _earliest(keys, n_keys):
+def _earliest(keys, n_keys, positions):
     """Per entry of `keys` (integers below n_keys), the position of the
-    first entry with the same key."""
+    first entry with the same key; `positions` is arange(keys.size)."""
     first = np.full(n_keys, keys.size)
-    np.minimum.at(first, keys, np.arange(keys.size))
+    np.minimum.at(first, keys, positions)
     return first[keys]
 
 
@@ -383,7 +466,14 @@ def estimate_eval(mdp, policy, cfg, episode_offset=0, bank=None, seeds=None):
     batch uses stream index episode_offset + k, letting callers draw fresh
     episodes across iterations from one seed.  A run that estimates batch
     after batch passes one `_StreamBank(mdp, cfg)` as `bank`, so the draws
-    of many batches are computed in one pass; the report is the same.
+    of many batches are computed in one pass and the index tables
+    (`_IndexPlan`) are built once; the report is the same.
+
+    First visits are not compressed out: their masks are np.bincount
+    weights.  A bin's count is the sum of its mask entries and its sum the
+    sum of return * mask, so an entry that is not a first visit adds +0.0
+    to a sum that starts at +0.0 and leaves it exactly as the first visits
+    alone make it.
 
     `seeds`, R run seeds that replace cfg.seed, estimates R runs at once:
     the policy tables are then (R, S, A_i), every report field gains a
@@ -396,76 +486,63 @@ def estimate_eval(mdp, policy, cfg, episode_offset=0, bank=None, seeds=None):
     T, B = cfg.horizon, cfg.batch
     E = B * R                               # episode-major, run-minor columns
     gamma = mdp.gamma
-    first = cfg.estimator == "first_visit"
 
-    states, actions, rewards = _sample_batch(mdp, policy, T, seeds,
-                                             episode_offset, B, bank)
-    # discounted returns, time-major, each the running sum
-    # (0 * gamma + r_{T-1}) * gamma + r_{T-2} ...; then agent, episode, time.
-    # The sum is +0.0 at every step after the last nonzero reward, so the
+    plan, states, actions, rewards = _rollout(mdp, policy, T, seeds,
+                                              episode_offset, B, bank)
+    # discounted returns, a running sum (0 * gamma + r_{T-1}) * gamma +
+    # r_{T-2} ... over the steps of (agent, episode, step) arrays.  The sum
+    # is +0.0 at every step after the last nonzero reward, so the
     # recurrence starts there.
-    live = np.flatnonzero(rewards.any(axis=(1, 2)))
-    rewards = rewards.transpose(2, 0, 1)              # (n, T, B*R)
-    ret = np.zeros((T, n, E))
-    ret[T - 1] += rewards[:, T - 1]
+    live = np.flatnonzero(rewards.any(axis=(0, 1)))
+    returns = np.zeros((n, E, T))
+    returns[..., T - 1] += rewards[..., T - 1]
     for t in range(min(live[-1] if live.size else -1, T - 2), -1, -1):
-        np.multiply(ret[t + 1], gamma, out=ret[t])
-        ret[t] += rewards[:, t]
-    returns = np.ascontiguousarray(ret.transpose(1, 2, 0))
+        np.multiply(returns[..., t + 1], gamma, out=returns[..., t])
+        returns[..., t] += rewards[..., t]
+    returns = returns.reshape(n, E * T)
 
-    # column e is run e % R, whose states are offset by S*r
-    disc = gamma ** np.arange(T)
-    run_state = states + S * (np.arange(E) % R)
-    d_acc = np.bincount(run_state.ravel(),
-                        weights=np.broadcast_to(disc[:, None], (T, E)).ravel(),
+    # Column e is run e % R, whose states are offset by S*r.  Discounted
+    # state counts sum step-major, as a single run sums them; visits sum
+    # (agent,) episode, step, so each (run, state) bin and each (agent, run,
+    # state, action) bin sums its entries in episode order, as a run
+    # estimated alone sums them.
+    run_state = states + plan.run_col                 # (E, T)
+    d_acc = np.bincount(run_state.T.ravel(), weights=plan.disc,
                         minlength=R * S).reshape(R, S)
-
-    # Visits are laid out (agent,) episode, time, as the returns are, so
-    # each (run, state) bin and each (agent, run, state, action) bin sums
-    # its entries in episode order, as a run estimated alone sums them.
-    # Agent i's bins start at R*S*(a_0 + ... + a_{i-1}).
-    a = np.array(mdp.n_actions)
-    a_base = np.concatenate(([0], np.cumsum(a)))
-    bin_base = R * S * a_base
-    visits = run_state.T.ravel()                      # (E*T,)
-    actions = actions.transpose(2, 1, 0).reshape(n, -1)
-    pairs = (bin_base[:-1, None] + visits * a[:, None] + actions).ravel()
-    v_weights, q_weights = returns.reshape(n, -1), returns.ravel()
-    if first:
+    visits = run_state.ravel()
+    actions = actions.transpose(2, 0, 1)              # (n, E, T)
+    pairs = (plan.bin_col + run_state * plan.a_col + actions).ravel()
+    v_mask = q_mask = None                            # every visit counts
+    v_ret, q_ret = returns, returns.ravel()
+    if cfg.estimator == "first_visit":
         # a first visit is the earliest position of its (episode, state)
         # key; a pair's key is (agent, first position of its state, action)
-        state_first = _earliest((states + S * np.arange(E)).T.ravel(), E * S)
-        pair_keys = (E * T * a_base[:-1, None] + state_first * a[:, None]
-                     + actions).ravel()
-        v_first = state_first == np.arange(E * T)
-        q_first = (_earliest(pair_keys, E * T * a_base[-1])
-                   == np.arange(n * E * T))
-        visits, v_weights = visits[v_first], v_weights[:, v_first]
-        pairs, q_weights = pairs[q_first], q_weights[q_first]
+        state_first = _earliest((states + plan.episode_col).ravel(), E * S,
+                                plan.positions)
+        v_mask = state_first == plan.positions
+        pair_keys = (plan.pair_col + state_first.reshape(E, T) * plan.a_col
+                     + actions)
+        q_mask = (_earliest(pair_keys.ravel(), plan.n_pair_keys,
+                            plan.pair_positions) == plan.pair_positions)
+        v_ret, q_ret = returns * v_mask, q_ret * q_mask
 
-    v_cnt = np.bincount(visits, minlength=R * S).astype(float)
-    v_sum = np.bincount((visits + R * S * np.arange(n)[:, None]).ravel(),
-                        weights=v_weights.ravel(),
+    v_cnt = np.bincount(visits, weights=v_mask, minlength=R * S)
+    v_sum = np.bincount((visits + plan.agent_rows).ravel(),
+                        weights=v_ret.ravel(),
                         minlength=n * R * S).reshape(n, R * S)
     visited_states = v_cnt > 0
-    v = np.zeros((n, R * S))
-    v[:, visited_states] = v_sum[:, visited_states] / v_cnt[visited_states]
+    v = np.divide(v_sum, v_cnt, out=np.zeros((n, R * S)),
+                  where=visited_states)
 
-    cnt = np.bincount(pairs, minlength=bin_base[-1]).astype(float)
-    qs = np.bincount(pairs, weights=q_weights, minlength=bin_base[-1])
+    cnt = np.bincount(pairs, weights=q_mask, minlength=plan.n_bins)
+    qs = np.bincount(pairs, weights=q_ret, minlength=plan.n_bins)
     mask = cnt > 0
-    qm = np.zeros(bin_base[-1])
-    qm[mask] = qs[mask] / cnt[mask]
-    # the entry of v that bin (i, r, s, a) subtracts: i*R*S + r*S + s
-    bin_agent = np.repeat(np.arange(n), R * S * a)
-    v_bin = ((np.arange(bin_base[-1]) - bin_base[bin_agent]) // a[bin_agent]
-             + R * S * bin_agent)
-    ad = np.zeros(bin_base[-1])
-    ad[mask] = qm[mask] - v.ravel()[v_bin[mask]]
+    qm = np.divide(qs, cnt, out=np.zeros(plan.n_bins), where=mask)
+    ad = np.subtract(qm, v.ravel().take(plan.v_bin),
+                     out=np.zeros(plan.n_bins), where=mask)
 
     def per_agent(x):
-        return tuple(x[lo:hi].reshape(R, S, a_i)
-                     for lo, hi, a_i in zip(bin_base, bin_base[1:], a))
+        return tuple(x[lo:hi].reshape(shape) for lo, hi, shape in plan.splits)
 
     # every episode visits its initial state with weight 1, so no row is 0
     fields = dict(v=v.reshape(n, R, S).transpose(1, 0, 2),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mpglearn as m
-from mpglearn import cli, dynamics
+from mpglearn import cli, dynamics, sampling
 
 from conftest import random_mdp, sparse_mdp
 
@@ -135,6 +135,36 @@ def test_exact_mode_evaluates_once_per_step(monkeypatch, coop, algorithm):
     assert len(set(lengths)) > 1
     assert len(rows) == max(lengths)
     assert rows == [sum(n > k for n in lengths) for k in range(max(lengths))]
+
+
+@pytest.mark.parametrize("algorithm", ["inpg", "ipg", "mwu"])
+def test_sampled_run_builds_one_plan_per_run_count(monkeypatch, algorithm):
+    # one _IndexPlan when the bank is made, and one more, for the runs
+    # left, each time some runs converge while others go on
+    mdp = sparse_mdp(4, (3, 2), 0.8, seed=8, max_width=2)
+    initial = initial_states(mdp, algorithm, "random")
+    probe = m.run(mdp, algo_cfg(algorithm, "sampled"), initial, seeds=SEEDS)
+    steps = np.concatenate([t.step_l1 for t in probe])
+    builds = []
+    plan = sampling._IndexPlan
+
+    def counting(mdp, horizon, batch, runs):
+        builds.append(runs)
+        return plan(mdp, horizon, batch, runs)
+
+    monkeypatch.setattr(sampling, "_IndexPlan", counting)
+    m.run(mdp, algo_cfg(algorithm, "sampled"), initial, seeds=SEEDS)
+    assert builds == [len(SEEDS)]
+    builds.clear()
+    cfg = algo_cfg(algorithm, "sampled", float(np.quantile(steps, 0.1)))
+    traces = m.run(mdp, cfg, initial, seeds=SEEDS)
+    stops = sorted({t.n_iterations for t in traces
+                    if t.status == "converged"})
+    # a run still steps after a stop when it stops later or never converges
+    left = [sum(t.n_iterations > k or t.status == "max_iters"
+                for t in traces) for k in stops]
+    assert len(stops) > 1
+    assert builds == [len(SEEDS)] + [r for r in left if r]
 
 
 @pytest.mark.parametrize("algorithm", ["inpg", "ipg", "mwu"])

@@ -1,6 +1,7 @@
 """Monte Carlo estimation: determinism, marginal correctness against exact
 one-step probabilities, and convergence toward exact values."""
 
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -648,6 +649,110 @@ class TestEstimatorOracle:
         for field in ("q_marginal", "adv_marginal", "visited_pairs"):
             for x, y in zip(getattr(got, field), want[field], strict=True):
                 assert as_bytes(x) == as_bytes(y)
+
+
+def stacked_policy(mdp, pols):
+    """The (R, S, A_i) tables of R single-run policies."""
+    return m.JointPolicy([np.stack([p.probs[i] for p in pols])
+                          for i in range(mdp.n_agents)], validate=False)
+
+
+def shipped_mdp(name):
+    return build_environment(load_config(CONFIGS / name).environment).mdp
+
+
+class TestShippedGamesOracle:
+    """`estimate_eval` against `reference_estimate` on the MDPs of the
+    shipped sampled configs at their own shape (R = 2, T = B = 20, banked):
+    distancing's 8 agents and 65,536 joint actions reach the digit table
+    and the flat reward view at a width the Hypothesis oracles, at most 3
+    agents and 4 states, never draw."""
+
+    @pytest.mark.parametrize("config", ["scg4.ini", "distancing.ini"])
+    def test_matches_reference(self, config):
+        mdp = shipped_mdp(config)
+        seeds = [0, 1]
+        policy = stacked_policy(
+            mdp, [random_policy(mdp, 111 + r) for r in range(len(seeds))])
+        assert all(p.min() > 0 for p in policy.probs)
+        cfg = m.SampleConfig(horizon=20, batch=20)
+        bank = sampling._StreamBank(mdp, cfg, seeds)
+        got = m.estimate_eval(mdp, policy, cfg, episode_offset=40,
+                              bank=bank, seeds=seeds)
+        want = reference_estimate(mdp, policy, cfg, 40, seeds)
+        for field in ("v", "visitation", "visited_states"):
+            assert as_bytes(getattr(got, field)) == as_bytes(want[field])
+        for field in ("q_marginal", "adv_marginal", "visited_pairs"):
+            for x, y in zip(getattr(got, field), want[field], strict=True):
+                assert as_bytes(x) == as_bytes(y)
+
+
+class TestRunAxis:
+    """Policy tables must carry the run axis of the seeds: tables of
+    another run count, or without a run axis, are rejected with both
+    shapes named instead of being estimated from the wrong rows."""
+
+    @pytest.mark.parametrize("runs", [3, 1, None], ids=["3", "1", "none"])
+    def test_mismatch_rejected(self, runs):
+        mdp = shipped_mdp("scg4.ini")
+        pols = [random_policy(mdp, 112 + r) for r in range(runs or 1)]
+        policy = pols[0] if runs is None else stacked_policy(mdp, pols)
+        shape = policy.probs[0].shape
+        cfg = m.SampleConfig(horizon=20, batch=20)
+        for bank in (None, sampling._StreamBank(mdp, cfg, [0, 1])):
+            with pytest.raises(ValueError, match=(
+                    rf"policy tables of shape {re.escape(str(shape))} need a "
+                    r"run axis of the seeds' shape \(2,\)")):
+                m.estimate_eval(mdp, policy, cfg, bank=bank, seeds=[0, 1])
+
+    def test_one_seed_needs_tables_without_run_axis(self):
+        mdp = shipped_mdp("scg4.ini")
+        policy = stacked_policy(mdp, [random_policy(mdp, 113)])
+        with pytest.raises(ValueError, match=r"seeds' shape \(\)"):
+            sampling._sample_batch(mdp, policy, 5, 0, 0, 3)
+
+
+class TestIndexPlan:
+    """A call without a bank builds one _IndexPlan; a banked call builds
+    none, and a bank used for another MDP or batch size is rejected."""
+
+    def test_builds(self, monkeypatch):
+        builds = []
+        plan = sampling._IndexPlan
+
+        def counting(mdp, horizon, batch, runs):
+            builds.append(runs)
+            return plan(mdp, horizon, batch, runs)
+
+        monkeypatch.setattr(sampling, "_IndexPlan", counting)
+        mdp = sparse_mdp(4, (3, 2), 0.9, seed=114, max_width=2)
+        seeds = [5, 6]
+        policy = stacked_policy(
+            mdp, [random_policy(mdp, 115 + r) for r in seeds])
+        cfg = m.SampleConfig(horizon=7, batch=4)
+        for k in range(3):
+            m.estimate_eval(mdp, policy, cfg, episode_offset=4 * k,
+                            seeds=seeds)
+        assert builds == [2, 2, 2]
+        bank = sampling._StreamBank(mdp, cfg, seeds)
+        for k in range(3):
+            m.estimate_eval(mdp, policy, cfg, episode_offset=4 * k,
+                            bank=bank, seeds=seeds)
+        assert builds == [2, 2, 2, 2]
+        bank.keep(np.array([False, True]))
+        assert builds == [2, 2, 2, 2, 1]
+
+    def test_bank_for_another_mdp_or_batch_rejected(self):
+        mdp = sparse_mdp(4, (3, 2), 0.9, seed=116, max_width=2)
+        twin = sparse_mdp(4, (3, 2), 0.9, seed=116, max_width=2)
+        pol = random_policy(mdp, 117)
+        cfg = m.SampleConfig(horizon=7, batch=4, seed=3)
+        bank = sampling._StreamBank(mdp, cfg)
+        with pytest.raises(ValueError, match="planned for batches of 4"):
+            m.estimate_eval(twin, pol, cfg, bank=bank)
+        with pytest.raises(ValueError, match=r"of 4 .*, batch needs 5"):
+            m.estimate_eval(mdp, pol, m.SampleConfig(7, 5, seed=3),
+                            bank=bank)
 
 
 class CountingNumpy:
