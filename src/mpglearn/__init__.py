@@ -4,8 +4,9 @@ from .core import (EvalReport, JointPolicy, Logits, MultiAgentMDP,
                    eval_report_violations, l1_accuracy, random_logits,
                    read_mdp, read_policy, softmax_policy, uniform_logits,
                    validate_mdp, write_mdp, write_policy)
-from .exact import (MismatchBound, evaluate, mismatch_bound, potential_value,
-                    q_and_advantage, visitation)
+from .exact import (MismatchBound, enumerated_mismatch, evaluate,
+                    mismatch_bound, potential_value, q_and_advantage,
+                    visitation)
 from .sampling import SampleConfig, estimate_eval, sample_episode
 from .dynamics import (ALGORITHMS, AlgoConfig, RunTrace, inpg_step, ipg_step,
                        max_step_size, mwu_step, run)

@@ -97,12 +97,6 @@ class MultiAgentMDP:
             self._digits = _frozen(joint_digits(self.n_actions), np.int64)
         return self._digits
 
-    def joint_index(self, actions):
-        return int(np.ravel_multi_index(tuple(actions), self.n_actions))
-
-    def split_joint(self, joint):
-        return tuple(int(x) for x in np.unravel_index(int(joint), self.n_actions))
-
     @property
     def chain_cells(self):
         """(rows, cells) of every transition entry in CSR order: its row

@@ -24,23 +24,21 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy import linalg
 
-from .core import EvalReport
+from .core import EvalReport, JointPolicy, joint_digits
 
 DENSE_SOLVE_MAX = 4096
 
 
 @dataclass(frozen=True)
 class MismatchBound:
-    """Bounds on the worst-case discounted-visitation ratio between policies.
+    """Bound on the worst-case discounted-visitation ratio between policies.
 
     upper is the analytic bound 1 / ((1-gamma) * min positive mu), valid when
-    every reachable state has positive initial mass; enumerated_lower comes
-    from exhausting deterministic policy pairs on small instances and is a
-    diagnostic only (no tightness claim).
+    every reachable state has positive initial mass, and None otherwise; note
+    then says which reachable states have none.  `enumerated_mismatch`
+    computes the ratio itself on tiny games.
     """
     upper: float | None
-    enumerated_lower: float | None
-    method: str
     note: str = ""
 
 
@@ -259,22 +257,6 @@ def reachable_states(mdp):
         seen = grown
 
 
-def _deterministic_policies(mdp):
-    """Yield every deterministic product policy as a JointPolicy."""
-    from itertools import product
-    from .core import JointPolicy
-    per_agent = []
-    for a in mdp.n_actions:
-        tables = []
-        for assignment in product(range(a), repeat=mdp.n_states):
-            t = np.zeros((mdp.n_states, a))
-            t[np.arange(mdp.n_states), assignment] = 1.0
-            tables.append(t)
-        per_agent.append(tables)
-    for combo in product(*per_agent):
-        yield JointPolicy(list(combo), validate=False)
-
-
 def deterministic_policy_count(mdp):
     count = 1
     for a in mdp.n_actions:
@@ -282,46 +264,48 @@ def deterministic_policy_count(mdp):
     return count
 
 
-def mismatch_bound(mdp, enumeration_budget=64, policy_budget=4096):
-    """Analytic upper bound and (for tiny MDPs) an enumerated lower bound on
-    the distribution mismatch coefficient.
+def mismatch_bound(mdp):
+    """Analytic upper bound on the distribution mismatch coefficient.
 
-    The upper bound uses d(s) >= (1-gamma)*mu(s) and d <= 1, hence requires
-    mu(s) > 0 on every reachable state.  Enumeration runs when the
-    state-action product fits `enumeration_budget` and the deterministic
-    policy count fits `policy_budget`.
+    The bound 1 / ((1-gamma) * min positive mu) uses d(s) >= (1-gamma)*mu(s)
+    and d <= 1, hence requires mu(s) > 0 on every reachable state; when some
+    reachable state has no initial mass, `upper` is None and `note` names
+    such states.  No policy is evaluated.
     """
     reach = reachable_states(mdp)
     positive = mdp.mu > 0
-    upper = None
-    note = ""
     if np.all(positive[reach]):
-        upper = 1.0 / ((1.0 - mdp.gamma) * mdp.mu[positive].min())
-        method = "analytic"
-    else:
-        bad = [int(s) for s in reach if not positive[s]][:5]
-        note = (f"states {bad} are reachable but have mu = 0; the visitation "
-                f"ratio may be unbounded, supply a bound manually")
-        method = "unavailable"
+        return MismatchBound(
+            upper=1.0 / ((1.0 - mdp.gamma) * mdp.mu[positive].min()))
+    bad = [int(s) for s in reach if not positive[s]][:5]
+    return MismatchBound(
+        upper=None,
+        note=(f"states {bad} are reachable but have mu = 0; the visitation "
+              f"ratio may be unbounded, supply a bound manually"))
 
-    lower = None
-    if (mdp.n_states * mdp.n_joint <= enumeration_budget
-            and deterministic_policy_count(mdp) <= policy_budget):
-        dists = [visitation(mdp, pi) for pi in _deterministic_policies(mdp)]
-        lower = 0.0
-        for da in dists:
-            for db in dists:
-                pos = da > 0
-                if np.any(pos & (db <= 0)):
-                    lower = np.inf
-                    break
-                ratio = np.max(da[pos] / db[pos]) if pos.any() else 1.0
-                lower = max(lower, float(ratio))
-            if lower == np.inf:
-                break
-        if upper is not None:
-            method = "analytic+enumeration"
-        else:
-            method = "enumeration"
-    return MismatchBound(upper=upper, enumerated_lower=lower, method=method,
-                         note=note)
+
+def enumerated_mismatch(mdp):
+    """max over deterministic product policies a, b and states s of
+    d_a(s) / d_b(s), the visitation ratio that `mismatch_bound` bounds.
+
+    Every policy is decoded from one mixed-radix table (agent 0's action at
+    state 0 most significant) and all are evaluated in one stacked
+    `evaluate`.  The result is inf when one policy visits a state that
+    another never does; states that no policy visits are skipped.  Only for
+    tiny games: more than 4096 policies raise a ValueError.
+    """
+    count = deterministic_policy_count(mdp)
+    if count > 4096:
+        raise ValueError(f"{count} deterministic policies, more than the "
+                         f"4096 that enumeration allows")
+    S = mdp.n_states
+    digits = joint_digits([a for a in mdp.n_actions for _ in range(S)])
+    probs = [np.eye(a)[digits[:, i * S:(i + 1) * S]]
+             for i, a in enumerate(mdp.n_actions)]
+    d = evaluate(mdp, JointPolicy(probs, validate=False),
+                 agents=[]).visitation
+    visited = d > 0
+    if np.any(visited.any(axis=0) & ~visited.all(axis=0)):
+        return np.inf
+    d = d[:, visited[0]]
+    return float(np.max(d.max(axis=0) / d.min(axis=0)))

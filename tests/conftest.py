@@ -99,6 +99,40 @@ def truncated_visitation(mdp, policy, horizon=2000):
     return (1.0 - mdp.gamma) * d
 
 
+def deterministic_policies(mdp):
+    """Yield every deterministic product policy as a JointPolicy."""
+    from itertools import product
+    per_agent = []
+    for a in mdp.n_actions:
+        tables = []
+        for assignment in product(range(a), repeat=mdp.n_states):
+            t = np.zeros((mdp.n_states, a))
+            t[np.arange(mdp.n_states), assignment] = 1.0
+            tables.append(t)
+        per_agent.append(tables)
+    for combo in product(*per_agent):
+        yield m.JointPolicy(list(combo), validate=False)
+
+
+def pairwise_mismatch(mdp):
+    """Largest visitation ratio over every ordered pair of deterministic
+    policies, one `visitation` per policy and a Python loop over the pairs:
+    the reference for `enumerated_mismatch`."""
+    dists = [m.visitation(mdp, pi) for pi in deterministic_policies(mdp)]
+    lower = 0.0
+    for da in dists:
+        for db in dists:
+            pos = da > 0
+            if np.any(pos & (db <= 0)):
+                lower = np.inf
+                break
+            ratio = np.max(da[pos] / db[pos]) if pos.any() else 1.0
+            lower = max(lower, float(ratio))
+        if lower == np.inf:
+            break
+    return lower
+
+
 def pure_profiles(mdp):
     """All deterministic single-state-game profiles (for 1-state MDPs)."""
     from itertools import product

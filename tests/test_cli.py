@@ -316,6 +316,13 @@ class TestShippedConfigs:
             assert cfg.algo.convergence_threshold == pytest.approx(1e-15)
             assert cfg.runs == 10
 
+    @pytest.mark.parametrize("name", ["scg4.ini", "distancing.ini",
+                                      "scg8.ini"])
+    def test_shipped_configs_verify(self, name):
+        root = Path(__file__).resolve().parent.parent / "configs"
+        report = cmd_verify(root / name)
+        assert report.passed, report.text()
+
     def test_shipped_dags_parse(self):
         root = Path(__file__).resolve().parent.parent / "configs" / "dags"
         for name in ("routing6.dag", "routing6_steep.dag"):

@@ -84,14 +84,17 @@ class TestValidateMdp:
 class TestJointActionEncoding:
     def test_agent_zero_is_most_significant(self):
         mdp = random_mdp(2, (2, 3), 0.9, seed=1)
-        assert mdp.joint_index((1, 0)) == 3
-        assert mdp.joint_index((0, 2)) == 2
-        assert mdp.split_joint(5) == (1, 2)
+        assert tuple(mdp.digits[3]) == (1, 0)
+        assert tuple(mdp.digits[2]) == (0, 2)
+        assert tuple(mdp.digits[5]) == (1, 2)
 
     def test_digits_table_round_trip(self):
+        # row j holds (a_0, a_1, a_2) with j = a_0*|A_1|*|A_2| + a_1*|A_2| + a_2
         mdp = random_mdp(2, (2, 3, 2), 0.9, seed=2)
-        for j in range(mdp.n_joint):
-            assert mdp.joint_index(mdp.digits[j]) == j
+        a0, a1, a2 = mdp.digits.T
+        assert np.array_equal(a0 * 3 * 2 + a1 * 2 + a2, np.arange(12))
+        assert np.array_equal(
+            np.ravel_multi_index(mdp.digits.T, mdp.n_actions), np.arange(12))
 
 
 class TestAbsorbing:

@@ -164,8 +164,8 @@ class TestBuildScg:
             s_swapped = label_to_idx[(lab[1], lab[0])]
             for a0 in range(2):
                 for a1 in range(2):
-                    j = mdp.joint_index((a0, a1))
-                    j_swapped = mdp.joint_index((a1, a0))
+                    j = np.ravel_multi_index((a0, a1), mdp.n_actions)
+                    j_swapped = np.ravel_multi_index((a1, a0), mdp.n_actions)
                     assert mdp.rewards[0, s, j] == pytest.approx(
                         mdp.rewards[1, s_swapped, j_swapped], abs=1e-15)
 
@@ -223,8 +223,9 @@ class TestBuildDistancing:
                                     gamma=0.9)
         env = m.build_distancing(params)
         mdp = env.mdp
-        crowd = mdp.joint_index((0, 0, 0))      # count 3 > 2: spread
-        spread_out = mdp.joint_index((0, 1, 0))  # counts (2, 1): no return
+        # counts 3 > 2: spread; counts (2, 1): no return
+        crowd = np.ravel_multi_index((0, 0, 0), mdp.n_actions)
+        spread_out = np.ravel_multi_index((0, 1, 0), mdp.n_actions)
         assert mdp.transitions[0 * mdp.n_joint + crowd].indices[0] == 1
         assert mdp.transitions[1 * mdp.n_joint + crowd].indices[0] == 1
         assert mdp.transitions[1 * mdp.n_joint + spread_out].indices[0] == 1

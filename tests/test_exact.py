@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
@@ -13,8 +13,9 @@ import mpglearn as m
 from mpglearn import exact
 from mpglearn.exact import joint_policy_table
 
-from conftest import (chain_of, random_mdp, random_policy, sparse_mdp,
-                      truncated_values, truncated_visitation)
+from conftest import (chain_of, pairwise_mismatch, random_mdp,
+                      random_policy, sparse_mdp, truncated_values,
+                      truncated_visitation)
 
 
 def others_product(mdp, policy, agent):
@@ -604,12 +605,11 @@ class TestMismatchBound:
                               0.99, np.ones(1))
         b = m.mismatch_bound(mdp)
         assert abs(b.upper - 100.0) < 1e-12
-        assert abs(b.enumerated_lower - 1.0) < 1e-12
+        assert abs(m.enumerated_mismatch(mdp) - 1.0) < 1e-12
 
     def test_gamma_zero_all_policies_share_mu(self):
         mdp = random_mdp(2, (2,), 0.0, seed=49)
-        b = m.mismatch_bound(mdp)
-        assert abs(b.enumerated_lower - 1.0) < 1e-12
+        assert abs(m.enumerated_mismatch(mdp) - 1.0) < 1e-12
 
     def test_two_state_enumeration_below_upper(self):
         rng = np.random.Generator(np.random.Philox(key=np.uint64(50)))
@@ -618,10 +618,10 @@ class TestMismatchBound:
         mdp = m.MultiAgentMDP((2,), rewards, P, 0.9, np.array([0.5, 0.5]))
         b = m.mismatch_bound(mdp)
         assert b.upper == pytest.approx(1.0 / (0.1 * 0.5))
-        assert b.enumerated_lower is not None
-        assert b.enumerated_lower <= b.upper + 1e-12
+        ratio = m.enumerated_mismatch(mdp)
+        assert ratio <= b.upper + 1e-12
         # the enumerated value is a genuine visitation ratio
-        assert b.enumerated_lower >= 1.0
+        assert ratio >= 1.0
 
     def test_unavailable_when_reachable_state_has_zero_mass(self):
         P = np.zeros((2, 1, 2))
@@ -632,6 +632,53 @@ class TestMismatchBound:
         b = m.mismatch_bound(mdp)
         assert b.upper is None
         assert "mu = 0" in b.note
+
+    def test_analytic_bound_evaluates_no_policy(self, monkeypatch):
+        games = [
+            m.build_scg(m.parallel_dag([1.0, 0.5]), n_agents=2, gamma=0.9),
+            m.build_scg(m.parallel_dag([1.0, 1.0]), n_agents=2, gamma=0.0,
+                        mu="uniform", reachable_only=True),
+            m.build_scg(m.layered_dag([2]), n_agents=2, gamma=0.5,
+                        mu="uniform", reachable_only=True),
+            m.build_distancing(m.DistancingParams(
+                n_agents=3, n_facilities=2, weights=(0.1, 0.25), penalty=0.4,
+                spread_trigger=2, return_trigger=1, gamma=0.9), mu="uniform"),
+            m.build_cooperative(2, 3, 2, gamma=0.9, seed=106),
+        ]
+
+        def no_evaluate(*args, **kwargs):
+            raise AssertionError("mismatch_bound evaluated a policy")
+
+        monkeypatch.setattr(exact, "evaluate", no_evaluate)
+        bounds = [m.mismatch_bound(env.mdp) for env in games]
+        assert bounds[0].upper is None
+        assert all(b.upper is not None for b in bounds[1:])
+
+    def test_enumeration_refuses_more_than_4096_policies(self):
+        mdp = random_mdp(13, (2,), 0.9, seed=51)
+        with pytest.raises(ValueError, match="8192 deterministic policies"):
+            m.enumerated_mismatch(mdp)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_actions=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+           n_states=st.integers(1, 3), width=st.integers(1, 3),
+           gamma=st.sampled_from([0.0, 0.5, 0.9]), point_mass=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_enumeration_matches_pairwise_loop(self, n_actions, n_states,
+                                               width, gamma, point_mass,
+                                               seed):
+        mdp = sparse_mdp(n_states, tuple(n_actions), gamma, seed,
+                         max_width=min(width, n_states))
+        assume(exact.deterministic_policy_count(mdp) <= 256)
+        if point_mass:
+            mdp = m.MultiAgentMDP(mdp.n_actions, mdp.rewards,
+                                  mdp.transitions, gamma,
+                                  np.eye(n_states)[0])
+        ratio = m.enumerated_mismatch(mdp)
+        assert ratio == pairwise_mismatch(mdp)
+        upper = m.mismatch_bound(mdp).upper
+        if upper is not None:
+            assert ratio <= upper * (1 + 1e-12)
 
 
 class TestGradientIdentityCooperative:

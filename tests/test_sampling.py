@@ -400,7 +400,7 @@ def csr_loop_sample_batch(mdp, policy, horizon, seed, episode_offset,
         rows = cum_all[:, s, :]
         target = agent_u[t].T * rows[:, :, -1]
         actions[t] = (rows <= target[:, :, None]).sum(axis=2).T
-        joint = np.array([mdp.joint_index(a) for a in actions[t]])
+        joint = np.ravel_multi_index(actions[t].T, mdp.n_actions)
         rewards[t] = mdp.rewards[:, s, joint].T
         nxt = np.empty(B, dtype=np.int64)
         for b in range(B):

@@ -31,7 +31,8 @@ class TestBestResponse:
         col1[0, 1] = 1.0
         pol = m.JointPolicy([np.full((1, 2), 0.5), col1])
         act, v_br = m.best_response(mdp, pol, agent=0)
-        r_row = [rewards[0, 0, mdp.joint_index((a, 1))] for a in range(2)]
+        r_row = [rewards[0, 0, np.ravel_multi_index((a, 1), mdp.n_actions)]
+                 for a in range(2)]
         assert act[0] == int(np.argmax(r_row))
         assert abs(v_br[0] - max(r_row) / 0.5) < 1e-10
 
@@ -282,6 +283,22 @@ class TestVerifyEnvironment:
             base_profile_sampler=parallel2.base_profile_sampler)
         report = m.verify_environment(broken, seed=0, potential_trials=30,
                                       gradient_points=1, smoothness_pairs=5)
+        assert not report.passed
+
+    def test_scaled_potential_gradient_fails(self, monkeypatch):
+        # a closed-form gradient off by one part in a million must fail the
+        # exact directional-derivative check
+        from pathlib import Path
+        from mpglearn import verify
+        from mpglearn.cli import build_environment, load_config
+        cfg = Path(__file__).resolve().parent.parent / "configs" / "scg4.ini"
+        env = build_environment(load_config(cfg).environment)
+        closed = verify.potential_gradients
+        monkeypatch.setattr(verify, "potential_gradients", lambda *a, **k: [
+            g * (1 + 1e-6) for g in closed(*a, **k)])
+        report = m.verify_environment(env, seed=0, potential_trials=5)
+        line = next(x for x in report.lines if x.startswith("gradient"))
+        assert line.endswith("[FAIL]")
         assert not report.passed
 
     def test_no_potential_skips_that_check(self):
