@@ -13,7 +13,6 @@ which matches numpy's C-order ravel_multi_index.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 PROB_TOL = 1e-12
 
@@ -31,17 +30,84 @@ def joint_digits(n_actions):
     return np.stack(np.unravel_index(joints, n_actions), axis=1)
 
 
+def _csr_arrays(transitions, n_states, n_joint):
+    """(data, indices, indptr) of a transition table in any of the forms
+    MultiAgentMDP accepts.  A CSR triple must already be canonical; a
+    ValueError names the first row (state, joint action) that is not."""
+    n_rows = n_states * n_joint
+    if isinstance(transitions, np.ndarray):
+        if transitions.shape != (n_states, n_joint, n_states):
+            raise ValueError(f"transition tensor shape {transitions.shape}")
+        dense = transitions.reshape(n_rows, n_states).astype(float,
+                                                            copy=False)
+        rows, indices = np.nonzero(dense)
+        indptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+        return dense[rows, indices], indices, indptr
+    if not isinstance(transitions, tuple):
+        import scipy.sparse as sp   # a sparse matrix: its maker loaded scipy
+        P = sp.csr_matrix(transitions, dtype=float)
+        if P.shape != (n_rows, n_states):
+            raise ValueError(f"transition matrix shape {P.shape}")
+        if not P.has_canonical_format:
+            P = P.copy()                # the caller's matrix stays as it is
+            P.sum_duplicates()
+        return P.data, P.indices, P.indptr
+    data, indices, indptr = (np.asarray(x) for x in transitions)
+    if indices.dtype.kind not in "iu" or indptr.dtype.kind not in "iu":
+        raise ValueError("transition indices and indptr must be integers")
+    if len(indptr) != n_rows + 1:
+        if len(indptr) <= n_rows:
+            where, row = "ends before", max(len(indptr) - 1, 0)
+        else:
+            where, row = "runs past", n_rows - 1
+        s, a = divmod(row, n_joint)
+        raise ValueError(f"transition indptr has length {len(indptr)}, not "
+                         f"n_states * n_joint + 1 = {n_rows + 1}: it {where} "
+                         f"row (state {s}, joint action {a})")
+    lengths = np.diff(indptr)
+    if indptr[0] != 0 or lengths.min(initial=0) < 0:
+        r = 0 if indptr[0] != 0 else int(np.argmin(lengths))
+        s, a = divmod(r, n_joint)
+        raise ValueError(f"transition row (state {s}, joint action {a}): "
+                         f"indptr must start at 0 and never decrease")
+    if not len(data) == len(indices) == indptr[-1]:
+        raise ValueError(f"transition data and indices have {len(data)} "
+                         f"and {len(indices)} entries, indptr {indptr[-1]}")
+    rows = np.repeat(np.arange(n_rows), lengths)
+    out = (indices < 0) | (indices >= n_states)
+    unsorted = np.append(False, (rows[1:] == rows[:-1])
+                         & (indices[1:] <= indices[:-1]))
+    for bad, what in ((out, f"outside [0, {n_states})"),
+                      (unsorted, "not above the column before it (columns "
+                                 "must be sorted, without duplicates)")):
+        if bad.any():
+            k = int(np.argmax(bad))
+            s, a = divmod(int(rows[k]), n_joint)
+            raise ValueError(f"transition row (state {s}, joint action {a}):"
+                             f" next state index {int(indices[k])} {what}")
+    return data, indices, indptr
+
+
 class MultiAgentMDP:
     """A finite n-agent MDP with joint-action reward and transition tables.
 
     rewards      float array (n_agents, n_states, n_joint), entries in [0, 1]
-    transitions  CSR matrix (n_states * n_joint, n_states); row s*n_joint + a
-                 holds the distribution over successor states of (s, a).  A
-                 dense (S, A, S) array is also accepted.  It is kept in
-                 canonical form (sorted columns, no duplicates), as a copy
-                 when the given matrix is not.
+    transitions  the distribution over successor states of every (s, a), in
+                 row s*n_joint + a of an (n_states * n_joint, n_states)
+                 table, given in one of three forms: a dense (S, A, S)
+                 array; a scipy sparse matrix, canonicalized (sorted
+                 columns, no duplicates) on a copy when it is not; or a
+                 canonical CSR triple (data, indices, indptr), whose
+                 indptr, column range and column order are checked.
     gamma        discount factor in [0, 1)
     mu           initial state distribution, length n_states
+
+    The table is kept as its canonical CSR arrays, `csr` = (data, indices,
+    indptr), and every derived table reads them; the dense form keeps its
+    nonzero entries in row-major order, as scipy would.  `transitions`, the
+    scipy CSR matrix over the same arrays, is built (and scipy imported) on
+    its first read.
 
     Episodic problems are modeled with an absorbing zero-reward terminal
     state; rewards outside [0, 1] are rejected rather than clamped.  The
@@ -65,18 +131,14 @@ class MultiAgentMDP:
             raise ValueError(
                 f"rewards shape {self.rewards.shape} != "
                 f"{(self.n_agents, self.n_states, self.n_joint)}")
-        if isinstance(transitions, np.ndarray):
-            if transitions.shape != (self.n_states, self.n_joint, self.n_states):
-                raise ValueError(f"transition tensor shape {transitions.shape}")
-            transitions = transitions.reshape(self.n_states * self.n_joint,
-                                              self.n_states)
-        P = sp.csr_matrix(transitions, dtype=float)
-        if P.shape != (self.n_states * self.n_joint, self.n_states):
-            raise ValueError(f"transition matrix shape {P.shape}")
-        if not P.has_canonical_format:
-            P = P.copy()                # the caller's matrix stays as it is
-            P.sum_duplicates()
-        self.transitions = P
+        data, indices, indptr = _csr_arrays(transitions, self.n_states,
+                                            self.n_joint)
+        # scipy's index dtype, so that `transitions` shares the arrays
+        index = (np.int32 if max(len(indptr), len(data)) < 2 ** 31
+                 else np.int64)
+        self.csr = (_frozen(data), _frozen(indices, index),
+                    _frozen(indptr, index))
+        self._transitions = None
         self.state_labels = tuple(state_labels) if state_labels is not None else None
         if self.state_labels is not None and len(self.state_labels) != self.n_states:
             raise ValueError("state_labels length mismatch")
@@ -91,6 +153,18 @@ class MultiAgentMDP:
                 raise ValueError("invalid MDP:\n" + "\n".join(problems))
 
     @property
+    def transitions(self):
+        """The transition table as a canonical scipy CSR matrix over the
+        `csr` arrays; scipy is imported on the first read."""
+        if self._transitions is None:
+            import scipy.sparse as sp
+            P = sp.csr_matrix(self.csr, copy=False, shape=(
+                self.n_states * self.n_joint, self.n_states))
+            P.has_canonical_format = True
+            self._transitions = P
+        return self._transitions
+
+    @property
     def digits(self):
         """(n_joint, n_agents) table decoding each joint index into per-agent actions."""
         if self._digits is None:
@@ -102,10 +176,10 @@ class MultiAgentMDP:
         """(rows, cells) of every transition entry in CSR order: its row
         s*n_joint + a, and the (s, s') chain cell s*n_states + s' it feeds."""
         if self._chain_cells is None:
-            P = self.transitions
-            rows = np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))
+            _, indices, indptr = self.csr
+            rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
             self._chain_cells = (_frozen(rows, np.int64), _frozen(
-                rows // self.n_joint * self.n_states + P.indices, np.int64))
+                rows // self.n_joint * self.n_states + indices, np.int64))
         return self._chain_cells
 
     @property
@@ -117,7 +191,7 @@ class MultiAgentMDP:
         if self._upper_triangular is None:
             rows, _ = self.chain_cells
             self._upper_triangular = bool(
-                np.all(self.transitions.indices >= rows // self.n_joint))
+                np.all(self.csr[1] >= rows // self.n_joint))
         return self._upper_triangular
 
     @property
@@ -131,7 +205,7 @@ class MultiAgentMDP:
             rows, _ = self.chain_cells
             source = rows // self.n_joint
             absorbing = np.ones(self.n_states, dtype=bool)
-            absorbing[source[self.transitions.indices != source]] = False
+            absorbing[source[self.csr[1] != source]] = False
             self._absorbing = _frozen(absorbing, bool)
         return self._absorbing
 
@@ -145,21 +219,21 @@ class MultiAgentMDP:
         entry, padded with inf.  cdf and total are None when W == 1.  A row
         with no entries has nothing to draw, and raises a ValueError."""
         if self._successors is None:
-            P = self.transitions
-            lengths = np.diff(P.indptr)
+            data, indices, indptr = self.csr
+            lengths = np.diff(indptr)
             if lengths.size and lengths.min() == 0:
                 s, a = divmod(int(np.argmin(lengths)), self.n_joint)
                 raise ValueError(f"transition row (state {s}, joint action "
                                  f"{a}) has no entries to sample from")
             width = int(lengths.max(initial=1))
-            rows = np.repeat(np.arange(P.shape[0]), lengths)
-            pos = np.arange(P.nnz) - P.indptr[rows]
-            succ = np.zeros((P.shape[0], width), dtype=np.int64)
-            succ[rows, pos] = P.indices
+            rows, _ = self.chain_cells
+            pos = np.arange(len(indices)) - indptr[rows]
+            succ = np.zeros((len(lengths), width), dtype=np.int64)
+            succ[rows, pos] = indices
             cdf = total = None
             if width > 1:
                 run = np.zeros(succ.shape)
-                run[rows, pos] = P.data
+                run[rows, pos] = data
                 np.cumsum(run, axis=1, out=run)
                 total = _frozen(run[:, -1])
                 run[np.arange(width) >= lengths[:, None] - 1] = np.inf
@@ -185,14 +259,15 @@ def validate_mdp(mdp):
     problems = []
     if not (0.0 <= mdp.gamma < 1.0):
         problems.append(f"gamma = {mdp.gamma} is not in [0, 1)")
-    P = mdp.transitions
-    if P.nnz and P.data.min() < 0:
-        k = int(np.argmin(P.data))
-        s, a = divmod(int(mdp.chain_cells[0][k]), mdp.n_joint)
+    data, _, indptr = mdp.csr
+    rows, _ = mdp.chain_cells
+    if data.size and data.min() < 0:
+        k = int(np.argmin(data))
+        s, a = divmod(int(rows[k]), mdp.n_joint)
         problems.append(f"negative transition probability "
-                        f"{float(P.data[k])!r} at (state {s}, joint action "
+                        f"{float(data[k])!r} at (state {s}, joint action "
                         f"{a})")
-    row_sums = np.asarray(P.sum(axis=1)).ravel()
+    row_sums = np.bincount(rows, weights=data, minlength=len(indptr) - 1)
     bad = np.flatnonzero(np.abs(row_sums - 1.0) > PROB_TOL)
     for row in bad[:20]:
         s, a = divmod(int(row), mdp.n_joint)
@@ -399,10 +474,11 @@ def write_mdp(mdp, path):
     for i, s, a in zip(*np.nonzero(r)):
         lines.append(f"{i} {s} {a} {float(r[i, s, a])!r}")
     lines.append("[transitions]")
-    P = mdp.transitions.tocoo()     # canonical CSR: row-major, sorted columns
-    for k in range(P.nnz):
-        s, a = divmod(int(P.row[k]), mdp.n_joint)
-        lines.append(f"{s} {a} {int(P.col[k])} {float(P.data[k])!r}")
+    data, indices, _ = mdp.csr      # canonical: row-major, sorted columns
+    for row, col, p in zip(mdp.chain_cells[0].tolist(), indices.tolist(),
+                           data.tolist()):
+        s, a = divmod(row, mdp.n_joint)
+        lines.append(f"{s} {a} {col} {p!r}")
     lines.append("[gamma]")
     lines.append(repr(mdp.gamma))
     lines.append("[mu]")
@@ -507,6 +583,7 @@ def read_mdp(path, validate=True):
     rows = [s * n_joint + a for _, (s, a, _), _ in entries["transitions"]]
     cols = [sp_ for _, (_, _, sp_), _ in entries["transitions"]]
     vals = [v for _, _, v in entries["transitions"]]
+    import scipy.sparse as sp       # sums duplicate entries, sorts columns
     transitions = sp.csr_matrix((vals, (rows, cols)),
                                 shape=(n_states * n_joint, n_states))
     mu = np.zeros(n_states)

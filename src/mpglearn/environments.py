@@ -26,7 +26,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import JointPolicy, MultiAgentMDP, _frozen, joint_digits
 
@@ -374,8 +373,7 @@ def build_scg(spec, n_agents=None, gamma=0.99, reachable_only=False,
                 continue
             E = act_edge[verts[None, :].repeat(n_joint, axis=0), digits]
             nxt = np.where(E >= 0, edge_to[E], verts[None, :])
-            next_codes = nxt @ radix
-            for c in sorted(set(int(x) for x in next_codes)):
+            for c in np.unique(nxt @ radix).tolist():
                 if c not in code_index:
                     if len(codes) + 1 > state_budget:
                         raise ValueError(f"state budget {state_budget} exceeded")
@@ -385,6 +383,8 @@ def build_scg(spec, n_agents=None, gamma=0.99, reachable_only=False,
                                             dtype=np.int64))
                     queue.append(code_index[c])
         n_configs = len(codes)
+        by_code = np.argsort(codes)             # discovered codes, sorted
+        sorted_codes = np.array(codes)[by_code]
     else:
         n_configs = V ** n
         if n_configs + 1 > state_budget:
@@ -423,7 +423,7 @@ def build_scg(spec, n_agents=None, gamma=0.99, reachable_only=False,
         nxt = np.where(E >= 0, edge_to[E], verts[None, :])
         next_codes = nxt @ radix
         if reachable_only:
-            next_idx[s] = [code_index[int(c)] for c in next_codes]
+            next_idx[s] = by_code[np.searchsorted(sorted_codes, next_codes)]
         else:
             next_idx[s] = next_codes
 
@@ -431,10 +431,8 @@ def build_scg(spec, n_agents=None, gamma=0.99, reachable_only=False,
         labels.append("terminal")
         next_idx[terminal, :] = terminal
 
-    data = np.ones(S * n_joint)
-    transitions = sp.csr_matrix(
-        (data, next_idx.ravel(), np.arange(0, S * n_joint + 1)),
-        shape=(S * n_joint, S))
+    transitions = (np.ones(S * n_joint), next_idx.ravel(),
+                   np.arange(S * n_joint + 1))
 
     mu_vec = np.zeros(S)
     start_idx = code_index[config_code(start)] if reachable_only \
@@ -558,9 +556,8 @@ def build_distancing(params, mu="safe"):
     from_safe = np.where(max_count > params.spread_trigger, SPREAD, SAFE)
     from_spread = np.where(max_count <= params.return_trigger, SAFE, SPREAD)
     next_idx = np.stack([from_safe, from_spread])     # (2, n_joint)
-    transitions = sp.csr_matrix(
-        (np.ones(2 * n_joint), next_idx.ravel(), np.arange(0, 2 * n_joint + 1)),
-        shape=(2 * n_joint, 2))
+    transitions = (np.ones(2 * n_joint), next_idx.ravel(),
+                   np.arange(2 * n_joint + 1))
 
     if mu == "safe":
         mu_vec = np.array([1.0, 0.0])

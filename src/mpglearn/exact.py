@@ -14,15 +14,17 @@ report, bit for bit.  The solver takes one of three paths (`_Solver`):
 splu beyond DENSE_SOLVE_MAX states; a triangular solve on the chain itself
 when the MDP is upper triangular (every transition leads to a state index
 >= its source, as in the acyclic routing games); and a dense
-partial-pivoting LU for every other chain.
+partial-pivoting LU for every other chain.  At gamma = 0 the chain is the
+identity: no chain is built, no solver made, and the values are the
+one-step rewards.
+
+scipy is imported by the first solver, not with this module: the sampled
+path and the step-size guard read only the MDP's CSR arrays.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy import linalg
 
 from .core import EvalReport, JointPolicy, joint_digits
 
@@ -89,7 +91,7 @@ def _chain_matrix(mdp, jt):
     lead = jt.shape[:-2]
     jt = jt.reshape(-1, S * mdp.n_joint)
     R = len(jt)
-    weights = jt[:, rows] * mdp.transitions.data
+    weights = jt[:, rows] * mdp.csr[0]
     cells = cells + S * S * np.arange(R)[:, None]
     return np.bincount(cells.ravel(), weights=weights.ravel(),
                        minlength=R * S * S).reshape(lead + (S, S))
@@ -108,12 +110,16 @@ class _Solver:
     """
 
     def __init__(self, mdp, p_pi):
+        from scipy import linalg
         self.gamma = mdp.gamma
+        self._linalg = linalg
         S = mdp.n_states
         self._lu = self._sparse = self._upper = None
         if self.gamma == 0.0:
             return
         if S > DENSE_SOLVE_MAX:
+            import scipy.sparse as sp
+            import scipy.sparse.linalg as spla
             A = sp.identity(S, format="csc") - self.gamma * sp.csc_matrix(p_pi)
             self._sparse = spla.splu(A)
             return
@@ -130,22 +136,33 @@ class _Solver:
         if self.gamma == 0.0:
             return np.array(b)
         if self._upper is not None:
-            return linalg.solve_triangular(self._upper, b,
-                                           trans=int(transposed),
-                                           check_finite=False)
+            return self._linalg.solve_triangular(
+                self._upper, b, trans=int(transposed), check_finite=False)
         if self._lu is not None:
-            return linalg.lu_solve(self._lu, b, trans=int(transposed),
-                                   check_finite=False)
+            return self._linalg.lu_solve(self._lu, b, trans=int(transposed),
+                                         check_finite=False)
         return self._sparse.solve(b, trans="T" if transposed else "N")
+
+
+def __getattr__(name):
+    # scipy.linalg loads with the first solver; `exact.linalg` still names it
+    if name == "linalg":
+        from scipy import linalg
+        return linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _backup(mdp, sol, column, stage):
     """(R, S, n_joint) Q table stage + gamma * P V of one solved column,
     V = sol[r, :, column]: one CSR product over the R runs' columns."""
     R, S, _ = sol.shape
-    q = np.ascontiguousarray((mdp.transitions @ sol[:, :, column].T).T)
-    q = q.reshape(R, S, -1)
-    q *= mdp.gamma
+    if mdp.gamma == 0.0:
+        # gamma * P V is zero: q is the stage table on every run
+        q = np.zeros((R,) + stage.shape)
+    else:
+        q = np.ascontiguousarray((mdp.transitions @ sol[:, :, column].T).T)
+        q = q.reshape(R, S, -1)
+        q *= mdp.gamma
     q += stage
     return q
 
@@ -177,11 +194,14 @@ def evaluate(target, policy, want_q=False, agents=None,
     jt = jt.reshape(-1, S, A)
     R = len(jt)
     probs = [p.reshape(R, S, -1) for p in policy.probs]
-    # at gamma = 0 the solver reads no chain, so none is built
-    chains = [None] * R if mdp.gamma == 0.0 else _chain_matrix(mdp, jt)
-    solvers = [_Solver(mdp, chain) for chain in chains]
-    d = np.array([solver.solve((1.0 - mdp.gamma) * mdp.mu, transposed=True)
-                  for solver in solvers])
+    if mdp.gamma == 0.0:
+        # I - gamma * P_pi is the identity: no chain, solver or solve
+        solvers = None
+        d = np.tile(mdp.mu, (R, 1))
+    else:
+        solvers = [_Solver(mdp, chain) for chain in _chain_matrix(mdp, jt)]
+        d = np.array([solver.solve((1.0 - mdp.gamma) * mdp.mu,
+                                   transposed=True) for solver in solvers])
 
     with_potential = env is not None and env.stage_potential is not None
     rhs_cols = [np.einsum("sa,rsa->rs", mdp.rewards[i], jt) for i in active]
@@ -194,8 +214,9 @@ def evaluate(target, policy, want_q=False, agents=None,
     potential = potential_mu = adv_potential = None
     if rhs_cols:
         rhs = np.stack(rhs_cols, axis=-1)
-        sols = [solver.solve(b) for solver, b in zip(solvers, rhs)]
-        sol = np.array(sols)
+        sols = rhs if solvers is None else [
+            solver.solve(b) for solver, b in zip(solvers, rhs)]
+        sol = np.asarray(sols)
         for k, i in enumerate(active):
             v[:, i] = sol[:, :, k]
             q_i = _backup(mdp, sol, k, mdp.rewards[i])
@@ -246,12 +267,12 @@ def potential_value(env, policy):
 
 def reachable_states(mdp):
     """States reachable from the support of mu under some action sequence."""
-    P = mdp.transitions
-    src = np.repeat(np.arange(mdp.n_states), np.diff(P.indptr[::mdp.n_joint]))
+    _, indices, indptr = mdp.csr
+    src = np.repeat(np.arange(mdp.n_states), np.diff(indptr[::mdp.n_joint]))
     seen = mdp.mu > 0
     while True:
         grown = seen.copy()
-        grown[P.indices[seen[src]]] = True
+        grown[indices[seen[src]]] = True
         if np.array_equal(grown, seen):
             return np.flatnonzero(seen)
         seen = grown

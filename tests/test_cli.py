@@ -2,6 +2,9 @@
 SVG plotting, verification, and byte-level determinism."""
 
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -328,3 +331,54 @@ class TestShippedConfigs:
         for name in ("routing6.dag", "routing6_steep.dag"):
             spec = m.parse_dag_spec((root / name).read_text(), name=name)
             assert len(spec.vertices) == 6
+
+
+SCIPY_FREE_SCRIPT = """\
+import re
+import shutil
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import mpglearn as m
+from mpglearn import cli
+
+
+def scipy_modules():
+    return sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
+
+
+configs, tmp = Path(sys.argv[1]), Path(sys.argv[2])
+envs = [cli.build_environment(cli.load_config(configs / name).environment)
+        for name in ("scg4.ini", "distancing.ini", "scg8.ini")]
+shutil.copytree(configs / "dags", tmp / "dags")
+text, count = re.subn(r"(?m)^max_iters = \\d+$", "max_iters = 3",
+                      (configs / "scg4.ini").read_text())
+assert count == 1
+(tmp / "scg4.ini").write_text(text)
+cli.cmd_run(tmp / "scg4.ini", tmp / "out")
+cli.cmd_accuracy(tmp / "out")
+cli.cmd_plot([tmp / "out"], tmp / "plot.svg")
+assert not scipy_modules(), scipy_modules()
+mdp = envs[0].mdp
+m.evaluate(envs[0], m.JointPolicy([np.full((mdp.n_states, a), 1.0 / a)
+                                   for a in mdp.n_actions]))
+assert "scipy.linalg" in sys.modules
+print("ok")
+"""
+
+
+class TestScipyLoadsLazily:
+    def test_sampled_pipeline_runs_without_scipy(self, tmp_path):
+        # importing mpglearn, building the shipped environments and a
+        # sampled run, its accuracy and its plot load no scipy; the first
+        # exact solve does
+        root = Path(__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-c", SCIPY_FREE_SCRIPT, str(root / "configs"),
+             str(tmp_path)], capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=str(root / "src"),
+                     OPENBLAS_NUM_THREADS="1"))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"

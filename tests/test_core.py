@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -79,6 +80,88 @@ class TestValidateMdp:
         pol = m.JointPolicy([np.full((2, 2), 0.5)])
         with pytest.raises(ValueError, match="no entries"):
             m.sample_episode(mdp, pol, 4, seed=0)
+
+
+class TestTransitionForms:
+    """A dense tensor, a scipy matrix and a CSR triple of the same table
+    give the same MDP, array for array."""
+
+    @staticmethod
+    def derived(mdp):
+        succ, cdf, total = mdp.successors
+        return (*mdp.csr, *mdp.chain_cells, succ, cdf, total, mdp.absorbing)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_actions=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           n_states=st.integers(1, 5), width=st.integers(1, 3),
+           upper=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_forms_agree(self, n_actions, n_states, width, upper, seed):
+        base = sparse_mdp(n_states, tuple(n_actions), 0.9, seed,
+                          max_width=min(width, n_states), upper=upper)
+        S, A = base.n_states, base.n_joint
+        data, indices, indptr = base.csr
+        rows = base.chain_cells[0]
+        dense = np.zeros((S * A, S))
+        dense[rows, indices] = data
+        # explicit zeros of either sign are not entries
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        dense[(dense == 0) & (rng.random(dense.shape) < 0.5)] = -0.0
+        perm = rng.permutation(len(data))     # rows unsorted within
+        shuffled = sp.csr_matrix((data[perm], (rows[perm], indices[perm])),
+                                 shape=(S * A, S))
+        forms = [dense.reshape(S, A, S), sp.csr_matrix(dense), shuffled,
+                 (data, indices, indptr)]
+        want = self.derived(base)
+        for form in forms:
+            mdp = m.MultiAgentMDP(base.n_actions, base.rewards, form,
+                                  base.gamma, base.mu)
+            for x, y in zip(self.derived(mdp), want):
+                assert (x is None) == (y is None)
+                if y is not None:
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            assert mdp.upper_triangular is base.upper_triangular
+            P, ref = mdp.transitions, sp.csr_matrix(dense)
+            assert P.has_canonical_format and P.shape == ref.shape
+            for x, y in ((P.data, ref.data), (P.indices, ref.indices),
+                         (P.indptr, ref.indptr)):
+                assert x.tobytes() == y.astype(x.dtype).tobytes()
+            assert np.shares_memory(P.data, mdp.csr[0])
+
+    # 1 agent, 2 actions, 2 states: rows (0, 0), (0, 1), (1, 0), (1, 1)
+    GOOD = ([0.5, 0.5, 1.0, 1.0, 0.25, 0.75], [0, 1, 1, 0, 0, 1],
+            [0, 2, 3, 4, 6])
+
+    @pytest.mark.parametrize("field, value, message", [
+        pytest.param("indices", [0, 1, 1, 0, 1, 0], r"\(state 1, joint "
+                     r"action 1\): next state index 0 not above",
+                     id="unsorted"),
+        pytest.param("indices", [0, 0, 1, 0, 0, 1], r"\(state 0, joint "
+                     r"action 0\): next state index 0 not above",
+                     id="duplicate"),
+        pytest.param("indices", [0, 1, 1, 2, 0, 1], r"\(state 1, joint "
+                     r"action 0\): next state index 2 outside \[0, 2\)",
+                     id="too-large"),
+        pytest.param("indices", [0, 1, -1, 0, 0, 1], r"\(state 0, joint "
+                     r"action 1\): next state index -1 outside",
+                     id="negative"),
+        pytest.param("indptr", [0, 2, 3, 4], r"length 4, not .* = 5: it "
+                     r"ends before row \(state 1, joint action 1\)",
+                     id="short-indptr"),
+        pytest.param("indptr", [0, 2, 3, 4, 6, 6], r"length 6, .* runs "
+                     r"past row \(state 1, joint action 1\)",
+                     id="long-indptr"),
+        pytest.param("indptr", [0, 2, 1, 4, 6], r"\(state 0, joint action "
+                     r"1\): indptr", id="decreasing-indptr"),
+    ])
+    def test_bad_triple_names_its_row(self, field, value, message):
+        data, indices, indptr = self.GOOD
+        triple = {"data": data, "indices": indices, "indptr": indptr}
+        m.MultiAgentMDP((2,), np.zeros((1, 2, 2)), tuple(
+            np.array(x) for x in triple.values()), 0.9, [0.5, 0.5])
+        triple[field] = value
+        with pytest.raises(ValueError, match=message):
+            m.MultiAgentMDP((2,), np.zeros((1, 2, 2)), tuple(
+                np.array(x) for x in triple.values()), 0.9, [0.5, 0.5])
 
 
 class TestJointActionEncoding:

@@ -1,6 +1,7 @@
 """Environment builders: DAG parsing, the routing game, the distancing game,
 and the potential-identity guarantees of each."""
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,18 @@ class TestBuildScg:
         env = m.build_scg(spec, n_agents=8, gamma=0.9975, reachable_only=True)
         assert env.mdp.n_states == 515
         assert env.mdp.upper_triangular
+
+    def test_shipped_routing_game_keeps_its_bytes(self, tmp_path):
+        # the state numbering, the index map and every table of the shipped
+        # 4-agent routing game, as write_mdp serializes them, stay byte for
+        # byte
+        from mpglearn import cli
+        root = Path(__file__).resolve().parent.parent / "configs"
+        env = cli.build_environment(
+            cli.load_config(root / "scg4.ini").environment)
+        text = m.write_mdp(env.mdp, tmp_path / "scg4.mdp")
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "a5a5bd5a9f0779058dc324192e1f7bda6f93af300dcd3fef6b5dd4034ce1c7b0")
 
     def test_return_edge_variant_loops_forever(self):
         env = m.build_scg(m.parallel_dag([1.0, 0.5]), n_agents=1, gamma=0.9,
