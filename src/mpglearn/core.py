@@ -18,16 +18,46 @@ PROB_TOL = 1e-12
 
 
 def _frozen(a, dtype=float):
+    """A read-only, C-contiguous `dtype` array holding `a`.
+
+    An ndarray that is already read-only, owns its data, is C-contiguous
+    and has `dtype` is returned as it is, not copied: passing it hands it
+    over, and the caller must not write to it again.  numpy does not stop
+    that (whoever holds the owning array can set `flags.writeable` back),
+    so a write after the hand-over would change a table that was already
+    checked and from which other tables were derived.  Every other input is
+    copied, so that a later write to the caller's array (or to the array a
+    view reads) changes nothing.
+    """
+    if (type(a) is np.ndarray and not a.flags.writeable and a.flags.owndata
+            and a.flags.c_contiguous and a.dtype == dtype):
+        return a
     a = np.array(a, dtype=dtype, order="C", copy=True)
     a.flags.writeable = False
     return a
 
 
+def index_dtype(size):
+    """The integer dtype of CSR indices and indptr for arrays of up to
+    `size` entries, as scipy picks it: int32 when it suffices."""
+    return np.int32 if size < 2 ** 31 else np.int64
+
+
 def joint_digits(n_actions):
-    """(n_joint, n_agents) table decoding each joint index into per-agent
-    actions: row j is np.unravel_index(j, n_actions)."""
+    """(n_joint, n_agents) read-only int64 table decoding each joint index
+    into per-agent actions: row j is np.unravel_index(j, n_actions).
+
+    Filled column by column into the one table it returns."""
+    n_actions = tuple(int(a) for a in n_actions)
     joints = np.arange(int(np.prod(n_actions)))
-    return np.stack(np.unravel_index(joints, n_actions), axis=1)
+    digits = np.empty((len(joints), len(n_actions)), dtype=np.int64)
+    stride = len(joints)
+    for i, a in enumerate(n_actions):
+        stride //= a
+        np.floor_divide(joints, stride, out=digits[:, i])
+        np.remainder(digits[:, i], a, out=digits[:, i])
+    digits.flags.writeable = False
+    return digits
 
 
 def _csr_arrays(transitions, n_states, n_joint):
@@ -109,6 +139,15 @@ class MultiAgentMDP:
     scipy CSR matrix over the same arrays, is built (and scipy imported) on
     its first read.
 
+    Every array is kept read-only.  An input array that is already
+    read-only, owns its data, is C-contiguous and has the kept dtype (float,
+    or for indices and indptr the int32 or int64 that `index_dtype` picks)
+    is shared, not copied; the distancing builder hands its finished tables
+    over this way.  Passing such an array gives it up: the caller must not
+    make it writable and write to it later, as `validate_mdp` and the
+    derived tables (`successors`, `absorbing`, `chain_cells`) read it once.
+    Any other input is copied.
+
     Episodic problems are modeled with an absorbing zero-reward terminal
     state; rewards outside [0, 1] are rejected rather than clamped.  The
     `absorbing` flags mark such states: a sampled batch is not stepped
@@ -134,8 +173,7 @@ class MultiAgentMDP:
         data, indices, indptr = _csr_arrays(transitions, self.n_states,
                                             self.n_joint)
         # scipy's index dtype, so that `transitions` shares the arrays
-        index = (np.int32 if max(len(indptr), len(data)) < 2 ** 31
-                 else np.int64)
+        index = index_dtype(max(len(indptr), len(data)))
         self.csr = (_frozen(data), _frozen(indices, index),
                     _frozen(indptr, index))
         self._transitions = None
@@ -603,8 +641,7 @@ def write_policy(policy, path):
     for i, p in enumerate(policy.probs):
         lines.append(f"[agent {i}]")
         lines.append(f"shape = {p.shape[0]} {p.shape[1]}")
-        for s in range(p.shape[0]):
-            lines.append(" ".join(repr(float(x)) for x in p[s]))
+        lines.extend(" ".join(map(repr, row)) for row in p.tolist())
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 

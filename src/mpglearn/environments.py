@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import JointPolicy, MultiAgentMDP, _frozen, joint_digits
+from .core import (JointPolicy, MultiAgentMDP, _frozen, index_dtype,
+                   joint_digits)
 
 
 @dataclass(frozen=True)
@@ -304,6 +305,14 @@ def build_scg(spec, n_agents=None, gamma=0.99, reachable_only=False,
     reachable_only=True enumerates only configurations reachable from the
     start instead of all |V|^n tuples; sampled-mode learning traces are
     unaffected because unvisited states never update.
+
+    State numbering.  A configuration's code reads its vertex indices as
+    base-|V| digits, agent 0 most significant.  Without reachable_only,
+    state s is the configuration with code s.  With it, states are numbered
+    in breadth-first order from the start configuration (state 0): states
+    are expanded in number order, and each gives the configurations it is
+    first to reach the next numbers, in order of code.  With goal="absorb"
+    the terminal state comes last.
     """
     spec.validate()
     if n_agents is None:
@@ -522,42 +531,57 @@ def build_distancing(params, mu="safe"):
     w = np.array(params.resolved_weights())
     c = float(params.penalty)
     n_joint = F ** n
-    digits = joint_digits((F,) * n)
+    joints = np.arange(n_joint)
+
+    def facility(i):
+        """Agent i's facility under every joint action."""
+        return joints // F ** (n - 1 - i) % F
 
     counts = np.zeros((n_joint, F), dtype=np.int64)
-    np.add.at(counts, (np.repeat(np.arange(n_joint), n), digits.ravel()), 1)
-
-    raw_safe = np.empty((n, n_joint))
     for i in range(n):
-        k = digits[:, i]
-        raw_safe[i] = w[k] * counts[np.arange(n_joint), k]
-    raw = np.stack([raw_safe, raw_safe - c], axis=1)  # (n, 2, n_joint)
+        counts[joints, facility(i)] += 1
+
+    # the (n, 2, F**n) reward table is 8 MB on the shipped config: both of
+    # an agent's rows are written straight into it, and it is rescaled in
+    # place, so that no second copy of it is ever alive
+    rewards = np.empty((n, 2, n_joint))
+    for i in range(n):
+        k = facility(i)
+        np.multiply(w[k], counts[joints, k], out=rewards[i, SAFE])
+        np.subtract(rewards[i, SAFE], c, out=rewards[i, SPREAD])
 
     tri = counts * (counts + 1) / 2.0
-    phi_safe = tri @ w
-    phi_raw = np.stack([phi_safe, phi_safe - c])      # (2, n_joint)
+    potential = np.empty((2, n_joint))
+    potential[SAFE] = tri @ w
+    np.subtract(potential[SAFE], c, out=potential[SPREAD])
 
-    lo, hi = raw.min(), raw.max()
+    max_count = counts.max(axis=1)
+    index = index_dtype(2 * n_joint + 1)
+    indices = np.empty(2 * n_joint, dtype=index)
+    indices[:n_joint] = np.where(max_count > params.spread_trigger, SPREAD,
+                                 SAFE)
+    indices[n_joint:] = np.where(max_count <= params.return_trigger, SAFE,
+                                 SPREAD)
+    del counts, tri, max_count
+
+    lo, hi = rewards.min(), rewards.max()
     if hi - lo < 1e-12:
         raise ValueError("degenerate reward range, rescale impossible")
     alpha = 1.0 / (hi - lo)
     beta = -lo / (hi - lo)
-    # rescale in place: the (n, 2, F**n) table is 8 MB on the shipped
-    # config, and every temporary copy of it raises the build's peak memory
-    rewards = raw
     rewards *= alpha
     rewards += beta
     if rewards.min() < -1e-12 or rewards.max() > 1 + 1e-12:
         raise ValueError("rescaled rewards escape [0, 1]")
     np.clip(rewards, 0.0, 1.0, out=rewards)
-    potential = alpha * phi_raw + beta
+    potential *= alpha
+    potential += beta
 
-    max_count = counts.max(axis=1)
-    from_safe = np.where(max_count > params.spread_trigger, SPREAD, SAFE)
-    from_spread = np.where(max_count <= params.return_trigger, SAFE, SPREAD)
-    next_idx = np.stack([from_safe, from_spread])     # (2, n_joint)
-    transitions = (np.ones(2 * n_joint), next_idx.ravel(),
-                   np.arange(2 * n_joint + 1))
+    data = np.ones(2 * n_joint)
+    indptr = np.arange(2 * n_joint + 1, dtype=index)
+    for a in (rewards, potential, data, indices, indptr):
+        a.flags.writeable = False
+    transitions = (data, indices, indptr)
 
     if mu == "safe":
         mu_vec = np.array([1.0, 0.0])

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import mpglearn as m
-from mpglearn.environments import CostDescriptor
+from mpglearn.core import JointPolicy, MultiAgentMDP, _frozen
+from mpglearn.environments import SAFE, SPREAD, CostDescriptor, Environment
 
 
 def random_mdp(n_states, n_actions, gamma, seed, n_agents=None):
@@ -55,6 +56,85 @@ def sparse_mdp(n_states, n_actions, gamma, seed, max_width, upper=False,
     return m.MultiAgentMDP(n_actions, rewards,
                            dense.reshape(n_states, n_joint, n_states), gamma,
                            mu)
+
+
+# --- reference builder ----------------------------------------------------------
+#
+# build_distancing as it was before it wrote its tables in place: a digit
+# table with np.add.at and stacked copies of the reward rows.  A property
+# test holds today's builder to it byte for byte.
+
+def reference_joint_digits(n_actions):
+    """(n_joint, n_agents) table decoding each joint index into per-agent
+    actions: row j is np.unravel_index(j, n_actions)."""
+    joints = np.arange(int(np.prod(n_actions)))
+    return np.stack(np.unravel_index(joints, n_actions), axis=1)
+
+
+def reference_build_distancing(params, mu="safe"):
+    """Build the two-state distancing game with its congestion stage potential."""
+    params.check()
+    n, F = params.n_agents, params.n_facilities
+    w = np.array(params.resolved_weights())
+    c = float(params.penalty)
+    n_joint = F ** n
+    digits = reference_joint_digits((F,) * n)
+
+    counts = np.zeros((n_joint, F), dtype=np.int64)
+    np.add.at(counts, (np.repeat(np.arange(n_joint), n), digits.ravel()), 1)
+
+    raw_safe = np.empty((n, n_joint))
+    for i in range(n):
+        k = digits[:, i]
+        raw_safe[i] = w[k] * counts[np.arange(n_joint), k]
+    raw = np.stack([raw_safe, raw_safe - c], axis=1)  # (n, 2, n_joint)
+
+    tri = counts * (counts + 1) / 2.0
+    phi_safe = tri @ w
+    phi_raw = np.stack([phi_safe, phi_safe - c])      # (2, n_joint)
+
+    lo, hi = raw.min(), raw.max()
+    if hi - lo < 1e-12:
+        raise ValueError("degenerate reward range, rescale impossible")
+    alpha = 1.0 / (hi - lo)
+    beta = -lo / (hi - lo)
+    # rescale in place: the (n, 2, F**n) table is 8 MB on the shipped
+    # config, and every temporary copy of it raises the build's peak memory
+    rewards = raw
+    rewards *= alpha
+    rewards += beta
+    if rewards.min() < -1e-12 or rewards.max() > 1 + 1e-12:
+        raise ValueError("rescaled rewards escape [0, 1]")
+    np.clip(rewards, 0.0, 1.0, out=rewards)
+    potential = alpha * phi_raw + beta
+
+    max_count = counts.max(axis=1)
+    from_safe = np.where(max_count > params.spread_trigger, SPREAD, SAFE)
+    from_spread = np.where(max_count <= params.return_trigger, SAFE, SPREAD)
+    next_idx = np.stack([from_safe, from_spread])     # (2, n_joint)
+    transitions = (np.ones(2 * n_joint), next_idx.ravel(),
+                   np.arange(2 * n_joint + 1))
+
+    if mu == "safe":
+        mu_vec = np.array([1.0, 0.0])
+    elif mu == "uniform":
+        mu_vec = np.array([0.5, 0.5])
+    else:
+        raise ValueError(f"unknown mu mode {mu!r}")
+
+    mdp = MultiAgentMDP((F,) * n, rewards, transitions, params.gamma, mu_vec,
+                        state_labels=("safe", "spread"))
+
+    def sample_state_blind_profile(rng, _F=F, _n=n):
+        tables = []
+        for _ in range(_n):
+            row = rng.dirichlet(np.ones(_F))
+            tables.append(np.vstack([row, row]))
+        return JointPolicy(tables, validate=False)
+
+    name = f"distancing(n={n}, facilities={F}, gamma={params.gamma})"
+    return Environment(mdp=mdp, stage_potential=_frozen(potential), label=name,
+                       base_profile_sampler=sample_state_blind_profile)
 
 
 def random_policy(mdp, seed):

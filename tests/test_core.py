@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mpglearn as m
-from mpglearn.core import MDPFormatError
+from mpglearn.core import MDPFormatError, joint_digits
 
 from conftest import random_mdp, random_policy, sparse_mdp
 
@@ -179,6 +179,17 @@ class TestJointActionEncoding:
         assert np.array_equal(
             np.ravel_multi_index(mdp.digits.T, mdp.n_actions), np.arange(12))
 
+    @settings(max_examples=40, deadline=None)
+    @given(n_actions=st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    def test_joint_digits_matches_unravel_index(self, n_actions):
+        # ragged action counts: every agent's column, one read-only table
+        joints = np.arange(int(np.prod(n_actions)))
+        want = np.stack(np.unravel_index(joints, n_actions), axis=1)
+        got = joint_digits(n_actions)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+
 
 class TestAbsorbing:
     @settings(max_examples=60, deadline=None)
@@ -283,6 +294,46 @@ class TestImmutability:
         with pytest.raises(ValueError):
             mdp.rewards[0, 0, 0] = 0.0
 
+    @staticmethod
+    def _sealed(a):
+        a.flags.writeable = False
+        return a
+
+    def test_read_only_owning_arrays_are_shared(self):
+        rewards = self._sealed(np.full((1, 2, 2), 0.5))
+        csr = (self._sealed(np.ones(4)),
+               self._sealed(np.array([0, 1, 1, 1], dtype=np.int32)),
+               self._sealed(np.arange(5, dtype=np.int32)))
+        mu = self._sealed(np.array([1.0, 0.0]))
+        mdp = m.MultiAgentMDP((2,), rewards, csr, 0.9, mu)
+        assert mdp.rewards is rewards
+        assert mdp.mu is mu
+        assert all(kept is given for kept, given in zip(mdp.csr, csr))
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: np.full((1, 2, 2), 0.5), id="writable"),
+        pytest.param(lambda: TestImmutability._sealed(
+            np.full((2, 2, 2), 0.5)[:1]), id="read-only-view"),
+        pytest.param(lambda: TestImmutability._sealed(
+            np.full((1, 2, 2), 0.5, dtype=np.float32)), id="wrong-dtype"),
+    ])
+    def test_other_arrays_are_copied(self, make):
+        rewards = make()
+        mdp = m.MultiAgentMDP((2,), rewards, np.full((2, 2, 2), 0.5), 0.9,
+                              [0.5, 0.5])
+        assert not np.shares_memory(mdp.rewards, rewards)
+        assert mdp.rewards.dtype == float and not mdp.rewards.flags.writeable
+        if rewards.base is not None:
+            rewards.base[...] = 1.0     # the view's owner may still write
+            assert mdp.rewards.max() == 0.5
+
+    def test_wrong_index_dtype_is_copied(self):
+        indices = self._sealed(np.array([0, 1, 1, 1], dtype=np.int64))
+        mdp = m.MultiAgentMDP((2,), np.zeros((1, 2, 2)), (
+            np.ones(4), indices, np.arange(5)), 0.9, [1.0, 0.0])
+        assert mdp.csr[1].dtype == np.int32
+        assert np.array_equal(mdp.csr[1], indices)
+
 
 class TestSerialization:
     @settings(max_examples=30, deadline=None)
@@ -343,6 +394,21 @@ class TestSerialization:
         assert (tmp / "a.txt").read_bytes() == (tmp / "b.txt").read_bytes()
         for p, q in zip(pol.probs, again.probs):
             assert np.array_equal(p, q)
+
+    def test_policy_rows_are_float_reprs(self, tmp_path):
+        # each entry is repr() of the Python float: signed zeros,
+        # subnormals and the float just below 1 keep every bit
+        table = np.array([[-0.0, 5e-324, 1.0 - 2.0 ** -53],
+                          [2.2250738585072014e-308 / 3, 0.1, 1.0 / 3.0]])
+        m.write_policy(m.JointPolicy([table, table[::-1]], validate=False),
+                       tmp_path / "pol.txt")
+        want = ["agents = 2"]
+        for i, p in enumerate((table, table[::-1])):
+            want += [f"[agent {i}]", "shape = 2 3"]
+            want += [" ".join(repr(float(x)) for x in p[s])
+                     for s in range(2)]
+        assert (tmp_path / "pol.txt").read_text() == "\n".join(want) + "\n"
+        assert want[3].split() == ["-0.0", "5e-324", "0.9999999999999999"]
 
     @pytest.mark.parametrize("section, line, message", [
         ("label", "label -1 = x", "state index -1 outside [0, 2)"),

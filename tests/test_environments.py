@@ -1,16 +1,23 @@
 """Environment builders: DAG parsing, the routing game, the distancing game,
 and the potential-identity guarantees of each."""
 
+import gc
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mpglearn as m
+from mpglearn import cli
 from mpglearn.environments import CostDescriptor, DagSpecError
 
-from conftest import STEEP_COSTS
+from conftest import STEEP_COSTS, reference_build_distancing
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 PAPER_GRAPH = """\
@@ -26,6 +33,93 @@ u1 -> v1 cost=inverse_load(1.0)
 v0 -> t cost=inverse_load(1.0)
 v1 -> t cost=inverse_load(1.0)
 """
+
+
+def environment_arrays(env):
+    """Every table an environment keeps, by name."""
+    mdp = env.mdp
+    data, indices, indptr = mdp.csr
+    return {"rewards": mdp.rewards, "data": data, "indices": indices,
+            "indptr": indptr, "mu": mdp.mu, "state_labels": mdp.state_labels,
+            "stage_potential": env.stage_potential}
+
+
+def assert_same_environment(env, ref):
+    # booleans first: pytest's diff of two long byte strings is very slow
+    got, want = environment_arrays(env), environment_arrays(ref)
+    for name, a in want.items():
+        b = got[name]
+        if isinstance(a, np.ndarray):
+            same = (b.dtype, b.shape) == (a.dtype, a.shape) and (
+                b.tobytes() == a.tobytes())
+        else:
+            same = b == a
+        assert same, f"{name} differs"
+
+
+def digest(a):
+    """SHA-256 of an array's dtype, shape and bytes, or of a repr."""
+    h = hashlib.sha256()
+    if isinstance(a, np.ndarray):
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    else:
+        h.update(repr(a).encode())
+    return h.hexdigest()
+
+
+# SHA-256 digests of the shipped environments' tables, as recorded before
+# the distancing builder wrote its tables in place
+SHIPPED_DIGESTS = {
+    "scg4.ini": {
+        "rewards":
+            "390647172745dbf4bbf384f1ef87fbacbae29344d26295f6f7cf486c87a099f1",
+        "data":
+            "ad24c3753bc6cbbcb254acf33974c02c6c66c73176ebb97a7bf9bfbb6aa118bd",
+        "indices":
+            "12bc21914abbc1d171eac34a6295e373329bbb075af44d1e97b490f80ac01e56",
+        "indptr":
+            "d7e18506f3beb68c06eb02909426475b5f77b6c4e579ba7a68cac77e8855a807",
+        "mu":
+            "bd817c1850f6de4f5ec11b35075a66db275ed3860463442f84e6d1ab2b13661e",
+        "state_labels":
+            "e624d48447388d3c8963ef87c778c4f9945283fda901861086d0decb050f939f",
+        "stage_potential":
+            "85b8c66faee48f5ee64137e4c6fe573b0e554a5be88167c6eb2748edc4d8181f",
+    },
+    "distancing.ini": {
+        "rewards":
+            "c53e12aacbc10d8e2ccccd5fb9bdbd8e512af2827fe422f5f5d6591b23fb9639",
+        "data":
+            "8c2a054680c97062847e0c1f0cbbc8a50a98b6bc795b0531afd625e58ea839b6",
+        "indices":
+            "baee5eb453df12f644ad183ee59a3b5ee88a69d66646ead21d0e104f4c058541",
+        "indptr":
+            "9ecdad93462dbaabe7454e0f8e8d22ce6338cca71ec5db29aeb2b205c56e1606",
+        "mu":
+            "34763f2cb2e1e30c25baafa27c4af5c37b83c794d3fcb57dfe96094bfabe268d",
+        "state_labels":
+            "305d1d6f118bd885cd830718ecfc721f001fd7a6d95e472927cfb5064be4ce19",
+        "stage_potential":
+            "28be77f138b5e1c8dfc98c008d910db99b919f3a5ac35cdabee62bc249b75846",
+    },
+    "scg8.ini": {
+        "rewards":
+            "242ebbf01aff92b21fd9a60564c0638854e16a6c0c46657973afa35749483f66",
+        "data":
+            "c059508b62d6794c1f1442d328b37d9cd631a8c1d5db004506b0a473051e6a44",
+        "indices":
+            "54e537d5144317c77155b8cbd155d04da310f4958dfabaaabcf6509b87d070d4",
+        "indptr":
+            "fb617def4c6a1b1e11947a0decf4d6528069a93bcc0a37476c3b46e93a6edb93",
+        "mu":
+            "2e4ba60ddab9d1e7ee927d25d3b271b4196a353bd2a0277c0ab5092f7dd5d5e6",
+        "state_labels":
+            "1f1d5da2fb371d3e90f0fd101907f6a3be1a4c168fb8fb368f8137f1b9c33bb0",
+        "stage_potential":
+            "49fa5a22da8e4ffaf826ed6998e436253919056d36dda9f34599a2695867bcb3",
+    },
+}
 
 
 class TestParseDagSpec:
@@ -126,6 +220,15 @@ class TestBuildScg:
         spec = m.parse_dag_spec(PAPER_GRAPH)
         with pytest.raises(ValueError, match="state budget"):
             m.build_scg(spec, gamma=0.99, state_budget=100)
+
+    def test_state_budget_checked_before_any_table(self):
+        # 22^12 (about 1.3e16) configurations and 2^12 joint actions: the
+        # budget refuses the full product before a table of that size is
+        # allocated
+        spec = m.layered_dag([2] * 10)
+        assert len(spec.vertices) == 22
+        with pytest.raises(ValueError, match="state budget"):
+            m.build_scg(spec, n_agents=12, gamma=0.5)
 
     def test_deviation_identity_at_gamma_zero_exhaustive(self):
         # 2 agents, 2 parallel edges: all four pure profiles enumerated
@@ -275,6 +378,62 @@ class TestBuildDistancing:
     def test_weights_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             m.DistancingParams(weights=(0.4, 0.3, 0.2, 0.1)).check()
+
+
+class TestBuildersMatchReference:
+    """Today's distancing builder against the reference builder in
+    conftest: byte-equal tables and labels."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 6), F=st.integers(2, 4),
+           spread=st.integers(1, 7), back=st.integers(1, 7),
+           penalty=st.floats(0.01, 2.0), mu=st.sampled_from(["safe",
+                                                             "uniform"]))
+    def test_distancing(self, n, F, spread, back, penalty, mu):
+        params = m.DistancingParams(n_agents=n, n_facilities=F,
+                                    penalty=penalty, spread_trigger=spread,
+                                    return_trigger=back)
+        assert_same_environment(m.build_distancing(params, mu=mu),
+                                reference_build_distancing(params, mu=mu))
+
+
+class TestShippedEnvironmentBytes:
+    @pytest.mark.parametrize("name", sorted(SHIPPED_DIGESTS))
+    def test_tables_keep_their_digests(self, name):
+        env = cli.build_environment(
+            cli.load_config(CONFIGS / name).environment)
+        got = {k: digest(a) for k, a in environment_arrays(env).items()}
+        assert got == SHIPPED_DIGESTS[name]
+
+
+def traced_peak(make):
+    """(result, bytes kept, peak bytes) of one call under tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = make()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, kept - base, peak - base
+
+
+class TestBuildMemory:
+    """The distancing builder writes its final tables once and hands them
+    over without a copy, so its build peaks close to what it keeps."""
+
+    def test_distancing_build_peaks_near_what_it_keeps(self):
+        cfg = cli.load_config(CONFIGS / "distancing.ini").environment
+        env, kept, peak = traced_peak(lambda: cli.build_environment(cfg))
+        assert kept >= env.mdp.rewards.nbytes
+        assert peak <= 1.5 * kept, (kept, peak)
+
+    def test_first_digits_read_peaks_near_the_table(self):
+        mdp = m.build_distancing(m.DistancingParams()).mdp
+        digits, kept, peak = traced_peak(lambda: mdp.digits)
+        assert digits.nbytes == 4 * 2 ** 20
+        assert peak <= 1.25 * digits.nbytes, (digits.nbytes, peak)
 
 
 class TestPotentialInvariant:
