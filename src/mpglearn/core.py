@@ -44,20 +44,30 @@ def index_dtype(size):
 
 
 def joint_digits(n_actions):
-    """(n_joint, n_agents) read-only int64 table decoding each joint index
-    into per-agent actions: row j is np.unravel_index(j, n_actions).
+    """(n_joint, n_agents) read-only table decoding each joint index into
+    per-agent actions: row j is np.unravel_index(j, n_actions).
 
-    Filled column by column into the one table it returns."""
+    Its dtype is the smallest that holds every action,
+    np.min_scalar_type(max(n_actions) - 1): uint8 for up to 256 actions.
+    Viewed as an (A_0, ..., A_{n-1}, n) array, column i holds a_i, and is
+    filled by broadcasting arange(A_i) into it; nothing else is allocated."""
     n_actions = tuple(int(a) for a in n_actions)
-    joints = np.arange(int(np.prod(n_actions)))
-    digits = np.empty((len(joints), len(n_actions)), dtype=np.int64)
-    stride = len(joints)
+    n = len(n_actions)
+    digits = np.empty((int(np.prod(n_actions)), n),
+                      dtype=np.min_scalar_type(max(n_actions) - 1))
+    table = digits.reshape(n_actions + (n,))
     for i, a in enumerate(n_actions):
-        stride //= a
-        np.floor_divide(joints, stride, out=digits[:, i])
-        np.remainder(digits[:, i], a, out=digits[:, i])
+        table[..., i] = np.arange(a).reshape((a,) + (1,) * (n - 1 - i))
     digits.flags.writeable = False
     return digits
+
+
+def _entry_rows(indptr):
+    """The row of every entry of a CSR table, in entry order: row r
+    repeated indptr[r+1] - indptr[r] times.  Given indptr[::k] it is the
+    block of k rows each entry falls in, such as the source state of every
+    transition entry for k = n_joint."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
 
 def _csr_arrays(transitions, n_states, n_joint):
@@ -104,7 +114,7 @@ def _csr_arrays(transitions, n_states, n_joint):
     if not len(data) == len(indices) == indptr[-1]:
         raise ValueError(f"transition data and indices have {len(data)} "
                          f"and {len(indices)} entries, indptr {indptr[-1]}")
-    rows = np.repeat(np.arange(n_rows), lengths)
+    rows = _entry_rows(indptr)
     out = (indices < 0) | (indices >= n_states)
     unsorted = np.append(False, (rows[1:] == rows[:-1])
                          & (indices[1:] <= indices[:-1]))
@@ -137,7 +147,11 @@ class MultiAgentMDP:
     indptr), and every derived table reads them; the dense form keeps its
     nonzero entries in row-major order, as scipy would.  `transitions`, the
     scipy CSR matrix over the same arrays, is built (and scipy imported) on
-    its first read.
+    its first read.  The derived tables are built on their first read and
+    sized to what they hold: `digits` in one byte per action, `successors`
+    in the CSR index dtype (a view of `indices` when every row has one
+    successor), and `chain_cells` only when an exact solve reads them, so
+    never on a sampled run.  The others take each entry's row from indptr.
 
     Every array is kept read-only.  An input array that is already
     read-only, owns its data, is C-contiguous and has the kept dtype (float,
@@ -145,8 +159,8 @@ class MultiAgentMDP:
     is shared, not copied; the distancing builder hands its finished tables
     over this way.  Passing such an array gives it up: the caller must not
     make it writable and write to it later, as `validate_mdp` and the
-    derived tables (`successors`, `absorbing`, `chain_cells`) read it once.
-    Any other input is copied.
+    derived tables (`successors`, `absorbing`, `chain_cells`) read it, and
+    `successors` may share it.  Any other input is copied.
 
     Episodic problems are modeled with an absorbing zero-reward terminal
     state; rewards outside [0, 1] are rejected rather than clamped.  The
@@ -204,20 +218,26 @@ class MultiAgentMDP:
 
     @property
     def digits(self):
-        """(n_joint, n_agents) table decoding each joint index into per-agent actions."""
+        """(n_joint, n_agents) table decoding each joint index into
+        per-agent actions, in the one-byte (for up to 256 actions) dtype of
+        `joint_digits`, whose table it is."""
         if self._digits is None:
-            self._digits = _frozen(joint_digits(self.n_actions), np.int64)
+            self._digits = joint_digits(self.n_actions)
         return self._digits
 
     @property
     def chain_cells(self):
         """(rows, cells) of every transition entry in CSR order: its row
-        s*n_joint + a, and the (s, s') chain cell s*n_states + s' it feeds."""
+        s*n_joint + a, and the (s, s') chain cell it feeds, numbered
+        column-major, s'*n_states + s, so that a bincount over the cells
+        fills a Fortran-ordered chain.  Built on the first read, which only
+        an exact solve makes (`exact._chain_matrix`)."""
         if self._chain_cells is None:
             _, indices, indptr = self.csr
-            rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-            self._chain_cells = (_frozen(rows, np.int64), _frozen(
-                rows // self.n_joint * self.n_states + indices, np.int64))
+            rows = _entry_rows(indptr)
+            cells = indices * np.int64(self.n_states) + rows // self.n_joint
+            rows.flags.writeable = cells.flags.writeable = False
+            self._chain_cells = (rows, cells)
         return self._chain_cells
 
     @property
@@ -227,9 +247,9 @@ class MultiAgentMDP:
         triangular: acyclic games numbered in topological order, such as
         the routing games with an absorbing goal."""
         if self._upper_triangular is None:
-            rows, _ = self.chain_cells
-            self._upper_triangular = bool(
-                np.all(self.csr[1] >= rows // self.n_joint))
+            _, indices, indptr = self.csr
+            self._upper_triangular = bool(np.all(
+                indices >= _entry_rows(indptr[::self.n_joint])))
         return self._upper_triangular
 
     @property
@@ -240,22 +260,25 @@ class MultiAgentMDP:
         state stays there, so the sampler stops stepping a batch once every
         episode has reached one."""
         if self._absorbing is None:
-            rows, _ = self.chain_cells
-            source = rows // self.n_joint
+            _, indices, indptr = self.csr
+            source = _entry_rows(indptr[::self.n_joint])
             absorbing = np.ones(self.n_states, dtype=bool)
-            absorbing[source[self.csr[1] != source]] = False
-            self._absorbing = _frozen(absorbing, bool)
+            absorbing[source[indices != source]] = False
+            absorbing.flags.writeable = False
+            self._absorbing = absorbing
         return self._absorbing
 
     @property
     def successors(self):
         """(succ, cdf, total): the transition rows as a padded draw table.
 
-        succ (S*A, W), W the longest row, lists each row's successors.  Under
-        a uniform u row r goes to succ[r, k], k the count of cdf[r] <= u *
-        total[r]: cdf (S*A, W-1) holds the row's running sums before its last
-        entry, padded with inf.  cdf and total are None when W == 1.  A row
-        with no entries has nothing to draw, and raises a ValueError."""
+        succ (S*A, W), W the longest row, lists each row's successors in the
+        CSR index dtype.  Under a uniform u row r goes to succ[r, k], k the
+        count of cdf[r] <= u * total[r]: cdf (S*A, W-1) holds the row's
+        running sums before its last entry, padded with inf.  When W == 1
+        cdf and total are None and succ is a read-only (S*A, 1) view of the
+        CSR indices, not a copy.  A row with no entries has nothing to
+        draw, and raises a ValueError."""
         if self._successors is None:
             data, indices, indptr = self.csr
             lengths = np.diff(indptr)
@@ -264,19 +287,22 @@ class MultiAgentMDP:
                 raise ValueError(f"transition row (state {s}, joint action "
                                  f"{a}) has no entries to sample from")
             width = int(lengths.max(initial=1))
-            rows, _ = self.chain_cells
-            pos = np.arange(len(indices)) - indptr[rows]
-            succ = np.zeros((len(lengths), width), dtype=np.int64)
-            succ[rows, pos] = indices
             cdf = total = None
-            if width > 1:
+            if width == 1:
+                succ = indices.reshape(-1, 1)   # a view of read-only indices
+            else:
+                rows = _entry_rows(indptr)
+                pos = np.arange(len(indices)) - indptr[rows]
+                succ = np.zeros((len(lengths), width), dtype=indices.dtype)
+                succ[rows, pos] = indices
+                succ.flags.writeable = False
                 run = np.zeros(succ.shape)
                 run[rows, pos] = data
                 np.cumsum(run, axis=1, out=run)
                 total = _frozen(run[:, -1])
                 run[np.arange(width) >= lengths[:, None] - 1] = np.inf
                 cdf = _frozen(run[:, :-1])
-            self._successors = (_frozen(succ, np.int64), cdf, total)
+            self._successors = (succ, cdf, total)
         return self._successors
 
     def a_max(self):
@@ -298,7 +324,7 @@ def validate_mdp(mdp):
     if not (0.0 <= mdp.gamma < 1.0):
         problems.append(f"gamma = {mdp.gamma} is not in [0, 1)")
     data, _, indptr = mdp.csr
-    rows, _ = mdp.chain_cells
+    rows = _entry_rows(indptr)
     if data.size and data.min() < 0:
         k = int(np.argmin(data))
         s, a = divmod(int(rows[k]), mdp.n_joint)
@@ -512,8 +538,8 @@ def write_mdp(mdp, path):
     for i, s, a in zip(*np.nonzero(r)):
         lines.append(f"{i} {s} {a} {float(r[i, s, a])!r}")
     lines.append("[transitions]")
-    data, indices, _ = mdp.csr      # canonical: row-major, sorted columns
-    for row, col, p in zip(mdp.chain_cells[0].tolist(), indices.tolist(),
+    data, indices, indptr = mdp.csr     # canonical: row-major, sorted columns
+    for row, col, p in zip(_entry_rows(indptr).tolist(), indices.tolist(),
                            data.tolist()):
         s, a = divmod(row, mdp.n_joint)
         lines.append(f"{s} {a} {col} {p!r}")

@@ -85,28 +85,36 @@ def _marginalize(mdp, probs, table, agent):
 
 def _chain_matrix(mdp, jt):
     """(..., S, S) state chains: the transition entries weighted by jt, per
-    cell, as one bincount in which run r's cells are offset by r*S*S."""
+    cell, as one bincount over the MDP's column-major chain cells in which
+    run r's cells are offset by r*S*S.  Each run's (S, S) chain is a
+    Fortran-ordered view of the bincount's buffer, ready for `_Solver`."""
     S = mdp.n_states
     rows, cells = mdp.chain_cells
     lead = jt.shape[:-2]
     jt = jt.reshape(-1, S * mdp.n_joint)
     R = len(jt)
     weights = jt[:, rows] * mdp.csr[0]
-    cells = cells + S * S * np.arange(R)[:, None]
+    if R > 1:
+        cells = cells + S * S * np.arange(R)[:, None]
     return np.bincount(cells.ravel(), weights=weights.ravel(),
-                       minlength=R * S * S).reshape(lead + (S, S))
+                       minlength=R * S * S).reshape(
+                           lead + (S, S)).swapaxes(-1, -2)
 
 
 class _Solver:
     """Solve (I - gamma * p_pi) x = b, or its transpose, for many b.
 
-    Three paths, chosen from the MDP: beyond DENSE_SOLVE_MAX states one
-    splu factorization; on an upper-triangular MDP no factorization at all,
-    since partial-pivoting LU of an upper-triangular matrix with a positive
-    diagonal pivots nothing and returns L = I, U = A exactly, so a
-    triangular solve on the Fortran-ordered A gives lu_solve's bytes; and
-    otherwise one dense LU (`linalg.lu_factor`) for chains with a back edge.
-    At gamma = 0 the matrix is I and nothing is solved.
+    The solver takes p_pi over: I - gamma * p_pi is built in its buffer,
+    as 0 - gamma * p then + 1 on the diagonal, which are the bits of
+    np.eye(S) - gamma * p, and `_chain_matrix`'s chains are Fortran-ordered
+    so that no copy is made.  Three paths, chosen from the MDP: beyond
+    DENSE_SOLVE_MAX states one splu factorization; on an upper-triangular
+    MDP no factorization at all, since partial-pivoting LU of an
+    upper-triangular matrix with a positive diagonal pivots nothing and
+    returns L = I, U = A exactly, so a triangular solve on the
+    Fortran-ordered A gives lu_solve's bytes; and otherwise one dense LU
+    (`linalg.lu_factor`), in place, for chains with a back edge.  At
+    gamma = 0 the matrix is I and nothing is solved or written.
     """
 
     def __init__(self, mdp, p_pi):
@@ -117,19 +125,22 @@ class _Solver:
         self._lu = self._sparse = self._upper = None
         if self.gamma == 0.0:
             return
+        A = p_pi
+        A *= self.gamma
+        np.subtract(0.0, A, out=A)
+        diagonal = np.arange(S)
+        A[diagonal, diagonal] += 1.0
         if S > DENSE_SOLVE_MAX:
             import scipy.sparse as sp
             import scipy.sparse.linalg as spla
-            A = sp.identity(S, format="csc") - self.gamma * sp.csc_matrix(p_pi)
-            self._sparse = spla.splu(A)
-            return
-        A = np.eye(S) - self.gamma * p_pi
-        if mdp.upper_triangular:
+            self._sparse = spla.splu(sp.csc_matrix(A))
+        elif mdp.upper_triangular:
             # lu_solve reads a Fortran-ordered factor; a C-ordered A makes
             # the transposed solve differ from it in the last bits
-            self._upper = np.asfortranarray(A)
+            self._upper = A
         else:
-            self._lu = linalg.lu_factor(A, check_finite=False)
+            self._lu = linalg.lu_factor(A, overwrite_a=True,
+                                        check_finite=False)
 
     def solve(self, b, transposed=False):
         """Solve A x = b, or A^T x = b; b is (S,) or (S, k)."""

@@ -38,8 +38,8 @@ initial-state cdf, the joint-index weights, the run and episode offsets,
 the estimator's bin bases and bin-to-value index, the discount weights --
 sits in an _IndexPlan that the bank builds once per run (again when runs
 stop); a call without a bank builds one for that call.  Per-agent actions
-are decoded from the joint actions through the MDP's digit table, and
-rewards gathered in one take, straight into the estimator's (agent,)
+are decoded from the joint actions through the MDP's one-byte digit table,
+and rewards gathered in one take, straight into the estimator's (agent,)
 episode, step layout.  First visits are not compressed out of that layout:
 their masks are np.bincount weights, which leave every bin's count and sum
 exactly what the first visits alone give.
@@ -339,7 +339,8 @@ def _joint_actions(rows, u, digit_weights, out):
 def _rollout(mdp, policy, horizon, seeds, episode_offset, batch, bank):
     """The episodes of `_sample_batch`, in the estimator's layout: (plan,
     states, actions, rewards) with shapes (B*R, T), (B*R, T, n) and
-    (n, B*R, T), `seeds` an array of shape () or (R,)."""
+    (n, B*R, T), `seeds` an array of shape () or (R,).  Actions are rows
+    of the digit table, in its one-byte dtype."""
     if mdp.n_agents + 1 > _MAX_STREAMS:
         raise ValueError("too many agents for the stream layout")
     if policy.probs[0].shape[:-2] != seeds.shape:
@@ -393,6 +394,8 @@ def _rollout(mdp, policy, horizon, seeds, episode_offset, batch, bank):
                                out=joint_by_step[t])
         if t == T - 1:                  # the last successor is never recorded
             break
+        # s may be int32 (the CSR index dtype), picked only when S*n_joint
+        # < 2**31, so s * n_joint cannot overflow
         flat = s * mdp.n_joint + joint
         if plan.row_cdf is None:
             s = plan.only[flat]
@@ -412,8 +415,9 @@ def _sample_batch(mdp, policy, horizon, seed, episode_offset, batch,
     `seed` is one seed with (S, A_i) policy tables, or R run seeds with
     (R, S, A_i) tables; column b*R + r then holds episode
     episode_offset + b of run r (R = 1 for one seed).  Returns (states,
-    actions, rewards) with shapes (T, B*R), (T, B*R, n), (T, B*R, n), as
-    views of the episode-major arrays the estimator reads.  Draws and the
+    actions, rewards) with shapes (T, B*R), (T, B*R, n), (T, B*R, n):
+    states and rewards are views of the episode-major arrays the estimator
+    reads, and actions an int64 copy of its one-byte ones.  Draws and the
     _IndexPlan come from `bank` when given (it must be keyed to these
     seeds, to the draw counts of this MDP and horizon, and to this MDP and
     batch), else they are made for exactly this batch.
@@ -429,7 +433,8 @@ def _sample_batch(mdp, policy, horizon, seed, episode_offset, batch,
     _, states, actions, rewards = _rollout(
         mdp, policy, horizon, np.asarray(seed, dtype=np.uint64),
         episode_offset, batch, bank)
-    return states.T, actions.transpose(1, 0, 2), rewards.transpose(2, 1, 0)
+    return (states.T, actions.astype(np.int64).transpose(1, 0, 2),
+            rewards.transpose(2, 1, 0))
 
 
 def sample_episode(mdp, policy, horizon, seed, episode=0):

@@ -13,6 +13,23 @@ from mpglearn.core import JointPolicy, MultiAgentMDP, _frozen
 from mpglearn.environments import SAFE, SPREAD, CostDescriptor, Environment
 
 
+def assert_same_bytes(got, want, what="arrays"):
+    """`got` and `want` have one dtype, one shape and the same bytes.
+
+    Compared to a boolean first, since pytest's diff of two long byte
+    strings is very slow; a failure names the first index that differs."""
+    x, y = np.asarray(got), np.asarray(want)
+    assert (x.dtype, x.shape) == (y.dtype, y.shape), \
+        f"{what}: {x.dtype}{x.shape} != {y.dtype}{y.shape}"
+    if x.tobytes() != y.tobytes():
+        bx, by = (np.ascontiguousarray(a.reshape(-1)).view(np.uint8)
+                  .reshape(a.size, -1) for a in (x, y))
+        k = np.unravel_index(int(np.argmax((bx != by).any(axis=1))), x.shape)
+        k = tuple(int(i) for i in k)
+        raise AssertionError(f"{what} first differ at index {k}: "
+                             f"{x[k].item()!r} != {y[k].item()!r}")
+
+
 def random_mdp(n_states, n_actions, gamma, seed, n_agents=None):
     """Dirichlet transition rows, uniform rewards in [0, 1], uniform mu."""
     if n_agents is None:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import mpglearn as m
 from mpglearn.core import MDPFormatError, joint_digits
 
-from conftest import random_mdp, random_policy, sparse_mdp
+from conftest import assert_same_bytes, random_mdp, random_policy, sparse_mdp
 
 
 def tiny_mdp(**kw):
@@ -118,13 +118,13 @@ class TestTransitionForms:
             for x, y in zip(self.derived(mdp), want):
                 assert (x is None) == (y is None)
                 if y is not None:
-                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+                    assert_same_bytes(x, y, "derived table")
             assert mdp.upper_triangular is base.upper_triangular
             P, ref = mdp.transitions, sp.csr_matrix(dense)
             assert P.has_canonical_format and P.shape == ref.shape
             for x, y in ((P.data, ref.data), (P.indices, ref.indices),
                          (P.indptr, ref.indptr)):
-                assert x.tobytes() == y.astype(x.dtype).tobytes()
+                assert_same_bytes(x, y.astype(x.dtype), "CSR array")
             assert np.shares_memory(P.data, mdp.csr[0])
 
     # 1 agent, 2 actions, 2 states: rows (0, 0), (0, 1), (1, 0), (1, 1)
@@ -164,6 +164,39 @@ class TestTransitionForms:
                 np.array(x) for x in triple.values()), 0.9, [0.5, 0.5])
 
 
+class TestDerivedTables:
+    """Tables derived from the CSR arrays are sized to what they hold."""
+
+    def test_single_successor_table_views_the_indices(self):
+        mdp = sparse_mdp(4, (2, 3), 0.9, seed=140, max_width=1)
+        succ, cdf, total = mdp.successors
+        assert cdf is None and total is None
+        assert succ.shape == (mdp.n_states * mdp.n_joint, 1)
+        assert succ.dtype == mdp.csr[1].dtype == np.int32
+        assert np.shares_memory(succ, mdp.csr[1])
+        assert not succ.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            succ[0, 0] = 0
+
+    def test_wider_table_keeps_the_index_dtype(self):
+        mdp = sparse_mdp(4, (2, 3), 0.9, seed=141, max_width=3)
+        succ, cdf, total = mdp.successors
+        assert succ.shape[1] > 1 and cdf is not None and total is not None
+        assert succ.dtype == mdp.csr[1].dtype == np.int32
+        assert not succ.flags.writeable
+
+    def test_chain_cells_are_column_major(self):
+        mdp = sparse_mdp(5, (2, 2), 0.9, seed=142, max_width=3)
+        S, A = mdp.n_states, mdp.n_joint
+        _, indices, indptr = mdp.csr
+        rows, cells = mdp.chain_cells
+        assert np.array_equal(rows, np.repeat(np.arange(S * A),
+                                              np.diff(indptr)))
+        assert np.array_equal(cells, indices * S + rows // A)
+        assert cells.dtype == np.int64
+        assert not rows.flags.writeable and not cells.flags.writeable
+
+
 class TestJointActionEncoding:
     def test_agent_zero_is_most_significant(self):
         mdp = random_mdp(2, (2, 3), 0.9, seed=1)
@@ -183,10 +216,11 @@ class TestJointActionEncoding:
     @given(n_actions=st.lists(st.integers(1, 5), min_size=1, max_size=5))
     def test_joint_digits_matches_unravel_index(self, n_actions):
         # ragged action counts: every agent's column, one read-only table
+        # in the smallest dtype that holds every action
         joints = np.arange(int(np.prod(n_actions)))
         want = np.stack(np.unravel_index(joints, n_actions), axis=1)
         got = joint_digits(n_actions)
-        assert got.dtype == np.int64 and got.shape == want.shape
+        assert got.dtype == np.uint8 and got.shape == want.shape
         assert np.array_equal(got, want)
         assert not got.flags.writeable
 

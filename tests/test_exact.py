@@ -13,8 +13,8 @@ import mpglearn as m
 from mpglearn import exact
 from mpglearn.exact import joint_policy_table
 
-from conftest import (chain_of, pairwise_mismatch, random_mdp,
-                      random_policy, sparse_mdp, truncated_values,
+from conftest import (assert_same_bytes, chain_of, pairwise_mismatch,
+                      random_mdp, random_policy, sparse_mdp, truncated_values,
                       truncated_visitation)
 
 
@@ -273,10 +273,13 @@ class TestTriangularBranch:
         rhs = np.einsum("isa,rsa->rsi", mdp.rewards, jt)
         mu = (1.0 - gamma) * mdp.mu
         for chain, b in zip(exact._chain_matrix(mdp, jt), rhs):
+            # the solver builds its matrix in the chain's buffer
+            matrix = np.asfortranarray(np.eye(n_states) - gamma * chain)
+            lu = linalg.lu_factor(matrix, check_finite=False)
             solver = exact._Solver(mdp, chain)
             assert solver._lu is None and solver._upper is not None
-            lu = linalg.lu_factor(np.eye(n_states) - gamma * chain,
-                                  check_finite=False)
+            assert solver._upper.flags.f_contiguous
+            assert_same_bytes(solver._upper, matrix, "I - gamma * P")
             for got, want in [
                     (solver.solve(b), linalg.lu_solve(lu, b,
                                                       check_finite=False)),
@@ -284,8 +287,7 @@ class TestTriangularBranch:
                      linalg.lu_solve(lu, b[:, 0], check_finite=False)),
                     (solver.solve(mu, transposed=True),
                      linalg.lu_solve(lu, mu, trans=1, check_finite=False))]:
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
+                assert_same_bytes(got, want, "solution")
 
     @staticmethod
     def game(request, name):
@@ -343,6 +345,71 @@ class TestTriangularBranch:
         assert len(factored) == calls
 
 
+def reference_chain(mdp, jt):
+    """The (S, S) C-ordered chain of one (S, n_joint) joint table: one
+    bincount over row-major cells s*S + s' in CSR entry order."""
+    S, A = mdp.n_states, mdp.n_joint
+    data, indices, indptr = mdp.csr
+    rows = np.repeat(np.arange(S * A), np.diff(indptr))
+    return np.bincount(rows // A * S + indices,
+                       weights=jt.ravel()[rows] * data,
+                       minlength=S * S).reshape(S, S)
+
+
+class TestSolverMatrix:
+    """`_Solver` builds I - gamma * P_pi in the Fortran-ordered buffer of
+    the chain `_chain_matrix` returns, with no copy: byte for byte the
+    reference np.asfortranarray(np.eye(S) - gamma * P) of a row-major
+    chain, on the triangular solve's path and, as the matrix that
+    `lu_factor` factors in place, on the LU's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_actions=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           n_states=st.integers(1, 6), width=st.integers(1, 3),
+           upper=st.booleans(), gamma=st.sampled_from([0.5, 0.9, 0.99]),
+           runs=st.sampled_from([1, 3]), seed=st.integers(0, 2 ** 32 - 1),
+           zeros=st.booleans())
+    @example(n_actions=[2, 3], n_states=5, width=3, upper=True, gamma=0.99,
+             runs=3, seed=8, zeros=True)
+    @example(n_actions=[2, 2], n_states=5, width=2, upper=False, gamma=0.9,
+             runs=1, seed=9, zeros=False)
+    def test_matrix_equals_reference(self, n_actions, n_states, width,
+                                     upper, gamma, runs, seed, zeros):
+        mdp = sparse_mdp(n_states, tuple(n_actions), gamma, seed,
+                         max_width=min(width, n_states), upper=upper)
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed + 1)))
+        jt = np.stack([joint_policy_table(mdp, policy_with_zeros(mdp, rng)
+                                          if zeros else
+                                          m.random_product_policy(mdp, rng))
+                       for _ in range(runs)])
+        wants = [np.asfortranarray(np.eye(n_states) - gamma
+                                   * reference_chain(mdp, t)) for t in jt]
+        factored = []
+        lu_factor = linalg.lu_factor
+
+        def recording(a, *args, **kwargs):
+            factored.append((a, a.copy(order="F"), kwargs))
+            return lu_factor(a, *args, **kwargs)
+
+        chains = exact._chain_matrix(mdp, jt)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exact.linalg, "lu_factor", recording)
+            solvers = [exact._Solver(mdp, chain) for chain in chains]
+        for chain, solver, want in zip(chains, solvers, wants):
+            if mdp.upper_triangular:
+                got = solver._upper
+                assert np.shares_memory(got, chain)
+            else:
+                a, got, kwargs = factored.pop(0)
+                assert np.shares_memory(a, chain) and kwargs["overwrite_a"]
+                assert np.shares_memory(solver._lu[0], chain)   # in place
+                assert_same_bytes(solver._lu[0], lu_factor(
+                    want, check_finite=False)[0], "LU factors")
+            assert got.flags.f_contiguous
+            assert_same_bytes(got, want, "I - gamma * P")
+        assert not factored
+
+
 def reference_evaluate(target, policy, want_q=False, agents=None):
     """One policy's exact evaluation as `evaluate` computed it before it took
     a run axis: the (S, n_joint) joint table as a running outer product, the
@@ -366,10 +433,7 @@ def reference_evaluate(target, policy, want_q=False, agents=None):
     jt = np.ones((S, 1))
     for p in reversed(policy.probs):
         jt = (p[:, :, None] * jt[:, None, :]).reshape(S, -1)
-    rows, cells = mdp.chain_cells
-    chain = np.bincount(cells, weights=jt.ravel()[rows] * mdp.transitions.data,
-                        minlength=S * S).reshape(S, S)
-    solver = exact._Solver(mdp, chain)
+    solver = exact._Solver(mdp, np.asfortranarray(reference_chain(mdp, jt)))
     d = solver.solve((1.0 - mdp.gamma) * mdp.mu, transposed=True)
 
     with_potential = env is not None and env.stage_potential is not None
@@ -411,14 +475,12 @@ def assert_report_bytes(got, want):
         x, y = getattr(got, field), getattr(want, field)
         assert (x is None) == (y is None), field
         if y is not None:
-            assert x.shape == y.shape, field
-            assert np.ascontiguousarray(x).tobytes() == \
-                np.ascontiguousarray(y).tobytes(), field
+            assert_same_bytes(x, y, field)
     for field in ("adv_marginal", "q_marginal", "adv_potential"):
         xs, ys = getattr(got, field), getattr(want, field)
         assert (xs is None) == (ys is None), field
         for x, y in zip(xs or (), ys or ()):
-            assert x.shape == y.shape and x.tobytes() == y.tobytes(), field
+            assert_same_bytes(x, y, field)
     assert type(got.potential_mu) is type(want.potential_mu)
     assert repr(got.potential_mu) == repr(want.potential_mu)
 

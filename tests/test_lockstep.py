@@ -10,7 +10,7 @@ import pytest
 import mpglearn as m
 from mpglearn import cli, dynamics, sampling
 
-from conftest import random_mdp, sparse_mdp
+from conftest import assert_same_bytes, random_mdp, sparse_mdp
 
 SEEDS = [3, 2**63 + 9, 0, 41]
 
@@ -27,24 +27,23 @@ def assert_same_records(got, want):
     for g, w in zip(got, want):
         assert g["iteration"] == w["iteration"]
         for key in ("max_policy_step_l1", "potential", "nash_gap"):
-            assert (np.float64(g[key]).tobytes()
-                    == np.float64(w[key]).tobytes())
+            assert_same_bytes(np.float64(g[key]), np.float64(w[key]), key)
         assert (g["policy"] is None) == (w["policy"] is None)
         if g["policy"] is not None:
             for x, y in zip(g["policy"], w["policy"]):
-                assert x.tobytes() == y.tobytes()
+                assert_same_bytes(x, y, "policy")
 
 
 def assert_same_trace(got, want):
     assert (got.status, got.n_iterations) == (want.status, want.n_iterations)
     for field in ("iterations", "step_l1", "potential", "nash_gap"):
-        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        assert_same_bytes(getattr(got, field), getattr(want, field), field)
     for x, y in zip(got.final_policy.probs, want.final_policy.probs):
-        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert_same_bytes(x, y, "final_policy")
     assert (got.final_logits is None) == (want.final_logits is None)
     if got.final_logits is not None:
         for x, y in zip(got.final_logits.theta, want.final_logits.theta):
-            assert x.tobytes() == y.tobytes()
+            assert_same_bytes(x, y, "final_logits")
 
 
 def lockstep_equals_alone(env, cfg, initial, **kw):

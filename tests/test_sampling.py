@@ -15,7 +15,7 @@ import mpglearn as m
 from mpglearn import sampling
 from mpglearn.cli import build_environment, load_config
 
-from conftest import random_mdp, random_policy, sparse_mdp
+from conftest import assert_same_bytes, random_mdp, random_policy, sparse_mdp
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -270,12 +270,12 @@ class TestStreamDraws:
                     mdp, pols[r], m.SampleConfig(9, 5, seeds[r], estimator),
                     episode_offset=offset)
                 for field in ("v", "visitation", "visited_states"):
-                    assert (getattr(got, field)[j].tobytes()
-                            == getattr(alone, field).tobytes())
+                    assert_same_bytes(getattr(got, field)[j],
+                                      getattr(alone, field), field)
                 for field in ("adv_marginal", "q_marginal", "visited_pairs"):
                     for x, y in zip(getattr(got, field),
                                     getattr(alone, field)):
-                        assert x[j].tobytes() == y.tobytes()
+                        assert_same_bytes(x[j], y, field)
 
     def test_stacked_batch_is_episode_major(self):
         mdp = sparse_mdp(4, (2, 3), 0.9, seed=104, max_width=2)
@@ -468,10 +468,6 @@ class TestTransitionDraw:
             assert np.array_equal(getattr(rep, field), getattr(rep_twin, field))
 
 
-def as_bytes(x):
-    return x.shape, x.dtype, np.ascontiguousarray(x).tobytes()
-
-
 def zero_first_actions(policy):
     """The policy with each agent's first action of every row given
     probability 0 (where it has another), so cdf rows start with ties."""
@@ -556,7 +552,7 @@ class TestRolloutOracle:
                 want = reference_sample_batch(mdp, policy, horizon,
                                               run_seeds, start, batch)
                 for x, y in zip(got, want):
-                    assert as_bytes(x) == as_bytes(y)
+                    assert_same_bytes(x, y)
 
 
 def reference_estimate(mdp, policy, cfg, episode_offset, seeds):
@@ -645,10 +641,10 @@ class TestEstimatorOracle:
                               seeds=seeds)
         want = reference_estimate(mdp, policy, cfg, 3, seeds)
         for field in ("v", "visitation", "visited_states"):
-            assert as_bytes(getattr(got, field)) == as_bytes(want[field])
+            assert_same_bytes(getattr(got, field), want[field], field)
         for field in ("q_marginal", "adv_marginal", "visited_pairs"):
             for x, y in zip(getattr(got, field), want[field], strict=True):
-                assert as_bytes(x) == as_bytes(y)
+                assert_same_bytes(x, y, field)
 
 
 def stacked_policy(mdp, pols):
@@ -681,10 +677,21 @@ class TestShippedGamesOracle:
                               bank=bank, seeds=seeds)
         want = reference_estimate(mdp, policy, cfg, 40, seeds)
         for field in ("v", "visitation", "visited_states"):
-            assert as_bytes(getattr(got, field)) == as_bytes(want[field])
+            assert_same_bytes(getattr(got, field), want[field], field)
         for field in ("q_marginal", "adv_marginal", "visited_pairs"):
             for x, y in zip(getattr(got, field), want[field], strict=True):
-                assert as_bytes(x) == as_bytes(y)
+                assert_same_bytes(x, y, field)
+
+    def test_sampled_estimate_builds_no_chain_cells(self):
+        # only an exact solve reads the chain cells; validation, the draw
+        # table and the digit table take what they need from the CSR arrays
+        mdp = shipped_mdp("distancing.ini")
+        policy = random_policy(mdp, 113)
+        m.estimate_eval(mdp, policy, m.SampleConfig(horizon=20, batch=20))
+        assert mdp._chain_cells is None
+        assert mdp.digits.dtype == np.uint8
+        m.evaluate(mdp, policy, agents=[])
+        assert mdp._chain_cells is not None
 
 
 class TestRunAxis:

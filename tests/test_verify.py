@@ -10,7 +10,7 @@ import mpglearn as m
 from mpglearn.environments import CostDescriptor
 from mpglearn.verify import exhaustive_best_response_value
 
-from conftest import random_mdp, random_policy
+from conftest import assert_same_bytes, random_mdp, random_policy
 
 
 class TestBestResponse:
@@ -87,7 +87,7 @@ class TestNashGap:
         pol = random_policy(env.mdp, 68)
         fresh = m.nash_gap(env.mdp, pol)
         reused = m.nash_gap(env.mdp, pol, report=m.evaluate(env, pol))
-        assert reused.gaps.tobytes() == fresh.gaps.tobytes()
+        assert_same_bytes(reused.gaps, fresh.gaps, "gaps")
         assert repr((reused.overall_gap, reused.mu_gap)) == \
             repr((fresh.overall_gap, fresh.mu_gap))
 
