@@ -1,9 +1,9 @@
 """Independent learning dynamics in tabular Markov potential games."""
 
-from .core import (EvalReport, JointPolicy, Logits, MultiAgentMDP,
-                   eval_report_violations, l1_accuracy, random_logits,
-                   read_mdp, read_policy, softmax_policy, uniform_logits,
-                   validate_mdp, write_mdp, write_policy)
+from .core import (AgentTables, EvalReport, JointPolicy, Logits,
+                   MultiAgentMDP, eval_report_violations, l1_accuracy,
+                   random_logits, read_mdp, read_policy, softmax_policy,
+                   uniform_logits, validate_mdp, write_mdp, write_policy)
 from .exact import (MismatchBound, enumerated_mismatch, evaluate,
                     mismatch_bound, potential_value, q_and_advantage,
                     visitation)

@@ -1,9 +1,12 @@
 """Tabular multi-agent MDPs, product policies, softmax logits.
 
 All container types freeze their arrays after construction, so instances are
-immutable value objects and safe to share across threads.  Joint actions are
-encoded in mixed radix with agent 0 as the most significant digit: the joint
-index of per-agent actions (a_0, ..., a_{n-1}) is
+immutable value objects and safe to share across threads.  Per-agent tables
+(policies, logits, report marginals) are `AgentTables`: views of one padded
+(..., n, S, A_max) array, so that one array operation serves every agent.
+Joint actions are encoded in mixed radix with agent 0 as the most
+significant digit: the joint index of per-agent actions (a_0, ..., a_{n-1})
+is
 
     a_0 * |A_1|*...*|A_{n-1}| + a_1 * |A_2|*...*|A_{n-1}| + ... + a_{n-1}
 
@@ -11,6 +14,7 @@ which matches numpy's C-order ravel_multi_index.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -355,15 +359,78 @@ def validate_mdp(mdp):
     return problems
 
 
+class AgentTables(tuple):
+    """Agent i's (..., S, A_i) table as element i, a view of `stacked`, the
+    (..., n, S, A_max) array of all of them, any run axis first, padded
+    with `fill`: -inf for logits, 0 (False) elsewhere, which stays padding
+    under softmax, the update rules and cdf sums.  Per-agent tables are
+    copied into a new array (hand-built ones may also differ in state
+    count); `of` shares a padded one, and an AgentTables is kept as it is."""
+
+    def __new__(cls, tables, fill=0.0, dtype=None):
+        if isinstance(tables, AgentTables) and (
+                dtype is None or tables.stacked.dtype == dtype):
+            return tables
+        tables = [np.asarray(t) for t in tables]
+        for i, t in enumerate(tables):
+            if t.ndim < 2 or t.shape[:-2] != tables[0].shape[:-2]:
+                raise ValueError(f"agent {i}: table of shape {t.shape} is not "
+                                 f"(..., S, A) after agent 0's leading axes")
+        shapes = [t.shape[-2:] for t in tables]
+        stacked = np.full(tables[0].shape[:-2] + (len(tables),)
+                          + tuple(np.max(shapes, axis=0)), fill,
+                          dtype or np.result_type(*tables))
+        for i, (t, (S, A)) in enumerate(zip(tables, shapes)):
+            stacked[..., i, :S, :A] = t
+        return cls.of(stacked, shapes)
+
+    @classmethod
+    def of(cls, stacked, shapes):
+        """Agent i's table is stacked[..., i, :S_i, :A_i], shapes[i] the
+        pair (S_i, A_i)."""
+        self = super().__new__(cls, (stacked[..., i, :S, :A]
+                                     for i, (S, A) in enumerate(shapes)))
+        self.stacked, self.shapes = stacked, shapes
+        return self
+
+    def like(self, stacked):
+        """The tables of another array padded as this one is, shared."""
+        return AgentTables.of(stacked, self.shapes)
+
+    def __reduce__(self):       # copies and pickles keep views of `stacked`
+        return AgentTables.of, (self.stacked, self.shapes)
+
+    @cached_property
+    def valid(self):
+        """The (n, S, A_max) mask of entries that are not padding, which
+        broadcasts against `stacked`; True when there are none."""
+        mask = np.zeros(self.stacked.shape[-3:], dtype=bool)
+        for i, (S, A) in enumerate(self.shapes):
+            mask[i, :S, :A] = True
+        return True if mask.all() else mask
+
+
+def _frozen_tables(tables, fill):
+    """Float AgentTables over a read-only array: one that is writable is
+    frozen in place, which hands it over (the caller must not write to it
+    again); per-agent tables are copied."""
+    tables = AgentTables(tables, fill, float)
+    if tables.stacked.flags.writeable:
+        tables.stacked.flags.writeable = False
+        tables = tables.like(tables.stacked)    # read-only views
+    return tables
+
+
 class JointPolicy:
-    """A product policy: one (n_states, A_i) row-stochastic table per agent.
+    """A product policy: one (n_states, A_i) row-stochastic table per agent,
+    held as read-only `AgentTables` padded with 0 (see `_frozen_tables`).
 
     Unvalidated tables may carry a leading run axis, (R, n_states, A_i): R
     runs stepped in lockstep, as `dynamics.run` and the sampler use them.
     """
 
     def __init__(self, probs, validate=True):
-        self.probs = tuple(_frozen(p) for p in probs)
+        self.probs = _frozen_tables(probs, 0.0)
         self.n_agents = len(self.probs)
         if validate:
             for i, p in enumerate(self.probs):
@@ -383,16 +450,16 @@ class JointPolicy:
 
     @property
     def n_states(self):
-        return self.probs[0].shape[0]
+        return self.probs.stacked.shape[-2]
 
     def is_interior(self, eps=0.0):
-        return all(p.min() > eps for p in self.probs)
+        return bool(np.all(self.probs.stacked > eps, where=self.probs.valid))
 
     def per_agent_l1(self, other):
         """Per-agent L1 distance between whole policy tables (summed over
-        states): shape (n,), or (n, R) for tables with a leading run axis."""
-        return np.array([np.abs(p - q).sum(axis=(-2, -1))
-                         for p, q in zip(self.probs, other.probs)])
+        states): shape (n,), or (R, n) for tables with a leading run axis."""
+        return np.abs(self.probs.stacked - other.probs.stacked).sum(
+            axis=(-2, -1))
 
     def replace_agent(self, agent, table):
         probs = list(self.probs)
@@ -406,10 +473,11 @@ class JointPolicy:
 
 class Logits:
     """Softmax preimages of a product policy: one (n_states, A_i) table per
-    agent, or (R, n_states, A_i) with a leading run axis."""
+    agent, or (R, n_states, A_i) with a leading run axis.  `theta` holds
+    them as read-only `AgentTables` padded with -inf, whose softmax is 0."""
 
     def __init__(self, theta, validate=True):
-        self.theta = tuple(_frozen(t) for t in theta)
+        self.theta = _frozen_tables(theta, -np.inf)
         self.n_agents = len(self.theta)
         if validate:
             for i, t in enumerate(self.theta):
@@ -421,27 +489,34 @@ class Logits:
 
     @property
     def n_states(self):
-        return self.theta[0].shape[0]
+        return self.theta.stacked.shape[-2]
 
     def __repr__(self):
         shapes = ", ".join(str(t.shape) for t in self.theta)
         return f"Logits({shapes})"
 
 
+def _softmax(z):
+    """Row-wise softmax over the last axis of a stacked table, with max
+    subtraction; -inf padding comes out 0."""
+    z = z - z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
 def softmax_policy(logits):
-    """Row-wise softmax of each agent's logit table, with max subtraction.
+    """Row-wise softmax of every agent's logit table, with max subtraction,
+    as one pass over the stacked (..., n, S, A_max) logits.
 
     Tables may carry a leading run axis, (R, S, A_i).  Rejects non-finite
-    logits, naming the offending index.
+    logits, naming the offending index.  The policy shares the array the
+    softmax wrote.
     """
     if not isinstance(logits, Logits):
         logits = Logits(logits)
-    tables = []
-    for t in logits.theta:
-        z = t - t.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        tables.append(e / e.sum(axis=-1, keepdims=True))
-    return JointPolicy(tables, validate=False)
+    return JointPolicy(logits.theta.like(_softmax(logits.theta.stacked)),
+                       validate=False)
 
 
 def uniform_logits(mdp):
@@ -482,17 +557,29 @@ class EvalReport:
     Reports of R runs evaluated or estimated together carry a leading run
     axis on every array field (v is then (R, n_agents, n_states)), and an
     exact report's potential_mu is then a list of R floats.
+
+    The per-agent fields are `AgentTables` padded with 0 (False for
+    visited_pairs), so `adv_marginal.stacked` is the (..., n, S, A_max)
+    advantage tensor; plain per-agent sequences are stacked into one on
+    construction.  A report's arrays are not made read-only.
     """
     v: np.ndarray                       # (n_agents, n_states)
-    adv_marginal: tuple                 # per agent (n_states, A_i)
+    adv_marginal: AgentTables           # per agent (n_states, A_i)
     visitation: np.ndarray              # (n_states,)
     q: np.ndarray | None = None         # (n_agents, n_states, n_joint)
-    q_marginal: tuple | None = None     # per agent (n_states, A_i)
+    q_marginal: AgentTables | None = None   # per agent (n_states, A_i)
     potential: np.ndarray | None = None # (n_states,)
     potential_mu: float | list | None = None
-    adv_potential: tuple | None = None  # per agent (n_states, A_i)
+    adv_potential: AgentTables | None = None    # per agent (n_states, A_i)
     visited_states: np.ndarray | None = None
-    visited_pairs: tuple | None = None
+    visited_pairs: AgentTables | None = None
+
+    def __post_init__(self):
+        for name in ("adv_marginal", "q_marginal", "adv_potential",
+                     "visited_pairs"):
+            tables = getattr(self, name)
+            if tables is not None:
+                object.__setattr__(self, name, AgentTables(tables))
 
     @property
     def n_agents(self):
@@ -511,11 +598,10 @@ def eval_report_violations(report, policy, mdp, tol=1e-10):
         problems.append(f"visitation({s}) = {float(report.visitation[s])!r} "
                         f"below (1-gamma)*mu = "
                         f"{float((1 - mdp.gamma) * mdp.mu[s])!r}")
-    for i, (adv, p) in enumerate(zip(report.adv_marginal, policy.probs)):
-        mean = np.abs((adv * p).sum(axis=1)).max()
-        if mean > tol:
-            problems.append(f"agent {i}: advantage mean {float(mean)!r} "
-                            f"not zero")
+    means = np.abs((report.adv_marginal.stacked * policy.probs.stacked)
+                   .sum(axis=-1)).max(axis=-1)
+    problems += [f"agent {i}: advantage mean {float(x)!r} not zero"
+                 for i, x in enumerate(means) if x > tol]
     return problems
 
 

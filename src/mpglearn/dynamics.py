@@ -6,11 +6,14 @@ All agents update simultaneously each iteration.  The natural-gradient and
 multiplicative-weights updates are two parametrizations of the same map, and
 the test suite holds them to entrywise agreement.
 
-The update rules take tables with or without a leading run axis: `run`
-steps R runs of one configuration in lockstep on (R, S, A_i) tables, and
-every operation on them acts on each run's rows as it would on that run's
-own (S, A_i) tables, so each run's trace is bit-identical to running it
-alone.
+Every update rule is one array operation on the stacked (..., n, S, A_max)
+tables of `core.AgentTables`, for all agents at once: logits padded with
+-inf, policies and advantages with 0, so padding stays padding.  The rules
+take tables with or without a leading run axis: `run` steps R runs of one
+configuration in lockstep on (R, n, S, A_max) tables, and every operation
+on them acts on each run's rows as it would on that run's own tables, so
+each run's trace is bit-identical to running it alone.  A rule hands the
+array it computed to the new Logits or JointPolicy, which shares it.
 """
 
 import logging
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EvalReport, JointPolicy, Logits, softmax_policy,
+from .core import (EvalReport, JointPolicy, Logits, _softmax, softmax_policy,
                    uniform_logits)
 from .exact import evaluate, mismatch_bound
 from .sampling import SampleConfig, _StreamBank, estimate_eval
@@ -101,32 +104,39 @@ class _RunError(ValueError):
 
 
 def _raise_at(bad, detail):
-    """Raise a _RunError at the first true entry of an (S, A) or (R, S, A)
-    mask; detail(s, a) describes it."""
-    *run, s, a = (int(x) for x in np.argwhere(bad)[0])
-    raise _RunError(run[0] if run else None, detail(s, a))
+    """Raise a _RunError at the first true entry of a stacked (n, S, A_max)
+    or (R, n, S, A_max) mask, agent by agent; detail(i, s, a) describes
+    it."""
+    i, *run, s, a = (int(x) for x in np.argwhere(np.moveaxis(bad, -3, 0))[0])
+    raise _RunError(run[0] if run else None, detail(i, s, a))
 
 
 def _check_finite_advantages(report):
     """Raise on the first non-finite marginal advantage, naming its index."""
-    # a NaN or infinity anywhere makes the total non-finite; one sum per
-    # agent is the cheap common case, the scan below finds the index
-    if math.isfinite(sum(float(adv.sum()) for adv in report.adv_marginal)):
+    # a NaN or infinity anywhere makes the total non-finite; one sum is the
+    # cheap common case, the scan below finds the index
+    adv = report.adv_marginal.stacked
+    if math.isfinite(adv.sum()):
         return
-    for i, adv in enumerate(report.adv_marginal):
-        bad = ~np.isfinite(adv)
-        if bad.any():
-            _raise_at(bad, lambda s, a: f"non-finite advantage at agent {i}, "
-                                        f"state {s}, action {a}")
+    bad = ~np.isfinite(adv)
+    if bad.any():
+        _raise_at(bad, lambda i, s, a: f"non-finite advantage at agent {i}, "
+                                       f"state {s}, action {a}")
+
+
+def _log(probs):
+    """The log of a stacked policy table, -inf on its padding."""
+    return np.log(probs.stacked, out=np.full(probs.stacked.shape, -np.inf),
+                  where=probs.valid)
 
 
 def inpg_step(theta, report, eta, gamma):
     """Natural-gradient logit update: add eta/(1-gamma) times the advantage."""
     _check_finite_advantages(report)
     scale = eta / (1.0 - gamma)
-    return Logits([t + scale * adv
-                   for t, adv in zip(theta.theta, report.adv_marginal)],
-                  validate=False)
+    return Logits(theta.theta.like(
+        theta.theta.stacked + scale * report.adv_marginal.stacked),
+        validate=False)
 
 
 def mwu_step(policy, report, eta, gamma):
@@ -138,17 +148,15 @@ def mwu_step(policy, report, eta, gamma):
     """
     _check_finite_advantages(report)
     scale = eta / (1.0 - gamma)
-    new = []
-    for i, (p, adv) in enumerate(zip(policy.probs, report.adv_marginal)):
-        if p.min() <= 0.0:
-            _raise_at(p <= 0.0, lambda s, a: (
-                f"agent {i}: zero probability at (state {s}, action {a}); "
-                f"multiplicative update cannot revive zero mass"))
-        z = np.log(p) + scale * adv
-        z -= z.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        new.append(e / e.sum(axis=-1, keepdims=True))
-    return JointPolicy(new, validate=False)
+    probs = policy.probs
+    bad = (probs.stacked <= 0.0) & probs.valid
+    if bad.any():
+        _raise_at(bad, lambda i, s, a: (
+            f"agent {i}: zero probability at (state {s}, action {a}); "
+            f"multiplicative update cannot revive zero mass"))
+    z = _log(probs)
+    z += scale * report.adv_marginal.stacked
+    return JointPolicy(probs.like(_softmax(z)), validate=False)
 
 
 def ipg_step(theta, report, eta, gamma, policy=None):
@@ -162,10 +170,10 @@ def ipg_step(theta, report, eta, gamma, policy=None):
     if policy is None:
         policy = softmax_policy(theta)
     scale = eta / (1.0 - gamma)
-    new = []
-    for t, p, adv in zip(theta.theta, policy.probs, report.adv_marginal):
-        new.append(t + scale * report.visitation[..., None] * p * adv)
-    return Logits(new, validate=False)
+    visitation = report.visitation[..., None, :, None]     # (..., 1, S, 1)
+    return Logits(theta.theta.like(
+        theta.theta.stacked + scale * visitation * policy.probs.stacked
+        * report.adv_marginal.stacked), validate=False)
 
 
 def max_step_size(mdp, mismatch=None):
@@ -212,17 +220,21 @@ def check_step_size(mdp, cfg):
 
 
 def _rows(x, index):
-    """Rows `index` of the run axis of a stacked JointPolicy or Logits."""
+    """Rows `index` (an integer or an index array) of the run axis of a
+    stacked JointPolicy or Logits, taken into a new array, so that a
+    finished run does not keep the whole stack alive."""
     if isinstance(x, JointPolicy):
-        return JointPolicy([p[index] for p in x.probs], validate=False)
-    return Logits([t[index] for t in x.theta], validate=False)
+        return JointPolicy(x.probs.like(x.probs.stacked.take(index, axis=0)),
+                           validate=False)
+    return Logits(x.theta.like(x.theta.stacked.take(index, axis=0)),
+                  validate=False)
 
 
 def _report_row(report, j):
     """Row j of the run axis of an exact report: the values, marginal
     advantages and visitation that `nash_gap` reads."""
-    return EvalReport(v=report.v[j],
-                      adv_marginal=tuple(a[j] for a in report.adv_marginal),
+    adv = report.adv_marginal
+    return EvalReport(v=report.v[j], adv_marginal=adv.like(adv.stacked[j]),
                       visitation=report.visitation[j])
 
 
@@ -239,7 +251,7 @@ def _initial_state(mdp, cfg, initial):
             if not x.is_interior():
                 raise ValueError(f"run {r}: logit-space dynamics need an "
                                  f"interior policy")
-            x = Logits([np.log(p) for p in x.probs], validate=False)
+            x = Logits(x.probs.like(_log(x.probs)), validate=False)
         elif not logit_space:
             if isinstance(x, Logits):
                 x = softmax_policy(x)
@@ -247,7 +259,7 @@ def _initial_state(mdp, cfg, initial):
                 raise ValueError(f"run {r}: multiplicative weights needs an "
                                  f"interior policy")
         starts.append(x.theta if logit_space else x.probs)
-    tables = [np.stack(t) for t in zip(*starts)]
+    tables = starts[0].like(np.stack([t.stacked for t in starts]))
     if logit_space:
         theta = Logits(tables, validate=False)
         return theta, softmax_policy(theta)
@@ -342,7 +354,7 @@ def run(env, cfg, initial=None, nash_gap_every=0, snapshot_every=0,
             r = runs[exc.run]
             seed = "" if seeds[r] is None else f" (seed {seeds[r]})"
             raise ValueError(f"run {r}{seed}: {exc.detail}") from None
-        steps = policy.per_agent_l1(new_policy).max(axis=0)
+        steps = policy.per_agent_l1(new_policy).max(axis=-1)
         snapshot = bool(snapshot_every) and k % snapshot_every == 0
         for j, (r, step) in enumerate(zip(runs.tolist(), steps.tolist())):
             gap = np.nan
@@ -355,14 +367,14 @@ def run(env, cfg, initial=None, nash_gap_every=0, snapshot_every=0,
                 on_iteration({
                     "run": r, "iteration": k, "max_policy_step_l1": step,
                     "potential": phis[j], "nash_gap": gap,
-                    "policy": tuple(p[j] for p in policy.probs)
+                    "policy": policy.probs.like(policy.probs.stacked[j])
                     if snapshot else None})
         policy = new_policy
         done = steps < cfg.convergence_threshold
         if done.any():
             for j in np.flatnonzero(done):
                 finish(j, "converged")
-            keep = ~done
+            keep = np.flatnonzero(~done)
             runs = runs[keep]
             if not runs.size:
                 break

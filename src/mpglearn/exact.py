@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EvalReport, JointPolicy, joint_digits
+from .core import (AgentTables, EvalReport, JointPolicy, _entry_rows,
+                   joint_digits)
 
 DENSE_SOLVE_MAX = 4096
 
@@ -114,19 +115,16 @@ class _Solver:
     returns L = I, U = A exactly, so a triangular solve on the
     Fortran-ordered A gives lu_solve's bytes; and otherwise one dense LU
     (`linalg.lu_factor`), in place, for chains with a back edge.  At
-    gamma = 0 the matrix is I and nothing is solved or written.
+    gamma = 0 `evaluate` makes no solver.
     """
 
     def __init__(self, mdp, p_pi):
         from scipy import linalg
-        self.gamma = mdp.gamma
         self._linalg = linalg
         S = mdp.n_states
         self._lu = self._sparse = self._upper = None
-        if self.gamma == 0.0:
-            return
         A = p_pi
-        A *= self.gamma
+        A *= mdp.gamma
         np.subtract(0.0, A, out=A)
         diagonal = np.arange(S)
         A[diagonal, diagonal] += 1.0
@@ -144,8 +142,6 @@ class _Solver:
 
     def solve(self, b, transposed=False):
         """Solve A x = b, or A^T x = b; b is (S,) or (S, k)."""
-        if self.gamma == 0.0:
-            return np.array(b)
         if self._upper is not None:
             return self._linalg.solve_triangular(
                 self._upper, b, trans=int(transposed), check_finite=False)
@@ -153,14 +149,6 @@ class _Solver:
             return self._linalg.lu_solve(self._lu, b, trans=int(transposed),
                                          check_finite=False)
         return self._sparse.solve(b, trans="T" if transposed else "N")
-
-
-def __getattr__(name):
-    # scipy.linalg loads with the first solver; `exact.linalg` still names it
-    if name == "linalg":
-        from scipy import linalg
-        return linalg
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _backup(mdp, sol, column, stage):
@@ -194,6 +182,8 @@ def evaluate(target, policy, want_q=False, agents=None,
     Tables with a leading run axis, (R, S, A_i), put that axis on every
     field of the report (v is (R, n_agents, S)) and make potential_mu a list
     of R floats; (S, A_i) tables are the R = 1 case of the same computation.
+    Each per-agent field is written into one (..., n, S, A_max) buffer,
+    padded with 0, and returned as `AgentTables` over it.
     """
     env = target if hasattr(target, "mdp") else None
     mdp = env.mdp if env is not None else target
@@ -218,9 +208,13 @@ def evaluate(target, policy, want_q=False, agents=None,
     rhs_cols = [np.einsum("sa,rsa->rs", mdp.rewards[i], jt) for i in active]
     if with_potential:
         rhs_cols.append((jt * env.stage_potential).sum(axis=-1))
+    shapes = [(S, a) for a in mdp.n_actions]
+
+    def stacked():              # per-agent views of one zeroed buffer
+        return AgentTables.of(np.zeros((R, n, S, mdp.a_max())), shapes)
+
     v = np.zeros((R, n, S))
-    adv = [np.zeros((R, S, a)) for a in mdp.n_actions]
-    q_marg = [np.zeros((R, S, a)) for a in mdp.n_actions]
+    adv, q_marg = stacked(), stacked()
     q_all = np.zeros((R, n, S, A)) if want_q else None
     potential = potential_mu = adv_potential = None
     if rhs_cols:
@@ -233,28 +227,31 @@ def evaluate(target, policy, want_q=False, agents=None,
             q_i = _backup(mdp, sol, k, mdp.rewards[i])
             if want_q:
                 q_all[:, i] = q_i
-            q_marg[i] = _marginalize(mdp, probs, q_i, i)
-            adv[i] = q_marg[i] - v[:, i, :, None]
+            q_marg[i][...] = _marginalize(mdp, probs, q_i, i)
+            np.subtract(q_marg[i], v[:, i, :, None], out=adv[i])
         if with_potential:
             potential = sol[:, :, -1]
             # Python floats for repr in trace files; dots in solve order
             potential_mu = [float(mdp.mu @ x[:, -1]) for x in sols]
         if with_potential and want_adv_potential:
             q_phi = _backup(mdp, sol, -1, env.stage_potential)
-            adv_potential = tuple(
-                _marginalize(mdp, probs, q_phi, i) - potential[..., None]
-                for i in range(n))
+            adv_potential = stacked()
+            for i in range(n):
+                np.subtract(_marginalize(mdp, probs, q_phi, i),
+                            potential[..., None], out=adv_potential[i])
 
     def runs(x):
         return None if x is None else x.reshape(lead + x.shape[1:])
 
+    def tables(x):
+        return None if x is None else x.like(runs(x.stacked))
+
     if potential_mu is not None and not lead:
         potential_mu = potential_mu[0]
     return EvalReport(
-        v=runs(v), adv_marginal=tuple(map(runs, adv)), visitation=runs(d),
-        q=runs(q_all), q_marginal=tuple(map(runs, q_marg)),
-        potential=runs(potential), potential_mu=potential_mu,
-        adv_potential=adv_potential and tuple(map(runs, adv_potential)))
+        v=runs(v), adv_marginal=tables(adv), visitation=runs(d),
+        q=runs(q_all), q_marginal=tables(q_marg), potential=runs(potential),
+        potential_mu=potential_mu, adv_potential=tables(adv_potential))
 
 
 def q_and_advantage(mdp, policy, agent):
@@ -279,7 +276,7 @@ def potential_value(env, policy):
 def reachable_states(mdp):
     """States reachable from the support of mu under some action sequence."""
     _, indices, indptr = mdp.csr
-    src = np.repeat(np.arange(mdp.n_states), np.diff(indptr[::mdp.n_joint]))
+    src = _entry_rows(indptr[::mdp.n_joint])
     seen = mdp.mu > 0
     while True:
         grown = seen.copy()

@@ -14,7 +14,10 @@ runs together: column b*R + r holds episode b of run r (episode-major,
 run-minor), every first-visit and np.bincount key carries the run's offset, and
 each bin sums its entries in the order a single run sums them, so run r of
 the stacked report is bit-identical to a report computed for run r alone.
-A single run is the case of a scalar seed and (S, A_i) tables.
+A single run is the case of a scalar seed and (S, A_i) tables.  The
+sampler reads the policy as its stacked (..., n, S, A_max) tensor
+(`core.AgentTables`), and the estimator's bins are numbered in that layout,
+so every per-agent field of its report is one bincount reshaped.
 
 The draws come from a numpy Philox4x64-10 that is bit-identical to
 `np.random.Generator(np.random.Philox(key=[seed, (episode << 8) | stream]))
@@ -49,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EvalReport
+from .core import AgentTables, EvalReport
 
 _STREAM_BITS = 8
 _MAX_STREAMS = 1 << _STREAM_BITS
@@ -226,8 +229,10 @@ class _IndexPlan:
     A run's _StreamBank builds its plan once, and again in `keep` for the
     new run count; a call without a bank builds one for that call.  Columns
     e = b*R + r are episode-major, run-minor; the estimator lays its arrays
-    out (agent,) episode, step, and bin (i, r, s, a) of agent i's marginal
-    tables is R*S*(a_0 + ... + a_{i-1}) + (r*S + s)*a_i + a.
+    out (agent,) episode, step.  Its bins are numbered as the stacked
+    (R, n, S, A_max) marginal tables: bin ((r*n + i)*S + s)*A_max + a holds
+    (run r, agent i, state s, action a), so V's bin (r*n + i)*S + s is
+    bin // A_max, and the tables are the bincounts reshaped.
     """
 
     def __init__(self, mdp, horizon, batch, runs):
@@ -245,27 +250,15 @@ class _IndexPlan:
         self.run_rows = S * (np.arange(E) % runs)     # run r's rows: r*S on
         self.digits = mdp.digits                      # (n_joint, n)
         self.rewards = mdp.rewards.reshape(n, -1)     # (n, S*n_joint)
-        # the estimator
+        # the estimator; value_col[i, e] = (r*n + i)*S for e's run r
         self.run_col = self.run_rows[:, None]
+        self.value_col = (n * self.run_col
+                          + S * np.arange(n)[:, None, None])   # (n, E, 1)
         self.episode_col = S * np.arange(E)[:, None]
         self.disc = np.repeat(mdp.gamma ** np.arange(T), E)   # step-major
         self.positions = np.arange(E * T)
         self.pair_positions = np.arange(n * E * T)
-        a = np.array(mdp.n_actions)
-        a_base = np.concatenate(([0], np.cumsum(a)))
-        self.a_col = a[:, None, None]
-        self.pair_col = E * T * a_base[:-1, None, None]
-        self.n_pair_keys = E * T * a_base[-1]
-        self.agent_rows = runs * S * np.arange(n)[:, None]
-        bin_base = runs * S * a_base
-        self.bin_col = bin_base[:-1, None, None]
-        self.n_bins = bin_base[-1]
-        # the entry of v that bin (i, r, s, a) subtracts: i*R*S + r*S + s
-        bin_agent = np.repeat(np.arange(n), runs * S * a)
-        self.v_bin = ((np.arange(self.n_bins) - bin_base[bin_agent])
-                      // a[bin_agent] + runs * S * bin_agent)
-        self.splits = [(lo, hi, (runs, S, a_i))
-                       for lo, hi, a_i in zip(bin_base, bin_base[1:], a)]
+        self.pair_col = E * T * np.arange(n)[:, None, None]
 
 
 class _StreamBank:
@@ -302,26 +295,25 @@ class _StreamBank:
             self._start, lo = start, 0
         return [u[:, lo:lo + count] for u in self._u]
 
-    def keep(self, mask):
-        """Keep the runs where `mask` is true, with the draws already made,
-        and build the plan of the runs kept."""
-        self.seeds = self.seeds[mask]
-        self._u = [u[:, :, mask] for u in self._u]
+    def keep(self, kept):
+        """Keep the runs `kept` (a mask or an index array), with the draws
+        already made, and build the plan of the runs kept."""
+        self.seeds = self.seeds[kept]
+        self._u = [u[:, :, kept] for u in self._u]
         plan = self.plan
         self.plan = _IndexPlan(plan.mdp, plan.horizon, plan.batch,
                                self.seeds.size)
 
 
-def _cdf_table(policy, n_actions):
+def _cdf_table(policy):
     """(rows, n, A_max) cdf rows of every agent's policy, padded with the
-    row's total; rows = S, or R*S (run-major) for (R, S, A_i) tables.  One
-    cumsum over the zero-padded rows adds the same terms in the same order
-    as a cumsum of each agent's own rows."""
-    rows = policy.probs[0].size // n_actions[0]
-    out = np.zeros((rows, len(n_actions), max(n_actions)))
-    for i, p in enumerate(policy.probs):
-        out[:, i, :n_actions[i]] = p.reshape(rows, n_actions[i])
-    return np.cumsum(out, axis=2, out=out)
+    row's total; rows = S, or R*S (run-major) for (R, S, A_i) tables: the
+    stacked (..., n, S, A_max) policy with its agent and state axes swapped,
+    and one cumsum over its zero-padded rows, which adds the same terms in
+    the same order as a cumsum of each agent's own rows."""
+    p = policy.probs.stacked
+    n, _, A = p.shape[-3:]
+    return np.cumsum(p.swapaxes(-3, -2), axis=-1).reshape(-1, n, A)
 
 
 def _joint_actions(rows, u, digit_weights, out):
@@ -372,7 +364,7 @@ def _rollout(mdp, policy, horizon, seeds, episode_offset, batch, bank):
     agent_u = agent_u.reshape(-1, E, n)
     env_u = env_u.reshape(-1, E)
 
-    cdf = _cdf_table(policy, mdp.n_actions)           # (R*S, n, A_max)
+    cdf = _cdf_table(policy)                          # (R*S, n, A_max)
     s = np.searchsorted(plan.mu_cdf, env_u[0] * plan.mu_cdf[-1],
                         side="right")
     s = np.minimum(s, S - 1).astype(np.int64)
@@ -483,11 +475,12 @@ def estimate_eval(mdp, policy, cfg, episode_offset=0, bank=None, seeds=None):
     `seeds`, R run seeds that replace cfg.seed, estimates R runs at once:
     the policy tables are then (R, S, A_i), every report field gains a
     leading run axis (v is (R, n, S)), and run r of it is bit-identical to
-    the report of run r alone.
+    the report of run r alone.  The per-agent fields are `AgentTables` over
+    the marginal bincounts reshaped to (..., n, S, A_max), padded with 0.
     """
     cfg.check()
     seeds = np.asarray(cfg.seed if seeds is None else seeds, dtype=np.uint64)
-    n, S, R = mdp.n_agents, mdp.n_states, seeds.size
+    n, S, R, A = mdp.n_agents, mdp.n_states, seeds.size, mdp.a_max()
     T, B = cfg.horizon, cfg.batch
     E = B * R                               # episode-major, run-minor columns
     gamma = mdp.gamma
@@ -508,15 +501,15 @@ def estimate_eval(mdp, policy, cfg, episode_offset=0, bank=None, seeds=None):
 
     # Column e is run e % R, whose states are offset by S*r.  Discounted
     # state counts sum step-major, as a single run sums them; visits sum
-    # (agent,) episode, step, so each (run, state) bin and each (agent, run,
+    # (agent,) episode, step, so each (run, state) bin and each (run, agent,
     # state, action) bin sums its entries in episode order, as a run
     # estimated alone sums them.
     run_state = states + plan.run_col                 # (E, T)
     d_acc = np.bincount(run_state.T.ravel(), weights=plan.disc,
                         minlength=R * S).reshape(R, S)
-    visits = run_state.ravel()
+    values = states + plan.value_col                  # (n, E, T)
     actions = actions.transpose(2, 0, 1)              # (n, E, T)
-    pairs = (plan.bin_col + run_state * plan.a_col + actions).ravel()
+    pairs = (values * A + actions).ravel()
     v_mask = q_mask = None                            # every visit counts
     v_ret, q_ret = returns, returns.ravel()
     if cfg.estimator == "first_visit":
@@ -525,38 +518,37 @@ def estimate_eval(mdp, policy, cfg, episode_offset=0, bank=None, seeds=None):
         state_first = _earliest((states + plan.episode_col).ravel(), E * S,
                                 plan.positions)
         v_mask = state_first == plan.positions
-        pair_keys = (plan.pair_col + state_first.reshape(E, T) * plan.a_col
-                     + actions)
-        q_mask = (_earliest(pair_keys.ravel(), plan.n_pair_keys,
+        pair_keys = (plan.pair_col + state_first.reshape(E, T)) * A + actions
+        q_mask = (_earliest(pair_keys.ravel(), n * E * T * A,
                             plan.pair_positions) == plan.pair_positions)
         v_ret, q_ret = returns * v_mask, q_ret * q_mask
 
-    v_cnt = np.bincount(visits, weights=v_mask, minlength=R * S)
-    v_sum = np.bincount((visits + plan.agent_rows).ravel(),
-                        weights=v_ret.ravel(),
-                        minlength=n * R * S).reshape(n, R * S)
+    v_cnt = np.bincount(run_state.ravel(), weights=v_mask,
+                        minlength=R * S).reshape(R, 1, S)
+    v_sum = np.bincount(values.ravel(), weights=v_ret.ravel(),
+                        minlength=R * n * S).reshape(R, n, S)
     visited_states = v_cnt > 0
-    v = np.divide(v_sum, v_cnt, out=np.zeros((n, R * S)),
+    v = np.divide(v_sum, v_cnt, out=np.zeros((R, n, S)),
                   where=visited_states)
 
-    cnt = np.bincount(pairs, weights=q_mask, minlength=plan.n_bins)
-    qs = np.bincount(pairs, weights=q_ret, minlength=plan.n_bins)
+    table = (R, n, S, A)
+    cnt, qs = (np.bincount(pairs, weights=w, minlength=R * n * S * A)
+               .reshape(table) for w in (q_mask, q_ret))
     mask = cnt > 0
-    qm = np.divide(qs, cnt, out=np.zeros(plan.n_bins), where=mask)
-    ad = np.subtract(qm, v.ravel().take(plan.v_bin),
-                     out=np.zeros(plan.n_bins), where=mask)
+    qm = np.divide(qs, cnt, out=np.zeros(table), where=mask)
+    ad = np.subtract(qm, v[..., None], out=np.zeros(table), where=mask)
 
-    def per_agent(x):
-        return tuple(x[lo:hi].reshape(shape) for lo, hi, shape in plan.splits)
+    # every episode visits its initial state with weight 1, so no row is 0;
+    # one run (a scalar seed) drops the run axis
+    lead = seeds.shape
+    shapes = [(S, a) for a in mdp.n_actions]
 
-    # every episode visits its initial state with weight 1, so no row is 0
-    fields = dict(v=v.reshape(n, R, S).transpose(1, 0, 2),
-                  adv_marginal=per_agent(ad),
-                  visitation=d_acc / d_acc.sum(axis=1, keepdims=True),
-                  q_marginal=per_agent(qm),
-                  visited_states=visited_states.reshape(R, S),
-                  visited_pairs=per_agent(mask))
-    if seeds.ndim == 0:                     # one run: drop the run axis
-        fields = {k: tuple(x[0] for x in f) if isinstance(f, tuple) else f[0]
-                  for k, f in fields.items()}
-    return EvalReport(q=None, **fields)
+    def runs(x):
+        return x.reshape(lead + x.shape[1:])
+
+    return EvalReport(
+        v=runs(v), adv_marginal=AgentTables.of(runs(ad), shapes),
+        visitation=runs(d_acc / d_acc.sum(axis=1, keepdims=True)),
+        q_marginal=AgentTables.of(runs(qm), shapes),
+        visited_states=runs(visited_states.reshape(R, S)),
+        visited_pairs=AgentTables.of(runs(mask), shapes))

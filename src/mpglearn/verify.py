@@ -112,8 +112,8 @@ def nash_gap(mdp, policy, epsilon=None, report=None):
     """
     rep = evaluate(mdp, policy) if report is None else report
     # q_marginal = r + gamma P V: the mean advantage is the Bellman residual
-    residual = max(np.abs((p * adv).sum(axis=1)).max()
-                   for p, adv in zip(policy.probs, rep.adv_marginal))
+    residual = np.abs((policy.probs.stacked * rep.adv_marginal.stacked)
+                      .sum(axis=-1)).max()
     if residual > 1e-8:
         raise ArithmeticError(f"value solve residual {residual}")
     gaps = np.empty((mdp.n_agents, mdp.n_states))
@@ -269,10 +269,8 @@ def fixed_point_residual(mdp, policy, report=None):
     """
     if report is None:
         report = evaluate(mdp, policy)
-    worst = 0.0
-    for p, adv in zip(policy.probs, report.adv_marginal):
-        worst = max(worst, float(np.minimum(p, np.abs(adv)).max()))
-    return worst
+    return float(np.minimum(policy.probs.stacked,
+                            np.abs(report.adv_marginal.stacked)).max())
 
 
 # --- composite verification ----------------------------------------------------

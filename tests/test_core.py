@@ -1,7 +1,9 @@
 """Core data model: validation, softmax, the policy-space L1 metric,
 joint-action encoding, and text serialization."""
 
+import copy
 import math
+import pickle
 import re
 
 import numpy as np
@@ -317,6 +319,145 @@ class TestL1Accuracy:
         b = m.JointPolicy([np.array([[0.5, 0.25, 0.25]])])
         with pytest.raises(ValueError, match="shape"):
             m.l1_accuracy(a, b)
+
+
+class TestAgentTables:
+    """Per-agent tables held as views of one padded (..., n, S, A_max)
+    array."""
+
+    def test_views_of_one_padded_array(self):
+        pol = m.JointPolicy([np.full((2, 2), 0.5), np.full((2, 3), 1 / 3)])
+        stacked = pol.probs.stacked
+        assert stacked.shape == (2, 2, 3) and not stacked.flags.writeable
+        assert all(np.shares_memory(p, stacked) for p in pol.probs)
+        assert [p.shape for p in pol.probs] == [(2, 2), (2, 3)]
+        assert np.array_equal(stacked[0, :, 2], [0.0, 0.0])
+        theta = m.Logits([np.zeros((2, 1)), np.zeros((2, 3))])
+        assert np.array_equal(theta.theta.stacked[0, :, 1:],
+                              np.full((2, 2), -np.inf))
+
+    def test_containers_share_what_they_are_handed(self):
+        a = np.full((3, 2, 4, 2), 0.5)
+        tables = m.AgentTables.of(a, [(4, 2), (4, 2)])
+        pol = m.JointPolicy(tables, validate=False)
+        assert pol.probs.stacked is a and not a.flags.writeable
+        assert not pol.probs[1].flags.writeable
+        again = m.JointPolicy(pol.probs, validate=False)
+        assert again.probs is pol.probs
+        copied = m.JointPolicy(list(pol.probs), validate=False)
+        assert not np.shares_memory(copied.probs.stacked, a)
+
+    def test_reports_stack_plain_tables_and_stay_writable(self):
+        rep = m.EvalReport(v=np.zeros((2, 1)), visitation=np.ones(1),
+                           adv_marginal=[np.ones((1, 2)), np.ones((1, 1))],
+                           visited_pairs=(np.ones((1, 2), dtype=bool),
+                                          np.ones((1, 1), dtype=bool)))
+        assert isinstance(rep.adv_marginal, m.AgentTables)
+        assert_same_bytes(rep.adv_marginal.stacked,
+                          np.array([[[1.0, 1.0]], [[1.0, 0.0]]]), "padded")
+        assert_same_bytes(rep.visited_pairs.stacked,
+                          np.array([[[True, True]], [[True, False]]]),
+                          "mask")
+        rep.adv_marginal[1][0, 0] = 2.0
+        assert rep.adv_marginal.stacked[1, 0, 0] == 2.0
+
+    def test_copies_stay_views_of_their_array(self):
+        theta = m.Logits([np.zeros((2, 1)), np.ones((2, 3))]).theta
+        for again in (copy.deepcopy(theta),
+                      pickle.loads(pickle.dumps(theta))):
+            assert_same_bytes(again.stacked, theta.stacked, "stacked")
+            assert all(t.base is again.stacked for t in again)
+            assert [t.shape for t in again] == [(2, 1), (2, 3)]
+
+    def test_n_states_reads_the_state_axis(self):
+        # with a leading run axis of 3 runs, the state axis is the second
+        assert m.JointPolicy([np.full((3, 2, 2), .5)],
+                             validate=False).n_states == 2
+        assert m.Logits([np.zeros((3, 2, 2))], validate=False).n_states == 2
+
+    def test_interior_ignores_padding(self):
+        pol = m.JointPolicy([np.ones((2, 1)), np.full((2, 3), 1 / 3)])
+        assert pol.is_interior()
+        assert not pol.is_interior(eps=0.5)
+
+    def test_tables_must_share_leading_axes(self):
+        with pytest.raises(ValueError, match="agent 1: table of shape"):
+            m.JointPolicy([np.full((3, 2, 2), .5), np.full((2, 2), .5)],
+                          validate=False)
+
+
+def per_agent_softmax(t):
+    z = t - t.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+class TestStackedLayout:
+    """Every operation on the stacked tables equals a numpy reference run
+    on each agent's own contiguous table, byte for byte: softmax, the
+    three update rules and the sampler's cdf rows at any widths, and the
+    L1 distance when every agent has the same width (padding inside an
+    (S, A_max) block changes numpy's pairwise grouping of the sum)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(widths=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+           equal=st.booleans(), n_states=st.integers(1, 6),
+           runs=st.sampled_from([None, 1, 3]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(widths=[2, 3, 1, 5], equal=False, n_states=6, runs=3,
+             seed=1)
+    def test_equals_per_agent_reference(self, widths, equal, n_states, runs,
+                                        seed):
+        from mpglearn.sampling import _cdf_table
+        if equal:
+            widths = [widths[0]] * len(widths)
+        n, S = len(widths), n_states
+        lead = () if runs is None else (runs,)
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        theta = [rng.normal(0, 3, lead + (S, a)) for a in widths]
+        other = [rng.normal(0, 3, lead + (S, a)) for a in widths]
+        adv = [rng.normal(0, 2, lead + (S, a)) for a in widths]
+        visitation = rng.dirichlet(np.ones(S), size=lead or None)
+        report = m.EvalReport(v=np.zeros(lead + (n, S)), adv_marginal=adv,
+                              visitation=visitation)
+        eta, gamma = 0.3, 0.9
+        scale = eta / (1.0 - gamma)
+        logits = m.Logits(theta, validate=False)
+        probs = [per_agent_softmax(t) for t in theta]
+
+        def check(got, wants, what):
+            assert len(got) == n
+            for i, (x, want) in enumerate(zip(got, wants)):
+                assert_same_bytes(x, want, f"{what}, agent {i}")
+
+        policy = m.softmax_policy(logits)
+        check(policy.probs, probs, "softmax")
+        check(m.inpg_step(logits, report, eta, gamma).theta,
+              [t + scale * a for t, a in zip(theta, adv)], "inpg")
+        check(m.ipg_step(logits, report, eta, gamma).theta,
+              [t + scale * visitation[..., None] * p * a
+               for t, p, a in zip(theta, probs, adv)], "ipg")
+        check(m.mwu_step(policy, report, eta, gamma).probs,
+              [per_agent_softmax(np.log(p) + scale * a)
+               for p, a in zip(probs, adv)], "mwu")
+        assert policy.is_interior()
+
+        cdf = _cdf_table(policy)                    # (rows, n, A_max)
+        for i, p in enumerate(probs):
+            want = np.cumsum(p.reshape(-1, widths[i]), axis=1)
+            assert_same_bytes(cdf[:, i, :widths[i]], want, f"cdf {i}")
+            assert_same_bytes(cdf[:, i, widths[i]:],
+                              np.repeat(want[:, -1:],
+                                        max(widths) - widths[i], axis=1),
+                              f"cdf padding {i}")
+
+        if equal:
+            q = m.softmax_policy(m.Logits(other, validate=False))
+            l1 = policy.per_agent_l1(q)
+            assert l1.shape == lead + (n,)
+            check(np.moveaxis(l1, -1, 0),
+                  [np.abs(p - per_agent_softmax(o)).sum(axis=(-2, -1))
+                   for p, o in zip(probs, other)], "L1")
 
 
 class TestImmutability:

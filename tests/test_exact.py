@@ -333,7 +333,7 @@ class TestTriangularBranch:
             factored.append(a.shape)
             return lu_factor(a, *args, **kwargs)
 
-        monkeypatch.setattr(exact.linalg, "lu_factor", counting)
+        monkeypatch.setattr(linalg, "lu_factor", counting)
         env = self.game(request, name)
         mdp = env.mdp
         rng = np.random.Generator(np.random.Philox(key=np.uint64(131)))
@@ -393,7 +393,7 @@ class TestSolverMatrix:
 
         chains = exact._chain_matrix(mdp, jt)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(exact.linalg, "lu_factor", recording)
+            patch.setattr(linalg, "lu_factor", recording)
             solvers = [exact._Solver(mdp, chain) for chain in chains]
         for chain, solver, want in zip(chains, solvers, wants):
             if mdp.upper_triangular:
@@ -416,25 +416,34 @@ def reference_evaluate(target, policy, want_q=False, agents=None):
     chain as one bincount, one `exact._Solver` for the visitation and the
     stacked value columns, one CSR product backing all columns up, and the
     marginal Q tables contracted agent by agent.  Every arithmetic step is
-    the one `evaluate` takes per run, so rows must agree byte for byte."""
+    the one `evaluate` takes per run, so rows must agree byte for byte.  It
+    reads each agent's table as its own contiguous array, not as a view of
+    the policy's stacked tensor.  At gamma = 0 it builds no solver, as
+    `evaluate` builds none: d is mu and V the one-step rewards."""
     env = target if hasattr(target, "mdp") else None
     mdp = env.mdp if env is not None else target
     S, A, n = mdp.n_states, mdp.n_joint, mdp.n_agents
     active = list(range(n)) if agents is None else list(agents)
+    probs = [np.ascontiguousarray(p) for p in policy.probs]
 
     def marginalize(table, agent):
         t = table
         for j in range(n - 1, agent, -1):
-            t = t.reshape(S, -1, mdp.n_actions[j]) @ policy.probs[j][:, :, None]
+            t = t.reshape(S, -1, mdp.n_actions[j]) @ probs[j][:, :, None]
         for j in range(agent):
-            t = policy.probs[j][:, None, :] @ t.reshape(S, mdp.n_actions[j], -1)
+            t = probs[j][:, None, :] @ t.reshape(S, mdp.n_actions[j], -1)
         return t.reshape(S, mdp.n_actions[agent])
 
     jt = np.ones((S, 1))
-    for p in reversed(policy.probs):
+    for p in reversed(probs):
         jt = (p[:, :, None] * jt[:, None, :]).reshape(S, -1)
-    solver = exact._Solver(mdp, np.asfortranarray(reference_chain(mdp, jt)))
-    d = solver.solve((1.0 - mdp.gamma) * mdp.mu, transposed=True)
+    if mdp.gamma == 0.0:
+        solver = None
+        d = mdp.mu.copy()
+    else:
+        solver = exact._Solver(mdp,
+                               np.asfortranarray(reference_chain(mdp, jt)))
+        d = solver.solve((1.0 - mdp.gamma) * mdp.mu, transposed=True)
 
     with_potential = env is not None and env.stage_potential is not None
     rhs_cols = [np.einsum("sa,sa->s", mdp.rewards[i], jt) for i in active]
@@ -446,7 +455,9 @@ def reference_evaluate(target, policy, want_q=False, agents=None):
     q_all = np.zeros((n, S, A)) if want_q else None
     potential = potential_mu = adv_potential = None
     if rhs_cols:
-        sol = solver.solve(np.stack(rhs_cols, axis=1))
+        sol = np.stack(rhs_cols, axis=1)
+        if solver is not None:
+            sol = solver.solve(sol)
         nxt = (mdp.transitions @ sol).reshape(S, A, len(rhs_cols))
         for k, i in enumerate(active):
             v[i] = sol[:, k]
@@ -599,6 +610,16 @@ class TestVisitation:
         rep = m.evaluate(mdp, pol)
         assert m.eval_report_violations(rep, pol, mdp) == []
         assert np.all(rep.visitation >= (1 - mdp.gamma) * mdp.mu - 1e-10)
+
+    def test_names_the_agent_whose_advantages_have_a_mean(self):
+        mdp = random_mdp(3, (2, 3), 0.9, seed=42)
+        pol = random_policy(mdp, 43)
+        rep = m.evaluate(mdp, pol)
+        shifted = dataclasses.replace(rep, adv_marginal=[
+            rep.adv_marginal[0], rep.adv_marginal[1] + 0.5])
+        problems = m.eval_report_violations(shifted, pol, mdp)
+        assert len(problems) == 1
+        assert problems[0].startswith("agent 1: advantage mean 0.5")
 
 
 class TestPotentialValue:

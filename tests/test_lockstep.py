@@ -136,6 +136,55 @@ def test_exact_mode_evaluates_once_per_step(monkeypatch, coop, algorithm):
     assert rows == [sum(n > k for n in lengths) for k in range(max(lengths))]
 
 
+class ExpSpy:
+    """numpy, keeping every array that np.exp returns through it."""
+
+    def __init__(self):
+        self.written = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name != "exp":
+            return attr
+
+        def exp(*args, **kwargs):
+            out = attr(*args, **kwargs)
+            self.written.append(out)
+            return out
+        return exp
+
+
+@pytest.mark.parametrize("algorithm", ["inpg", "ipg", "mwu"])
+def test_steps_hand_their_tables_over(monkeypatch, algorithm):
+    # every policy a step makes holds the array its softmax (or the
+    # multiplicative update) wrote, not a copy, and every logit table a
+    # step makes is one array that all agents' tables are views of
+    mdp = random_mdp(3, (2, 3, 1), 0.8, seed=7)
+    spy = ExpSpy()
+    policies, logits = [], []
+
+    def keeping(kept, fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            kept.append(out)
+            return out
+        return wrapped
+
+    monkeypatch.setattr(m.core, "np", spy)
+    for name, kept in (("softmax_policy", policies), ("mwu_step", policies),
+                       ("inpg_step", logits), ("ipg_step", logits)):
+        monkeypatch.setattr(dynamics, name,
+                            keeping(kept, getattr(dynamics, name)))
+    m.run(mdp, algo_cfg(algorithm, "sampled", max_iters=3), seeds=SEEDS[:2])
+    assert len(policies) >= 3 and len(spy.written) == len(policies)
+    for policy, written in zip(policies, spy.written):
+        assert all(np.shares_memory(p, written) for p in policy.probs)
+    assert len(logits) == (0 if algorithm == "mwu" else 3)
+    for theta in logits:
+        owner = theta.theta[0].base
+        assert owner is not None and all(t.base is owner for t in theta.theta)
+
+
 @pytest.mark.parametrize("algorithm", ["inpg", "ipg", "mwu"])
 def test_sampled_run_builds_one_plan_per_run_count(monkeypatch, algorithm):
     # one _IndexPlan when the bank is made, and one more, for the runs
