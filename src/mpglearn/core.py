@@ -155,7 +155,9 @@ class MultiAgentMDP:
     sized to what they hold: `digits` in one byte per action, `successors`
     in the CSR index dtype (a view of `indices` when every row has one
     successor), and `chain_cells` only when an exact solve reads them, so
-    never on a sampled run.  The others take each entry's row from indptr.
+    never on a sampled run.  `upper_triangular`, `absorbing` and
+    `settle_step` work on whole state blocks of indptr; the others take each
+    entry's row from indptr.
 
     Every array is kept read-only.  An input array that is already
     read-only, owns its data, is C-contiguous and has the kept dtype (float,
@@ -168,9 +170,12 @@ class MultiAgentMDP:
 
     Episodic problems are modeled with an absorbing zero-reward terminal
     state; rewards outside [0, 1] are rejected rather than clamped.  The
-    `absorbing` flags mark such states: a sampled batch is not stepped
-    once all of its episodes sit in them, and its remaining joint actions
-    come from the same draws in one pass.
+    `absorbing` flags mark absorbing states, and `settle_step` is the step
+    by which every episode from mu sits in a zero-reward one, whatever the
+    policy (None when there is no such step).  A sampled batch is stepped
+    only that many steps: its states then stay put, the sampler draws the
+    remaining joint actions in one pass, and the estimator reads only one
+    step more (`sampling.estimate_eval`).
     """
 
     def __init__(self, n_actions, rewards, transitions, gamma, mu,
@@ -244,6 +249,16 @@ class MultiAgentMDP:
             self._chain_cells = (rows, cells)
         return self._chain_cells
 
+    def _block_reduce(self, ufunc):
+        """(states, bound): the states whose transition rows hold entries,
+        and ufunc (np.minimum or np.maximum) over the next states of each
+        one's entries, one reduceat segment per state block of indptr.  A
+        segment runs to the next start, across any empty blocks between."""
+        _, indices, indptr = self.csr
+        starts = indptr[::self.n_joint]
+        states = np.flatnonzero(np.diff(starts))
+        return states, ufunc.reduceat(indices, starts[states])
+
     @property
     def upper_triangular(self):
         """True when every transition entry leads to a state index >= its
@@ -251,26 +266,58 @@ class MultiAgentMDP:
         triangular: acyclic games numbered in topological order, such as
         the routing games with an absorbing goal."""
         if self._upper_triangular is None:
-            _, indices, indptr = self.csr
-            self._upper_triangular = bool(np.all(
-                indices >= _entry_rows(indptr[::self.n_joint])))
+            states, lo = self._block_reduce(np.minimum)
+            self._upper_triangular = bool(np.all(lo >= states))
         return self._upper_triangular
 
     @property
     def absorbing(self):
         """(n_states,) bool: state s is absorbing when every transition
         entry of every joint action from s leads back to s, whether its rows
-        are deterministic or stochastic.  An episode that reaches such a
-        state stays there, so the sampler stops stepping a batch once every
-        episode has reached one."""
+        are deterministic or stochastic (vacuously so when it has none):
+        the least and the greatest next state of its entries are both s."""
         if self._absorbing is None:
-            _, indices, indptr = self.csr
-            source = _entry_rows(indptr[::self.n_joint])
+            states, lo = self._block_reduce(np.minimum)
+            _, hi = self._block_reduce(np.maximum)
             absorbing = np.ones(self.n_states, dtype=bool)
-            absorbing[source[indices != source]] = False
+            absorbing[states] = (lo == states) & (hi == states)
             absorbing.flags.writeable = False
             self._absorbing = absorbing
         return self._absorbing
+
+    @cached_property
+    def settle_step(self):
+        """The earliest step L at which every episode started in mu's
+        support sits in a zero-reward absorbing state, under every policy,
+        or None when some episode can stay out of them forever.
+
+        The states an episode can reach at step t+1 are the next states of
+        every transition entry of the states it can reach at step t, for
+        any joint action and any probability stored.  Those sets are
+        iterated forward from mu's support until one lies inside the goal
+        (L is its step), or one repeats, or the count of states outside the
+        goal is passed: an episode of a game that settles never visits a
+        state outside the goal twice.  Each step marks the entries of the
+        reached states with one np.repeat over the state blocks' lengths.
+        """
+        _, indices, indptr = self.csr
+        goal = self.absorbing.copy()
+        goal[goal] = ~self.rewards[:, goal].any(axis=(0, 2))
+        if not goal.any():
+            return None
+        lengths = np.diff(indptr[::self.n_joint])
+        reached, seen = self.mu > 0, set()
+        for step in range(self.n_states - int(goal.sum()) + 1):
+            if goal[reached].all():
+                return step
+            key = reached.tobytes()
+            if key in seen:
+                return None
+            seen.add(key)
+            entries = np.repeat(reached, lengths)
+            reached = np.zeros(self.n_states, dtype=bool)
+            reached[indices[entries]] = True
+        return None
 
     @property
     def successors(self):
@@ -496,12 +543,58 @@ class Logits:
         return f"Logits({shapes})"
 
 
+# numpy reduces a last axis shorter than _SHORT_AXIS one element at a time,
+# left to right (a sum starting from +0.0); from that width on it sums
+# pairwise.  It loops over the rows, so on a table of many short rows one
+# ufunc call per column is faster and gives the same bytes: the row helpers
+# below take that path from _ROWS_PER_COLUMN rows per column on, where a
+# column op costs about what numpy's loop over that many rows does.
+_SHORT_AXIS = 8
+_ROWS_PER_COLUMN = 32
+
+
+def _by_column(x):
+    A = x.shape[-1]
+    return A < _SHORT_AXIS and x.size >= _ROWS_PER_COLUMN * A * A
+
+
+def _row_max(x):
+    """x.max(axis=-1, keepdims=True), byte for byte."""
+    if not _by_column(x):
+        return x.max(axis=-1, keepdims=True)
+    out = x[..., :1].copy()
+    for a in range(1, x.shape[-1]):
+        np.maximum(out, x[..., a:a + 1], out=out)
+    return out
+
+
+def _row_sum(x):
+    """x.sum(axis=-1, keepdims=True), byte for byte."""
+    if not _by_column(x):
+        return x.sum(axis=-1, keepdims=True)
+    out = x[..., :1] + 0.0
+    for a in range(1, x.shape[-1]):
+        out += x[..., a:a + 1]
+    return out
+
+
+def _row_cumsum(x):
+    """np.cumsum(x, axis=-1), byte for byte, in a new C-ordered array."""
+    if not _by_column(x):
+        return np.cumsum(x, axis=-1)
+    out = np.empty(x.shape, dtype=x.dtype)
+    out[..., 0] = x[..., 0]
+    for a in range(1, x.shape[-1]):
+        np.add(out[..., a - 1], x[..., a], out=out[..., a])
+    return out
+
+
 def _softmax(z):
     """Row-wise softmax over the last axis of a stacked table, with max
     subtraction; -inf padding comes out 0."""
-    z = z - z.max(axis=-1, keepdims=True)
+    z = z - _row_max(z)
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= _row_sum(z)
     return z
 
 

@@ -22,24 +22,32 @@ so every per-agent field of its report is one bincount reshaped.
 The draws come from a numpy Philox4x64-10 that is bit-identical to
 `np.random.Generator(np.random.Philox(key=[seed, (episode << 8) | stream]))
 .random(count)`, computed for every (episode, run, stream, block) lane in
-one array pass.  Only the draws an episode of T steps reads are computed:
-T on each agent stream, and on the environment stream draw 0 for the
-initial state plus draws 1..T-1 for the transitions, which it reads only
-when some transition row has more than one successor (else it computes 1
-draw).  No draw is made for the transition out of the last step, whose
-state is never recorded.  Because the draws do not depend on the policy, a
-learning run keeps a _StreamBank that computes them a chunk of episodes
-ahead, so one pass serves many updates.  Next states come from the
-successor table the MDP derives from its CSR transition rows
-(`MultiAgentMDP.successors`).  Once every episode of a batch is in an
-absorbing state (`MultiAgentMDP.absorbing`) the batch is no longer
-stepped: its states stay put, and the joint actions of the remaining steps
-come from the same agent draws in one pass.
+one array pass.  Only the draws of the steps a rollout reads are computed:
+one per step on each agent stream, and on the environment stream draw 0
+for the initial state plus one draw per transition into a later step,
+which it reads only when some transition row has more than one successor
+(else it computes 1 draw).  No draw is made for the transition out of the
+last step, whose state is never recorded.  Because the draws do not
+depend on the policy, a learning run keeps a _StreamBank that computes
+them a chunk of episodes ahead, so one pass serves many updates.  Next
+states come from the successor table the MDP derives from its CSR
+transition rows (`MultiAgentMDP.successors`).
+
+A game that settles -- every episode from mu sits in a zero-reward
+absorbing state from step L on, whatever the policy
+(`MultiAgentMDP.settle_step`), as in the routing games -- is stepped L
+times: the states stay put after that, and the joint actions of the later
+steps come from their agent draws in one pass.  The estimator reads only
+K = min(T, L + 1) steps of its episodes: their draws, joint actions,
+returns, first visits and bins; the discounted state counts alone cover
+all T steps.  `_sample_batch` and `sample_episode` give every step of the
+horizon.  An MDP that does not settle within the horizon (distancing) is
+stepped and read for all T steps.
 
 Every table that depends only on (MDP, horizon, batch, run count) -- the
-initial-state cdf, the joint-index weights, the run and episode offsets,
-the estimator's bin bases and bin-to-value index, the discount weights --
-sits in an _IndexPlan that the bank builds once per run (again when runs
+step counts L and K, the initial-state cdf, the joint-index weights, the
+run and episode offsets, the estimator's bin bases and bin-to-value index,
+the discount weights -- sits in an _IndexPlan that the bank builds once per run (again when runs
 stop); a call without a bank builds one for that call.  Per-agent actions
 are decoded from the joint actions through the MDP's one-byte digit table,
 and rewards gathered in one take, straight into the estimator's (agent,)
@@ -52,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AgentTables, EvalReport
+from .core import AgentTables, EvalReport, _row_cumsum
 
 _STREAM_BITS = 8
 _MAX_STREAMS = 1 << _STREAM_BITS
@@ -202,14 +210,14 @@ def _uniforms(seed, start, count, n_streams, n_draws):
     return u.reshape(u.shape[:2] + seeds.shape + (n_streams,))
 
 
-def _draw_counts(mdp, horizon):
-    """(agents, agent draws, environment draws) that an episode of
-    `horizon` steps reads: each agent stream one draw per step; the
-    environment stream draw 0 for the initial state, and draws 1..T-1 for
-    the transitions into recorded states, which it reads only when a
+def _draw_counts(mdp, steps):
+    """(agents, agent draws, environment draws) that the first `steps`
+    steps of an episode read: each agent stream one draw per step; the
+    environment stream draw 0 for the initial state, and draws 1..steps-1
+    for the transitions into those steps, which it reads only when a
     transition row has more than one successor."""
     stochastic = mdp.successors[1] is not None
-    return mdp.n_agents, horizon, horizon if stochastic else 1
+    return mdp.n_agents, steps, steps if stochastic else 1
 
 
 def _rollout_uniforms(seeds, start, count, counts):
@@ -227,9 +235,13 @@ class _IndexPlan:
     batch, run count), never on the policy or the draws.
 
     A run's _StreamBank builds its plan once, and again in `keep` for the
-    new run count; a call without a bank builds one for that call.  Columns
-    e = b*R + r are episode-major, run-minor; the estimator lays its arrays
-    out (agent,) episode, step.  Its bins are numbered as the stacked
+    new run count; a call without a bank builds one for that call.  The
+    rollout steps `settle` = min(T, mdp.settle_step) steps (T when the MDP
+    does not settle), after which every episode sits in a zero-reward
+    absorbing state; the estimator reads `steps` = min(T, settle + 1) of
+    them, and its per-step tables are that long.
+    Columns e = b*R + r are episode-major, run-minor; the estimator lays its
+    arrays out (agent,) episode, step.  Its bins are numbered as the stacked
     (R, n, S, A_max) marginal tables: bin ((r*n + i)*S + s)*A_max + a holds
     (run r, agent i, state s, action a), so V's bin (r*n + i)*S + s is
     bin // A_max, and the tables are the bincounts reshaped.
@@ -239,14 +251,15 @@ class _IndexPlan:
         n, S, T = mdp.n_agents, mdp.n_states, horizon
         E = batch * runs
         self.mdp, self.horizon, self.batch = mdp, T, batch
+        settle = mdp.settle_step
+        self.settle = T if settle is None else min(settle, T)
+        self.steps = K = min(T, self.settle + 1)
         # the rollout; `only` is every row's successor when W == 1
         self.mu_cdf = np.cumsum(mdp.mu)
         self.succ, self.row_cdf, self.row_total = mdp.successors
         self.only = self.succ[:, 0]
         weights = np.cumprod((mdp.n_actions[1:] + (1,))[::-1])[::-1]
         self.digit_weights = np.repeat(weights, max(mdp.n_actions))
-        # checked per step only on an MDP that has an absorbing state
-        self.absorbing = mdp.absorbing if mdp.absorbing.any() else None
         self.run_rows = S * (np.arange(E) % runs)     # run r's rows: r*S on
         self.digits = mdp.digits                      # (n_joint, n)
         self.rewards = mdp.rewards.reshape(n, -1)     # (n, S*n_joint)
@@ -256,9 +269,9 @@ class _IndexPlan:
                           + S * np.arange(n)[:, None, None])   # (n, E, 1)
         self.episode_col = S * np.arange(E)[:, None]
         self.disc = np.repeat(mdp.gamma ** np.arange(T), E)   # step-major
-        self.positions = np.arange(E * T)
-        self.pair_positions = np.arange(n * E * T)
-        self.pair_col = E * T * np.arange(n)[:, None, None]
+        self.positions = np.arange(E * K)
+        self.pair_positions = np.arange(n * E * K)
+        self.pair_col = E * K * np.arange(n)[:, None, None]
 
 
 class _StreamBank:
@@ -266,12 +279,13 @@ class _StreamBank:
     ahead, and the runs' _IndexPlan.
 
     The draws depend only on (seed, episode, stream), never on the policy, so
-    one pass over a chunk of episodes of every run serves every estimate
-    whose batch falls inside the chunk; a request outside it starts a new
-    chunk there.  The bank computes only what `_sample_batch` reads on
-    `mdp` (`_draw_counts`): T draws per agent stream, and 1 environment
-    draw, or T when a transition row has more than one successor.  The
-    index tables of `mdp`, cfg.horizon, cfg.batch and the run count are
+    one pass over a chunk of episodes of every run serves every request
+    whose batch falls inside the chunk and reads no more draws than it
+    holds; any other request starts a new chunk there, with the draws that
+    request reads (`_draw_counts`).  An estimate reads the plan's `steps`
+    steps, a full-horizon `_sample_batch` all T.  The bank is keyed by
+    `counts`, the draw counts of a full episode of `mdp` at cfg.horizon, and
+    the index tables of `mdp`, cfg.horizon, cfg.batch and the run count are
     built once, here.  `seeds` defaults to the one seed of `cfg`; `keep`
     drops the runs that have stopped and rebuilds the plan for the runs
     left.
@@ -285,13 +299,17 @@ class _StreamBank:
         self._start = 0
         self._u = [np.empty((0, 0, self.seeds.size, 0))] * 2
 
-    def draws(self, start, count):
-        """(agent_u, env_u) of episodes start, ..., start + count - 1, as
-        `_rollout_uniforms` lays them out."""
+    def draws(self, start, count, counts):
+        """(agent_u, env_u) of episodes start, ..., start + count - 1, with
+        at least the draws of `counts`, as `_rollout_uniforms` lays them
+        out."""
         lo = start - self._start
-        if lo < 0 or lo + count > self._u[0].shape[1]:
+        agent_u, env_u = self._u
+        if (lo < 0 or lo + count > agent_u.shape[1]
+                or counts[1] > agent_u.shape[0]
+                or counts[2] > env_u.shape[0]):
             chunk = max(count, _CHUNK_EPISODES // self.seeds.size)
-            self._u = _rollout_uniforms(self.seeds, start, chunk, self.counts)
+            self._u = _rollout_uniforms(self.seeds, start, chunk, counts)
             self._start, lo = start, 0
         return [u[:, lo:lo + count] for u in self._u]
 
@@ -313,7 +331,7 @@ def _cdf_table(policy):
     the same order as a cumsum of each agent's own rows."""
     p = policy.probs.stacked
     n, _, A = p.shape[-3:]
-    return np.cumsum(p.swapaxes(-3, -2), axis=-1).reshape(-1, n, A)
+    return _row_cumsum(p.swapaxes(-3, -2)).reshape(-1, n, A)
 
 
 def _joint_actions(rows, u, digit_weights, out):
@@ -328,38 +346,49 @@ def _joint_actions(rows, u, digit_weights, out):
                      digit_weights, out=out)
 
 
-def _rollout(mdp, policy, horizon, seeds, episode_offset, batch, bank):
-    """The episodes of `_sample_batch`, in the estimator's layout: (plan,
-    states, actions, rewards) with shapes (B*R, T), (B*R, T, n) and
-    (n, B*R, T), `seeds` an array of shape () or (R,).  Actions are rows
-    of the digit table, in its one-byte dtype."""
+def _plan(mdp, policy, horizon, seeds, batch, bank):
+    """The _IndexPlan of a batch of `batch` episodes of the runs `seeds`,
+    an array of shape () or (R,): `bank`'s, once it is checked to be keyed
+    to these seeds, to the draw counts of this MDP and horizon, and to this
+    MDP and batch, or one built for this call when `bank` is None."""
     if mdp.n_agents + 1 > _MAX_STREAMS:
         raise ValueError("too many agents for the stream layout")
     if policy.probs[0].shape[:-2] != seeds.shape:
         raise ValueError(
             f"policy tables of shape {policy.probs[0].shape} need a run axis "
             f"of the seeds' shape {seeds.shape}")
-    n, S, T, B = mdp.n_agents, mdp.n_states, horizon, batch
-    R = seeds.size
-    E = B * R
-    counts = _draw_counts(mdp, T)
     if bank is None:
-        plan = _IndexPlan(mdp, T, B, R)
-        agent_u, env_u = _rollout_uniforms(seeds.ravel(), episode_offset, B,
-                                           counts)
-    elif (bank.counts != counts
-          or not np.array_equal(bank.seeds, seeds.ravel())):
+        return _IndexPlan(mdp, horizon, batch, seeds.size)
+    counts = _draw_counts(mdp, horizon)
+    if (bank.counts != counts
+            or not np.array_equal(bank.seeds, seeds.ravel())):
         raise ValueError(
             f"stream bank keyed (seeds, agents, agent draws, environment "
             f"draws) = {(bank.seeds.tolist(), *bank.counts)}, batch needs "
             f"{(seeds.ravel().tolist(), *counts)}")
-    elif bank.plan.mdp is not mdp or bank.plan.batch != B:
+    if bank.plan.mdp is not mdp or bank.plan.batch != batch:
         raise ValueError(f"stream bank planned for batches of "
                          f"{bank.plan.batch} on {bank.plan.mdp!r}, batch "
-                         f"needs {B} on {mdp!r}")
+                         f"needs {batch} on {mdp!r}")
+    return bank.plan
+
+
+def _rollout(policy, plan, seeds, episode_offset, bank, steps):
+    """The episodes of `_sample_batch` on plan.mdp, in the estimator's
+    layout, with the actions and rewards of their first `steps` steps
+    (plan.steps <= steps <= T): (states, actions, rewards) with shapes
+    (B*R, T), (B*R, steps, n) and (n, B*R, steps).  Actions are rows of the
+    digit table, in its one-byte dtype.  Draws come from `bank` when given,
+    else they are made for exactly these steps."""
+    mdp = plan.mdp
+    n, S, T = mdp.n_agents, mdp.n_states, plan.horizon
+    E = plan.batch * seeds.size
+    counts = _draw_counts(mdp, steps)
+    if bank is None:
+        agent_u, env_u = _rollout_uniforms(seeds.ravel(), episode_offset,
+                                           plan.batch, counts)
     else:
-        plan = bank.plan
-        agent_u, env_u = bank.draws(episode_offset, B)
+        agent_u, env_u = bank.draws(episode_offset, plan.batch, counts)
     # (D, B*R, n) and (D_env, B*R): draw counts rounded up to whole blocks
     agent_u = agent_u.reshape(-1, E, n)
     env_u = env_u.reshape(-1, E)
@@ -371,16 +400,10 @@ def _rollout(mdp, policy, horizon, seeds, episode_offset, batch, bank):
 
     # recorded episode-major, written one step (column) at a time
     states = np.empty((E, T), dtype=np.int64)
-    joints = np.empty((E, T), dtype=np.int64)
+    joints = np.empty((E, steps), dtype=np.int64)
     by_step, joint_by_step = states.T, joints.T
-    for t in range(T):
+    for t in range(plan.settle):
         rows = cdf.take(s + plan.run_rows, axis=0)    # (B*R, n, A_max)
-        if plan.absorbing is not None and plan.absorbing[s].all():
-            # every episode stays in s: steps t.. from their draws at once
-            by_step[t:] = s
-            _joint_actions(rows, agent_u[t:T], plan.digit_weights,
-                           out=joint_by_step[t:])
-            break
         by_step[t] = s
         joint = _joint_actions(rows, agent_u[t], plan.digit_weights,
                                out=joint_by_step[t])
@@ -395,9 +418,17 @@ def _rollout(mdp, policy, horizon, seeds, episode_offset, batch, bank):
             tgt = env_u[t + 1] * plan.row_total[flat]
             s = plan.succ[flat, (plan.row_cdf[flat] <= tgt[:, None])
                           .sum(axis=1)]
+    if plan.settle < T:
+        # every episode sits in the goal from here on: its state for the
+        # remaining steps, and the joint actions up to `steps` in one pass
+        by_step[plan.settle:] = s
+        rows = cdf.take(s + plan.run_rows, axis=0)
+        _joint_actions(rows, agent_u[plan.settle:steps], plan.digit_weights,
+                       out=joint_by_step[plan.settle:])
     actions = plan.digits.take(joints, axis=0)
-    rewards = plan.rewards.take(states * mdp.n_joint + joints, axis=1)
-    return plan, states, actions, rewards
+    head = states if steps == T else states[:, :steps]
+    rewards = plan.rewards.take(head * mdp.n_joint + joints, axis=1)
+    return states, actions, rewards
 
 
 def _sample_batch(mdp, policy, horizon, seed, episode_offset, batch,
@@ -417,14 +448,16 @@ def _sample_batch(mdp, policy, horizon, seed, episode_offset, batch,
     The horizon loop carries only the state and the joint action
     (`_joint_actions`).  After the loop, per-agent actions are read off the
     joint actions in the MDP's digit table (`MultiAgentMDP.digits`), and
-    rewards in one take from the flat (n, S*n_joint) reward view.  Once
-    every episode's state is absorbing (`MultiAgentMDP.absorbing`), no
-    episode is stepped again: the state is recorded for every remaining
-    step, and the remaining joint actions come from the same agent draws in
-    one pass.  An MDP without an absorbing state steps every step."""
-    _, states, actions, rewards = _rollout(
-        mdp, policy, horizon, np.asarray(seed, dtype=np.uint64),
-        episode_offset, batch, bank)
+    rewards in one take from the flat (n, S*n_joint) reward view.  The loop
+    stops at the MDP's settle step (`MultiAgentMDP.settle_step`), by which
+    every episode sits in a zero-reward absorbing state: the state is
+    recorded for every remaining step, and the remaining joint actions come
+    from the same agent draws in one pass.  An MDP that does not settle
+    within the horizon steps every step."""
+    seeds = np.asarray(seed, dtype=np.uint64)
+    plan = _plan(mdp, policy, horizon, seeds, batch, bank)
+    states, actions, rewards = _rollout(policy, plan, seeds, episode_offset,
+                                        bank, horizon)
     return (states.T, actions.astype(np.int64).transpose(1, 0, 2),
             rewards.transpose(2, 1, 0))
 
@@ -466,6 +499,17 @@ def estimate_eval(mdp, policy, cfg, episode_offset=0, bank=None, seeds=None):
     of many batches are computed in one pass and the index tables
     (`_IndexPlan`) are built once; the report is the same.
 
+    The estimate reads K = min(T, L + 1) steps of each episode, L the MDP's
+    settle step (`MultiAgentMDP.settle_step`; K = T when it has none): from
+    step L on every episode sits in a zero-reward absorbing state, where
+    its returns are +0.0 and whose first visit falls at a step <= L.  Its
+    draws, actions, returns, first visits and V and Q bins cover those K
+    steps; only the discounted state counts take all T, so the visitation
+    sums as it would over the whole horizon.  The report is the one all T
+    steps give, except that `visited_pairs` at a zero-reward absorbing
+    state flags only the actions played there before step K; its
+    `q_marginal` and `adv_marginal` entries are +0.0 either way.
+
     First visits are not compressed out: their masks are np.bincount
     weights.  A bin's count is the sum of its mask entries and its sum the
     sum of return * mask, so an entry that is not a first visit adds +0.0
@@ -485,30 +529,34 @@ def estimate_eval(mdp, policy, cfg, episode_offset=0, bank=None, seeds=None):
     E = B * R                               # episode-major, run-minor columns
     gamma = mdp.gamma
 
-    plan, states, actions, rewards = _rollout(mdp, policy, T, seeds,
-                                              episode_offset, B, bank)
-    # discounted returns, a running sum (0 * gamma + r_{T-1}) * gamma +
-    # r_{T-2} ... over the steps of (agent, episode, step) arrays.  The sum
+    plan = _plan(mdp, policy, T, seeds, B, bank)
+    K = plan.steps
+    states, actions, rewards = _rollout(policy, plan, seeds, episode_offset,
+                                        bank, K)
+    # discounted returns, a running sum (0 * gamma + r_{K-1}) * gamma +
+    # r_{K-2} ... over the steps of (agent, episode, step) arrays.  The sum
     # is +0.0 at every step after the last nonzero reward, so the
     # recurrence starts there.
     live = np.flatnonzero(rewards.any(axis=(0, 1)))
-    returns = np.zeros((n, E, T))
-    returns[..., T - 1] += rewards[..., T - 1]
-    for t in range(min(live[-1] if live.size else -1, T - 2), -1, -1):
+    returns = np.zeros((n, E, K))
+    returns[..., K - 1] += rewards[..., K - 1]
+    for t in range(min(live[-1] if live.size else -1, K - 2), -1, -1):
         np.multiply(returns[..., t + 1], gamma, out=returns[..., t])
         returns[..., t] += rewards[..., t]
-    returns = returns.reshape(n, E * T)
+    returns = returns.reshape(n, E * K)
 
     # Column e is run e % R, whose states are offset by S*r.  Discounted
-    # state counts sum step-major, as a single run sums them; visits sum
-    # (agent,) episode, step, so each (run, state) bin and each (run, agent,
-    # state, action) bin sums its entries in episode order, as a run
-    # estimated alone sums them.
+    # state counts sum step-major over all T steps, as a single run sums
+    # them; visits sum (agent,) episode, step over the first K, so each
+    # (run, state) bin and each (run, agent, state, action) bin sums its
+    # entries in episode order, as a run estimated alone sums them.
     run_state = states + plan.run_col                 # (E, T)
     d_acc = np.bincount(run_state.T.ravel(), weights=plan.disc,
                         minlength=R * S).reshape(R, S)
-    values = states + plan.value_col                  # (n, E, T)
-    actions = actions.transpose(2, 0, 1)              # (n, E, T)
+    if K < T:
+        states, run_state = states[:, :K], run_state[:, :K]
+    values = states + plan.value_col                  # (n, E, K)
+    actions = actions.transpose(2, 0, 1)              # (n, E, K)
     pairs = (values * A + actions).ravel()
     v_mask = q_mask = None                            # every visit counts
     v_ret, q_ret = returns, returns.ravel()
@@ -518,8 +566,8 @@ def estimate_eval(mdp, policy, cfg, episode_offset=0, bank=None, seeds=None):
         state_first = _earliest((states + plan.episode_col).ravel(), E * S,
                                 plan.positions)
         v_mask = state_first == plan.positions
-        pair_keys = (plan.pair_col + state_first.reshape(E, T)) * A + actions
-        q_mask = (_earliest(pair_keys.ravel(), n * E * T * A,
+        pair_keys = (plan.pair_col + state_first.reshape(E, K)) * A + actions
+        q_mask = (_earliest(pair_keys.ravel(), n * E * K * A,
                             plan.pair_positions) == plan.pair_positions)
         v_ret, q_ret = returns * v_mask, q_ret * q_mask
 

@@ -75,6 +75,48 @@ def sparse_mdp(n_states, n_actions, gamma, seed, max_width, upper=False,
                            mu)
 
 
+def settling_mdp(n_states, n_actions, gamma, seed, max_width):
+    """Like sparse_mdp, but state s < S-1 leads only to states s+1..S-1 and
+    the last state, the goal, leads back to itself and pays no reward, so
+    every episode reaches the goal within S-1 steps whatever the policy."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    n_joint = int(np.prod(n_actions))
+    rewards = rng.uniform(0, 1, size=(len(n_actions), n_states, n_joint))
+    rewards[:, -1] = 0.0
+    dense = np.zeros((n_states, n_joint, n_states))
+    dense[-1, :, -1] = 1.0
+    for s in range(n_states - 1):
+        for row in dense[s]:
+            width = min(int(rng.integers(1, max_width + 1)), n_states - s - 1)
+            succ = s + 1 + rng.choice(n_states - s - 1, size=width,
+                                      replace=False)
+            row[succ] = rng.dirichlet(np.ones(width))
+    return m.MultiAgentMDP(n_actions, rewards, dense, gamma,
+                           rng.dirichlet(np.ones(n_states)))
+
+
+def reference_settle_step(mdp):
+    """MultiAgentMDP.settle_step by enumeration, one Python set per step:
+    the states reachable at steps 0, 1, ... from mu's support along any
+    stored transition entry, until a set lies among the absorbing states
+    that pay no reward (its step is returned) or a set repeats (None)."""
+    data, indices, indptr = (x.tolist() for x in mdp.csr)
+    S, A = mdp.n_states, mdp.n_joint
+    nxt = [{indices[k] for k in range(indptr[s * A], indptr[(s + 1) * A])}
+           for s in range(S)]
+    goal = {s for s in range(S)
+            if nxt[s] <= {s} and not np.any(mdp.rewards[:, s])}
+    reached = frozenset(s for s in range(S) if mdp.mu[s] > 0)
+    seen, step = set(), 0
+    while not reached <= goal:
+        if reached in seen:
+            return None
+        seen.add(reached)
+        reached = frozenset().union(*(nxt[s] for s in reached))
+        step += 1
+    return step
+
+
 # --- reference builder ----------------------------------------------------------
 #
 # build_distancing as it was before it wrote its tables in place: a digit

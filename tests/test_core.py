@@ -5,6 +5,8 @@ import copy
 import math
 import pickle
 import re
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,9 +15,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mpglearn as m
-from mpglearn.core import MDPFormatError, joint_digits
+from mpglearn import core
+from mpglearn.cli import build_environment, load_config
+from mpglearn.core import (MDPFormatError, _row_cumsum, _row_max, _row_sum,
+                           joint_digits)
 
-from conftest import assert_same_bytes, random_mdp, random_policy, sparse_mdp
+from conftest import (assert_same_bytes, random_mdp, random_policy,
+                      reference_settle_step, settling_mdp, sparse_mdp)
 
 
 def tiny_mdp(**kw):
@@ -247,6 +253,149 @@ class TestAbsorbing:
         assert mdp.absorbing[S - absorbing:].all()
         assert mdp.absorbing[-1] or not upper   # upper: S-1 leads only to S-1
         assert not mdp.absorbing.flags.writeable
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_actions=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+           n_states=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+           empty=st.floats(0.0, 1.0), loop=st.floats(0.0, 1.0),
+           upper=st.booleans())
+    @example(n_actions=[2], n_states=3, seed=0, empty=1.0, loop=0.0,
+             upper=False)
+    @example(n_actions=[2, 1], n_states=4, seed=1, empty=0.5, loop=1.0,
+             upper=True)
+    def test_block_reductions_match_per_entry_definitions(
+            self, n_actions, n_states, seed, empty, loop, upper):
+        # unvalidated CSR triples whose rows may be empty (a state block may
+        # hold no entry at all, or every block none) or lead back to their
+        # own state: absorbing and upper_triangular from per-state
+        # reduceat segments against their per-entry definitions
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        A = int(np.prod(n_actions))
+        columns = []
+        for row in range(n_states * A):
+            s = row // A
+            if rng.random() < empty:
+                columns.append([])
+            elif rng.random() < loop:
+                columns.append([s])
+            else:
+                lo = s if upper else 0
+                columns.append(sorted(rng.choice(
+                    np.arange(lo, n_states), replace=False,
+                    size=int(rng.integers(1, n_states - lo + 1))).tolist()))
+        indptr = np.cumsum([0] + [len(c) for c in columns])
+        indices = np.array(sum(columns, []), dtype=np.int64)
+        mdp = m.MultiAgentMDP(
+            n_actions, np.zeros((len(n_actions), n_states, A)),
+            (np.ones(len(indices)), indices, indptr), 0.9,
+            np.full(n_states, 1.0 / n_states), validate=False)
+        source = np.repeat(np.arange(n_states * A), np.diff(indptr)) // A
+        assert mdp.upper_triangular is bool(np.all(indices >= source))
+        want = np.ones(n_states, dtype=bool)
+        want[source[indices != source]] = False
+        assert_same_bytes(mdp.absorbing, want, "absorbing")
+
+
+class TestSettleStep:
+    """`MultiAgentMDP.settle_step` against `reference_settle_step`, one
+    Python set of reachable states per step."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n_actions=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+           n_states=st.integers(1, 6), width=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1),
+           game=st.sampled_from(["settling", "sparse", "upper"]),
+           absorbing=st.integers(0, 2), support=st.integers(1, 6),
+           paid=st.booleans())
+    def test_matches_enumeration(self, n_actions, n_states, width, seed,
+                                 game, absorbing, support, paid):
+        # settling games (stochastic rows, mu on up to every state); random
+        # and upper-triangular games, which may cycle; mu cut down to a few
+        # states; and a goal that pays a reward, so that it is no goal
+        if game == "settling":
+            base = settling_mdp(n_states, tuple(n_actions), 0.9, seed, width)
+        else:
+            base = sparse_mdp(n_states, tuple(n_actions), 0.9, seed,
+                              max_width=min(width, n_states),
+                              upper=game == "upper",
+                              absorbing=min(absorbing, n_states))
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        mu = base.mu * (rng.permutation(n_states) < support)
+        rewards = np.array(base.rewards)
+        if paid:
+            rewards[:, -1, 0] = 0.5
+        mdp = m.MultiAgentMDP(base.n_actions, rewards, base.csr, base.gamma,
+                              mu / mu.sum())
+        assert mdp.settle_step == reference_settle_step(mdp)
+
+    def test_cases(self):
+        # 0 -> 1 -> 2 (goal) under every action, with 0 -> 0 possible under
+        # action 1 when `cycle`; state 3 loops on itself and pays nothing
+        def game(cycle=False, paid=False, mu=(1.0, 0.0, 0.0, 0.0)):
+            P = np.zeros((4, 2, 4))
+            P[0, :, 1] = 1.0
+            if cycle:
+                P[0, 1] = [0.5, 0.5, 0.0, 0.0]
+            P[1, :, 2] = P[2, :, 2] = P[3, :, 3] = 1.0
+            rewards = np.zeros((1, 4, 2))
+            rewards[0, :2] = 0.5
+            if paid:
+                rewards[0, 2, 1] = 0.25
+            return m.MultiAgentMDP((2,), rewards, P, 0.9, mu)
+
+        assert game().settle_step == 2
+        assert game(mu=(0.0, 0.5, 0.5, 0.0)).settle_step == 1
+        assert game(mu=(0.0, 0.0, 1.0, 0.0)).settle_step == 0
+        assert game(cycle=True).settle_step is None
+        assert game(cycle=True, mu=(0.0, 1.0, 0.0, 0.0)).settle_step == 1
+        assert game(paid=True).settle_step is None
+        # state 3 is a zero-reward absorbing state, so a goal
+        assert game(mu=(0.5, 0.0, 0.0, 0.5)).settle_step == 2
+        rewards = np.zeros((1, 4, 2))
+        rewards[0, 3, 1] = 1.0
+        other = m.MultiAgentMDP((2,), rewards, game().csr, 0.9,
+                                [0.5, 0.0, 0.0, 0.5])
+        assert other.settle_step is None    # mu on a state that never settles
+
+    @pytest.mark.parametrize("config, settle", [
+        ("scg4.ini", 4), ("scg8.ini", 4), ("distancing.ini", None)])
+    def test_shipped_games(self, config, settle):
+        path = Path(__file__).resolve().parent.parent / "configs" / config
+        mdp = build_environment(load_config(path).environment).mdp
+        assert mdp.settle_step == settle
+        assert reference_settle_step(mdp) == settle
+
+
+class TestRowReductions:
+    """The short-axis helpers against numpy's own reductions, byte for
+    byte, at widths below and above the width where numpy's sum turns
+    pairwise, on the column path (forced for any row count) and on
+    numpy's: signed zeros, -inf padding, and values of very different
+    sizes, whose sums depend on the order of their terms."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(width=st.integers(1, 12), lead=st.lists(st.integers(1, 4),
+                                                   max_size=3),
+           seed=st.integers(0, 2 ** 32 - 1), padded=st.floats(0.0, 0.9),
+           rows_per_column=st.sampled_from([0, core._ROWS_PER_COLUMN]))
+    def test_match_numpy(self, width, lead, seed, padded, rows_per_column):
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        shape = tuple(lead) + (width,)
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        x[rng.random(shape) < 0.1] = 0.0
+        x[rng.random(shape) < 0.1] = -0.0
+        x[..., 1:][rng.random(shape)[..., 1:] < padded] = -np.inf
+        swapped = x.reshape(-1, 1, width).swapaxes(0, 1)    # a strided view
+        with mock.patch.object(core, "_ROWS_PER_COLUMN", rows_per_column):
+            for y in (x, np.exp(x - x.max(axis=-1, keepdims=True))):
+                assert_same_bytes(_row_max(y), y.max(axis=-1, keepdims=True),
+                                  "max")
+                assert_same_bytes(_row_sum(y), y.sum(axis=-1, keepdims=True),
+                                  "sum")
+                assert_same_bytes(_row_cumsum(y), np.cumsum(y, axis=-1),
+                                  "cumsum")
+            assert_same_bytes(_row_cumsum(swapped),
+                              np.cumsum(swapped, axis=-1), "cumsum")
 
 
 class TestSoftmax:

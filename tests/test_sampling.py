@@ -15,7 +15,8 @@ import mpglearn as m
 from mpglearn import sampling
 from mpglearn.cli import build_environment, load_config
 
-from conftest import assert_same_bytes, random_mdp, random_policy, sparse_mdp
+from conftest import (assert_same_bytes, random_mdp, random_policy,
+                      reference_settle_step, settling_mdp, sparse_mdp)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -558,12 +559,18 @@ class TestRolloutOracle:
 def reference_estimate(mdp, policy, cfg, episode_offset, seeds):
     """(v, q_marginal, visitation) of R runs from `reference_sample_batch`'s
     episodes, by a loop over the episodes in batch order: each step's
-    discounted return is summed into its (run, state) bin and into each
-    agent's (run, state, action) bin, at the first visit of that bin in the
-    episode (or at every visit), and the bins' means are taken; the
-    discounted state counts are summed step by step and normalized."""
+    discounted return is summed into its (run, state) bin and, at the first
+    K steps, into each agent's (run, state, action) bin, at the first visit
+    of that bin in the episode (or at every visit), and the bins' means are
+    taken; the discounted state counts are summed step by step and
+    normalized.  K = min(T, L + 1) for the settle step L that
+    `reference_settle_step` enumerates (K = T when there is none): every
+    later step sits in a zero-reward absorbing state, whose Q entries are
+    +0.0 whichever actions are counted there."""
     n, S, T, R = mdp.n_agents, mdp.n_states, cfg.horizon, len(seeds)
     gamma, every = mdp.gamma, cfg.estimator == "every_visit"
+    settle = reference_settle_step(mdp)
+    K = T if settle is None else min(T, settle + 1)
     states, actions, rewards = reference_sample_batch(
         mdp, policy, T, seeds, episode_offset, cfg.batch)
     disc = gamma ** np.arange(T)
@@ -585,7 +592,7 @@ def reference_estimate(mdp, policy, cfg, episode_offset, seeds):
             if every or s not in seen:
                 v_sum[r, :, s] += ret[t]
                 v_cnt[r, s] += 1
-            for i, a in enumerate(actions[t, e]):
+            for i, a in enumerate(actions[t, e] if t < K else ()):
                 if every or (i, s, a) not in seen:
                     q_sum[i][r, s, a] += ret[t, i]
                     q_cnt[i][r, s, a] += 1
@@ -606,8 +613,9 @@ def reference_estimate(mdp, policy, cfg, episode_offset, seeds):
 class TestEstimatorOracle:
     """`estimate_eval` against `reference_estimate`, byte for byte in its
     values, marginal Q tables, advantages, visitation and visited flags,
-    also on MDPs whose absorbing zero-reward states end the rollout and the
-    return recurrence early."""
+    also on MDPs whose absorbing zero-reward states end the return
+    recurrence early, and on games that settle (`settling`, and one state
+    that is its own goal), whose estimate reads K < T steps."""
 
     @settings(max_examples=60, deadline=None)
     @given(n_actions=st.lists(st.integers(1, 3), min_size=1, max_size=3),
@@ -616,22 +624,36 @@ class TestEstimatorOracle:
            batch=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
            gamma=st.sampled_from([0.0, 0.5, 0.99]),
            estimator=st.sampled_from(["first_visit", "every_visit"]),
-           absorbing=st.integers(0, 2), upper=st.booleans())
+           absorbing=st.integers(0, 2), upper=st.booleans(),
+           settling=st.booleans())
     @example(n_actions=[2, 3], n_states=1, width=1, runs=2, horizon=20,
              batch=3, seed=3, gamma=0.99, estimator="first_visit",
-             absorbing=1, upper=False)
+             absorbing=1, upper=False, settling=False)
     @example(n_actions=[2, 2], n_states=4, width=3, runs=3, horizon=20,
              batch=5, seed=9, gamma=0.99, estimator="every_visit",
-             absorbing=1, upper=False)
+             absorbing=1, upper=False, settling=False)
     @example(n_actions=[2, 2], n_states=4, width=1, runs=2, horizon=20,
              batch=4, seed=5, gamma=0.5, estimator="first_visit",
-             absorbing=1, upper=True)
+             absorbing=1, upper=True, settling=False)
+    @example(n_actions=[3, 1, 2], n_states=4, width=3, runs=3, horizon=20,
+             batch=5, seed=11, gamma=0.99, estimator="first_visit",
+             absorbing=0, upper=False, settling=True)
+    @example(n_actions=[2, 2], n_states=4, width=2, runs=2, horizon=20,
+             batch=4, seed=12, gamma=0.5, estimator="every_visit",
+             absorbing=0, upper=False, settling=True)
+    @example(n_actions=[2, 3], n_states=4, width=1, runs=2, horizon=2,
+             batch=6, seed=13, gamma=0.99, estimator="first_visit",
+             absorbing=0, upper=False, settling=True)
     def test_matches_reference(self, n_actions, n_states, width, runs,
                                horizon, batch, seed, gamma, estimator,
-                               absorbing, upper):
-        mdp = sparse_mdp(n_states, tuple(n_actions), gamma, seed,
-                         max_width=min(width, n_states), upper=upper,
-                         absorbing=min(absorbing, n_states))
+                               absorbing, upper, settling):
+        if settling:
+            mdp = settling_mdp(n_states, tuple(n_actions), gamma, seed,
+                               max_width=width)
+        else:
+            mdp = sparse_mdp(n_states, tuple(n_actions), gamma, seed,
+                             max_width=min(width, n_states), upper=upper,
+                             absorbing=min(absorbing, n_states))
         pols = [random_policy(mdp, seed + 1 + r) for r in range(runs)]
         policy = m.JointPolicy([np.stack([p.probs[i] for p in pols])
                                 for i in range(mdp.n_agents)], validate=False)
@@ -780,31 +802,37 @@ class CountingNumpy:
 
 
 class TestAbsorbedExit:
-    """The steps a sampled estimate takes at horizon 20: every episode of
-    the routing game is absorbed at step 4 and earns its last nonzero reward
-    at step 2, so the horizon loop steps 4 times and computes the other 16
-    joint actions in one pass, and the return recurrence takes 3 steps; the
-    distancing game has no absorbing state and rewards at every step."""
+    """The steps a sampled estimate and a full-horizon batch take at horizon
+    20: every episode of the routing game sits in its goal from step 4 on
+    and earns its last nonzero reward at step 2, so the horizon loop steps
+    4 times, the estimate computes the joint actions of step 4 alone (it
+    reads K = 5 steps) and the batch those of steps 4..19 in one pass, and
+    the return recurrence takes 3 steps; the distancing game has no
+    absorbing state and rewards at every step."""
 
-    @pytest.mark.parametrize("game, absorbing, single, tail, recurrence", [
-        ("scg4", [34], 4, [16], 3),
-        ("distancing_return", [], 20, [], 19)],
+    @pytest.mark.parametrize(
+        "game, absorbing, settle, single, tail, batch_tail, recurrence", [
+            ("scg4", [34], 4, 4, [1], [16], 3),
+            ("distancing_return", [], None, 20, [], [], 19)],
         ids=["scg4", "distancing_return"])
-    def test_steps_taken(self, request, monkeypatch, game, absorbing, single,
-                         tail, recurrence):
+    def test_steps_taken(self, request, monkeypatch, game, absorbing, settle,
+                         single, tail, batch_tail, recurrence):
         if game == "scg4":
             cfg = load_config(CONFIGS / "scg4.ini")
             mdp = build_environment(cfg.environment).mdp
         else:
             mdp = request.getfixturevalue(game).mdp
         assert np.flatnonzero(mdp.absorbing).tolist() == absorbing
+        assert mdp.settle_step == settle
         seeds = [0, 1]
         policy = m.JointPolicy(
             [np.full((len(seeds), mdp.n_states, a), 1.0 / a)
              for a in mdp.n_actions], validate=False)
         cfg = m.SampleConfig(horizon=20, batch=20)
         bank = sampling._StreamBank(mdp, cfg, seeds)
-        bank.draws(0, cfg.batch)            # no Philox pass while counting
+        for steps in (bank.plan.steps, cfg.horizon):
+            # no Philox pass while counting
+            bank.draws(0, cfg.batch, sampling._draw_counts(mdp, steps))
         steps = []
         joint_actions = sampling._joint_actions
 
@@ -819,17 +847,31 @@ class TestAbsorbedExit:
         assert steps.count(None) == single
         assert [k for k in steps if k is not None] == tail
         assert counted.multiplies == recurrence
+        steps.clear()
+        sampling._sample_batch(mdp, policy, cfg.horizon, seeds, 0, cfg.batch,
+                               bank)
+        assert steps.count(None) == single
+        assert [k for k in steps if k is not None] == batch_tail
+
+
+def settled_lanes(mdp, steps, chunk):
+    """The Philox lanes a chunk of `chunk` episodes of one run computes for
+    `steps` steps: ceil(steps / 4) blocks on every agent stream, and as many
+    on the environment stream, or 1 when no transition row has more than one
+    successor."""
+    blocks = -(-steps // 4)
+    stochastic = mdp.successors[1] is not None
+    return chunk * (mdp.n_agents * blocks + (blocks if stochastic else 1))
 
 
 class TestDrawCounts:
     """The Philox lanes a rollout computes: T draws on every agent stream,
     and 1 environment draw, or T when a transition row has more than one
-    successor."""
+    successor; an estimate on a game that settles computes K < T of them."""
 
-    @pytest.mark.parametrize("horizon", [1, 3, 4, 5, 20])
-    @pytest.mark.parametrize("width", [1, 3])
-    def test_bank_chunk_computes_only_read_lanes(self, monkeypatch, horizon,
-                                                 width):
+    @pytest.fixture
+    def lanes(self, monkeypatch):
+        """The lane count of every Philox pass made while the test runs."""
         lanes = []
         philox = sampling._philox4x64
 
@@ -838,6 +880,12 @@ class TestDrawCounts:
             return philox(counter0, key1, seed)
 
         monkeypatch.setattr(sampling, "_philox4x64", counting)
+        return lanes
+
+    @pytest.mark.parametrize("horizon", [1, 3, 4, 5, 20])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_bank_chunk_computes_only_read_lanes(self, lanes, horizon,
+                                                 width):
         mdp = sparse_mdp(5, (2, 3, 2), 0.9, seed=109, max_width=width)
         n, blocks = mdp.n_agents, -(-horizon // 4)
         stochastic = mdp.successors[1] is not None
@@ -845,7 +893,7 @@ class TestDrawCounts:
         per_run = n * blocks + (blocks if stochastic else 1)
         seeds = [3, 4]
         bank = sampling._StreamBank(mdp, m.SampleConfig(horizon, 6), seeds)
-        bank.draws(0, 6)
+        bank.draws(0, 6, sampling._draw_counts(mdp, horizon))
         chunk = sampling._CHUNK_EPISODES // len(seeds)
         assert sum(lanes) == chunk * len(seeds) * per_run
         # a batch drawn without a bank computes the same lanes per episode
@@ -853,3 +901,73 @@ class TestDrawCounts:
         pol = random_policy(mdp, 110)
         sampling._sample_batch(mdp, pol, horizon, 3, 0, 6)
         assert sum(lanes) == 6 * per_run
+
+    @pytest.mark.parametrize("horizon", [1, 3, 4, 5, 20])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_settled_estimate_computes_k_steps(self, lanes, horizon, width):
+        mdp = settling_mdp(6, (2, 3, 2), 0.9, seed=118, max_width=width)
+        assert (mdp.successors[1] is not None) == (width > 1)
+        settle = mdp.settle_step
+        assert settle == 5
+        K = min(horizon, settle + 1)
+        seeds = [3, 4]
+        cfg = m.SampleConfig(horizon, 6)
+        bank = sampling._StreamBank(mdp, cfg, seeds)
+        assert bank.plan.steps == K
+        chunk = sampling._CHUNK_EPISODES // len(seeds)
+        policy = stacked_policy(mdp, [random_policy(mdp, 119 + r)
+                                      for r in range(len(seeds))])
+        m.estimate_eval(mdp, policy, cfg, bank=bank, seeds=seeds)
+        assert sum(lanes) == len(seeds) * settled_lanes(mdp, K, chunk)
+        # an estimate without a bank computes K steps of its own episodes
+        lanes.clear()
+        m.estimate_eval(mdp, policy, cfg, seeds=seeds)
+        assert sum(lanes) == len(seeds) * settled_lanes(mdp, K, 6)
+        # a full-horizon batch reads more draws than the chunk holds, so it
+        # starts a chunk of T steps (when K < T), which the next estimate
+        # reads from
+        lanes.clear()
+        sampling._sample_batch(mdp, policy, horizon, seeds, 6, 6, bank)
+        m.estimate_eval(mdp, policy, cfg, episode_offset=12, bank=bank,
+                        seeds=seeds)
+        want = settled_lanes(mdp, horizon, chunk) if K < horizon else 0
+        assert sum(lanes) == len(seeds) * want
+
+
+class TestSettledEstimate:
+    """On games that settle, the estimate over K = min(T, L + 1) steps
+    against the same estimate over all T steps (the settle step hidden):
+    only `visited_pairs` differs, and only at zero-reward absorbing states,
+    where it flags fewer actions."""
+
+    @pytest.mark.parametrize("game", ["scg4", "scg8", "settling", "single"])
+    @pytest.mark.parametrize("estimator", ["first_visit", "every_visit"])
+    def test_only_goal_pairs_differ(self, game, estimator):
+        if game in ("scg4", "scg8"):
+            mdp = shipped_mdp(f"{game}.ini")
+        elif game == "settling":
+            mdp = settling_mdp(5, (3, 1, 2), 0.95, seed=120, max_width=3)
+        else:
+            mdp = sparse_mdp(1, (2, 3), 0.9, seed=121, max_width=1,
+                             absorbing=1)
+        seeds = [0, 1]
+        policy = stacked_policy(
+            mdp, [random_policy(mdp, 122 + r) for r in range(len(seeds))])
+        cfg = m.SampleConfig(horizon=20, batch=20, estimator=estimator)
+        got = m.estimate_eval(mdp, policy, cfg, episode_offset=20,
+                              seeds=seeds)
+        mdp.__dict__["settle_step"] = None       # step every step
+        want = m.estimate_eval(mdp, policy, cfg, episode_offset=20,
+                               seeds=seeds)
+        for field in ("v", "visitation", "visited_states"):
+            assert_same_bytes(getattr(got, field), getattr(want, field),
+                              field)
+        for field in ("q_marginal", "adv_marginal"):
+            assert_same_bytes(getattr(got, field).stacked,
+                              getattr(want, field).stacked, field)
+        goal = mdp.absorbing & ~mdp.rewards.any(axis=(0, 2))
+        lost = want.visited_pairs.stacked & ~got.visited_pairs.stacked
+        assert not (got.visited_pairs.stacked & ~want.visited_pairs.stacked
+                    ).any()
+        assert lost.any()
+        assert goal[np.nonzero(lost)[-2]].all()
