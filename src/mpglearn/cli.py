@@ -126,24 +126,17 @@ def load_config(path):
         guard=_get(alg_sec, "guard", str, default=None))
     algo.check()
 
-    def exp_get(key, cast, default):
-        if not exp_sec or key not in exp_sec:
-            return default
-        if cast is bool:
-            return parser["experiment"].getboolean(key)
-        return cast(exp_sec[key])
-
     cfg = ExperimentConfig(
         environment=environment,
         algorithms=algorithms,
         algo=algo,
-        runs=exp_get("runs", int, 1),
-        seed_base=exp_get("seed_base", int, 0),
-        nash_gap_every=exp_get("nash_gap_every", int, 0),
-        snapshot_every=exp_get("snapshot_every", int, 1),
-        init=exp_get("init", str, "uniform"),
-        init_scale=exp_get("init_scale", float, 1.0),
-        shared_init=exp_get("shared_init", bool, True),
+        runs=_get(exp_sec, "runs", int, default=1),
+        seed_base=_get(exp_sec, "seed_base", int, default=0),
+        nash_gap_every=_get(exp_sec, "nash_gap_every", int, default=0),
+        snapshot_every=_get(exp_sec, "snapshot_every", int, default=1),
+        init=_get(exp_sec, "init", str, default="uniform"),
+        init_scale=_get(exp_sec, "init_scale", float, default=1.0),
+        shared_init=_get(exp_sec, "shared_init", bool, default=True),
         base_dir=path.parent)
     if cfg.runs < 1:
         raise ConfigError(f"{path}: runs must be >= 1")
@@ -307,16 +300,17 @@ def cmd_run(config_path, out_dir, seeds=None, threads=1, guard=None):
     if guard is not None:
         cfg.algo = replace(cfg.algo, guard=guard)
     if seeds is not None:
-        if "," in seeds:
+        try:
             explicit = [int(s) for s in seeds.split(",")]
-            cfg.seed_base = explicit[0]
+        except ValueError as exc:
+            raise ConfigError(f"bad value for --seeds: {exc}")
+        cfg.seed_base = explicit[0]
+        if len(explicit) > 1:
             cfg.runs = len(explicit)
             if explicit != list(range(explicit[0],
                                       explicit[0] + len(explicit))):
                 raise ConfigError("--seeds must be a single base or a "
                                   "contiguous ascending list")
-        else:
-            cfg.seed_base = int(seeds)
     for alg in cfg.algorithms:
         for r in range(cfg.runs):
             seed, init_key = _job_keys(cfg, alg, r)

@@ -68,9 +68,7 @@ def joint_digits(n_actions):
 
 def _entry_rows(indptr):
     """The row of every entry of a CSR table, in entry order: row r
-    repeated indptr[r+1] - indptr[r] times.  Given indptr[::k] it is the
-    block of k rows each entry falls in, such as the source state of every
-    transition entry for k = n_joint."""
+    repeated indptr[r+1] - indptr[r] times."""
     return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
 
@@ -148,16 +146,24 @@ class MultiAgentMDP:
     mu           initial state distribution, length n_states
 
     The table is kept as its canonical CSR arrays, `csr` = (data, indices,
-    indptr), and every derived table reads them; the dense form keeps its
-    nonzero entries in row-major order, as scipy would.  `transitions`, the
-    scipy CSR matrix over the same arrays, is built (and scipy imported) on
-    its first read.  The derived tables are built on their first read and
-    sized to what they hold: `digits` in one byte per action, `successors`
-    in the CSR index dtype (a view of `indices` when every row has one
-    successor), and `chain_cells` only when an exact solve reads them, so
-    never on a sampled run.  `upper_triangular`, `absorbing` and
-    `settle_step` work on whole state blocks of indptr; the others take each
-    entry's row from indptr.
+    indptr), and every derived table reads them.  The dense form keeps its
+    nonzero entries in row-major order, as scipy would.  Each derived table
+    is a `cached_property`, built on its first read and sized to what it
+    holds:
+
+    - `transitions` is the scipy CSR matrix over the same arrays; its first
+      read imports scipy.
+    - `digits` decodes joint actions, one byte per action.
+    - `chain_cells` numbers the chain cell of every entry; only an exact
+      solve reads it, so a sampled run never builds it.
+    - `successors` is the sampler's draw table, in the CSR index dtype (a
+      view of `indices` when every row has one successor).
+    - `upper_triangular` and `absorbing` read one least and greatest next
+      state per state block of indptr.
+    - `reachable` marks the states an episode from mu can reach under some
+      policy; `settle_step` is the step by which every such episode sits in
+      a zero-reward absorbing state.  Both walk the state sets forward with
+      the one step `_next_states`.
 
     Every array is kept read-only.  An input array that is already
     read-only, owns its data, is C-contiguous and has the kept dtype (float,
@@ -169,11 +175,9 @@ class MultiAgentMDP:
     `successors` may share it.  Any other input is copied.
 
     Episodic problems are modeled with an absorbing zero-reward terminal
-    state; rewards outside [0, 1] are rejected rather than clamped.  The
-    `absorbing` flags mark absorbing states, and `settle_step` is the step
-    by which every episode from mu sits in a zero-reward one, whatever the
-    policy (None when there is no such step).  A sampled batch is stepped
-    only that many steps: its states then stay put, the sampler draws the
+    state; rewards outside [0, 1] are rejected rather than clamped.  A
+    sampled batch is stepped only `settle_step` steps (None when some
+    episode never settles): its states then stay put, the sampler draws the
     remaining joint actions in one pass, and the estimator reads only one
     step more (`sampling.estimate_eval`).
     """
@@ -199,91 +203,98 @@ class MultiAgentMDP:
         index = index_dtype(max(len(indptr), len(data)))
         self.csr = (_frozen(data), _frozen(indices, index),
                     _frozen(indptr, index))
-        self._transitions = None
         self.state_labels = tuple(state_labels) if state_labels is not None else None
         if self.state_labels is not None and len(self.state_labels) != self.n_states:
             raise ValueError("state_labels length mismatch")
-        self._digits = None
-        self._chain_cells = None
-        self._upper_triangular = None
-        self._absorbing = None
-        self._successors = None
         if validate:
             problems = validate_mdp(self)
             if problems:
                 raise ValueError("invalid MDP:\n" + "\n".join(problems))
 
-    @property
+    @cached_property
     def transitions(self):
         """The transition table as a canonical scipy CSR matrix over the
         `csr` arrays; scipy is imported on the first read."""
-        if self._transitions is None:
-            import scipy.sparse as sp
-            P = sp.csr_matrix(self.csr, copy=False, shape=(
-                self.n_states * self.n_joint, self.n_states))
-            P.has_canonical_format = True
-            self._transitions = P
-        return self._transitions
+        import scipy.sparse as sp
+        P = sp.csr_matrix(self.csr, copy=False, shape=(
+            self.n_states * self.n_joint, self.n_states))
+        P.has_canonical_format = True
+        return P
 
-    @property
+    @cached_property
     def digits(self):
         """(n_joint, n_agents) table decoding each joint index into
         per-agent actions, in the one-byte (for up to 256 actions) dtype of
         `joint_digits`, whose table it is."""
-        if self._digits is None:
-            self._digits = joint_digits(self.n_actions)
-        return self._digits
+        return joint_digits(self.n_actions)
 
-    @property
+    @cached_property
     def chain_cells(self):
         """(rows, cells) of every transition entry in CSR order: its row
         s*n_joint + a, and the (s, s') chain cell it feeds, numbered
         column-major, s'*n_states + s, so that a bincount over the cells
         fills a Fortran-ordered chain.  Built on the first read, which only
         an exact solve makes (`exact._chain_matrix`)."""
-        if self._chain_cells is None:
-            _, indices, indptr = self.csr
-            rows = _entry_rows(indptr)
-            cells = indices * np.int64(self.n_states) + rows // self.n_joint
-            rows.flags.writeable = cells.flags.writeable = False
-            self._chain_cells = (rows, cells)
-        return self._chain_cells
+        _, indices, indptr = self.csr
+        rows = _entry_rows(indptr)
+        cells = indices * np.int64(self.n_states) + rows // self.n_joint
+        rows.flags.writeable = cells.flags.writeable = False
+        return rows, cells
 
-    def _block_reduce(self, ufunc):
-        """(states, bound): the states whose transition rows hold entries,
-        and ufunc (np.minimum or np.maximum) over the next states of each
-        one's entries, one reduceat segment per state block of indptr.  A
-        segment runs to the next start, across any empty blocks between."""
+    @cached_property
+    def _block_bounds(self):
+        """(states, lo, hi): the states whose transition rows hold entries,
+        and the least and the greatest next state of each one's entries, one
+        reduceat segment per state block of indptr.  A segment runs to the
+        next start, across any empty blocks between."""
         _, indices, indptr = self.csr
         starts = indptr[::self.n_joint]
         states = np.flatnonzero(np.diff(starts))
-        return states, ufunc.reduceat(indices, starts[states])
+        return (states, np.minimum.reduceat(indices, starts[states]),
+                np.maximum.reduceat(indices, starts[states]))
 
-    @property
+    @cached_property
     def upper_triangular(self):
         """True when every transition entry leads to a state index >= its
         source state, so that every chain I - gamma * P_pi is upper
         triangular: acyclic games numbered in topological order, such as
         the routing games with an absorbing goal."""
-        if self._upper_triangular is None:
-            states, lo = self._block_reduce(np.minimum)
-            self._upper_triangular = bool(np.all(lo >= states))
-        return self._upper_triangular
+        states, lo, _ = self._block_bounds
+        return bool(np.all(lo >= states))
 
-    @property
+    @cached_property
     def absorbing(self):
         """(n_states,) bool: state s is absorbing when every transition
         entry of every joint action from s leads back to s, whether its rows
         are deterministic or stochastic (vacuously so when it has none):
         the least and the greatest next state of its entries are both s."""
-        if self._absorbing is None:
-            states, lo = self._block_reduce(np.minimum)
-            _, hi = self._block_reduce(np.maximum)
-            absorbing = np.ones(self.n_states, dtype=bool)
-            absorbing[states] = (lo == states) & (hi == states)
-            absorbing.flags.writeable = False
-            self._absorbing = absorbing
-        return self._absorbing
+        states, lo, hi = self._block_bounds
+        absorbing = np.ones(self.n_states, dtype=bool)
+        absorbing[states] = (lo == states) & (hi == states)
+        absorbing.flags.writeable = False
+        return absorbing
+
+    def _next_states(self, states):
+        """(n_states,) bool: the next state of every transition entry of the
+        states marked in `states`, for any joint action and any probability
+        stored, marked with one np.repeat over the state blocks' lengths."""
+        _, indices, indptr = self.csr
+        entries = np.repeat(states, np.diff(indptr[::self.n_joint]))
+        reached = np.zeros(self.n_states, dtype=bool)
+        reached[indices[entries]] = True
+        return reached
+
+    @cached_property
+    def reachable(self):
+        """(n_states,) bool, read-only: the states an episode started in
+        mu's support can reach along stored transition entries, under some
+        policy; each step adds the next states of the states it added last."""
+        reachable = frontier = self.mu > 0
+        while frontier.any():
+            frontier = self._next_states(frontier) & ~reachable
+            reachable = reachable | frontier
+        reachable.flags.writeable = False
+        return reachable
 
     @cached_property
     def settle_step(self):
@@ -291,21 +302,17 @@ class MultiAgentMDP:
         support sits in a zero-reward absorbing state, under every policy,
         or None when some episode can stay out of them forever.
 
-        The states an episode can reach at step t+1 are the next states of
-        every transition entry of the states it can reach at step t, for
-        any joint action and any probability stored.  Those sets are
-        iterated forward from mu's support until one lies inside the goal
-        (L is its step), or one repeats, or the count of states outside the
-        goal is passed: an episode of a game that settles never visits a
-        state outside the goal twice.  Each step marks the entries of the
-        reached states with one np.repeat over the state blocks' lengths.
+        The states an episode can reach at step t+1 are the next states
+        (`_next_states`) of the states it can reach at step t.  Those sets
+        are iterated forward from mu's support until one lies inside the
+        goal (L is its step), or one repeats, or the count of states outside
+        the goal is passed: an episode of a game that settles never visits
+        a state outside the goal twice.
         """
-        _, indices, indptr = self.csr
         goal = self.absorbing.copy()
         goal[goal] = ~self.rewards[:, goal].any(axis=(0, 2))
         if not goal.any():
             return None
-        lengths = np.diff(indptr[::self.n_joint])
         reached, seen = self.mu > 0, set()
         for step in range(self.n_states - int(goal.sum()) + 1):
             if goal[reached].all():
@@ -314,12 +321,10 @@ class MultiAgentMDP:
             if key in seen:
                 return None
             seen.add(key)
-            entries = np.repeat(reached, lengths)
-            reached = np.zeros(self.n_states, dtype=bool)
-            reached[indices[entries]] = True
+            reached = self._next_states(reached)
         return None
 
-    @property
+    @cached_property
     def successors(self):
         """(succ, cdf, total): the transition rows as a padded draw table.
 
@@ -330,31 +335,26 @@ class MultiAgentMDP:
         cdf and total are None and succ is a read-only (S*A, 1) view of the
         CSR indices, not a copy.  A row with no entries has nothing to
         draw, and raises a ValueError."""
-        if self._successors is None:
-            data, indices, indptr = self.csr
-            lengths = np.diff(indptr)
-            if lengths.size and lengths.min() == 0:
-                s, a = divmod(int(np.argmin(lengths)), self.n_joint)
-                raise ValueError(f"transition row (state {s}, joint action "
-                                 f"{a}) has no entries to sample from")
-            width = int(lengths.max(initial=1))
-            cdf = total = None
-            if width == 1:
-                succ = indices.reshape(-1, 1)   # a view of read-only indices
-            else:
-                rows = _entry_rows(indptr)
-                pos = np.arange(len(indices)) - indptr[rows]
-                succ = np.zeros((len(lengths), width), dtype=indices.dtype)
-                succ[rows, pos] = indices
-                succ.flags.writeable = False
-                run = np.zeros(succ.shape)
-                run[rows, pos] = data
-                np.cumsum(run, axis=1, out=run)
-                total = _frozen(run[:, -1])
-                run[np.arange(width) >= lengths[:, None] - 1] = np.inf
-                cdf = _frozen(run[:, :-1])
-            self._successors = (succ, cdf, total)
-        return self._successors
+        data, indices, indptr = self.csr
+        lengths = np.diff(indptr)
+        if lengths.size and lengths.min() == 0:
+            s, a = divmod(int(np.argmin(lengths)), self.n_joint)
+            raise ValueError(f"transition row (state {s}, joint action "
+                             f"{a}) has no entries to sample from")
+        width = int(lengths.max(initial=1))
+        if width == 1:
+            return indices.reshape(-1, 1), None, None
+        rows = _entry_rows(indptr)
+        pos = np.arange(len(indices)) - indptr[rows]
+        succ = np.zeros((len(lengths), width), dtype=indices.dtype)
+        succ[rows, pos] = indices
+        succ.flags.writeable = False
+        run = np.zeros(succ.shape)
+        run[rows, pos] = data
+        np.cumsum(run, axis=1, out=run)
+        total = _frozen(run[:, -1])
+        run[np.arange(width) >= lengths[:, None] - 1] = np.inf
+        return succ, _frozen(run[:, :-1]), total
 
     def a_max(self):
         return max(self.n_actions)

@@ -303,6 +303,8 @@ def run(env, cfg, initial=None, nash_gap_every=0, snapshot_every=0,
         return run(env, cfg, [initial], nash_gap_every, snapshot_every,
                    on_iteration, seeds=[seed])[0]
     cfg.check()
+    if len(seeds) == 0:
+        raise ValueError("no run seed given: seeds is empty")
     has_env = hasattr(env, "mdp")
     mdp = env.mdp if has_env else env
     track_potential = (has_env and env.stage_potential is not None

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (AgentTables, EvalReport, JointPolicy, _entry_rows,
-                   joint_digits)
+from .core import AgentTables, EvalReport, JointPolicy, joint_digits
 
 DENSE_SOLVE_MAX = 4096
 
@@ -273,19 +272,6 @@ def potential_value(env, policy):
     return report.potential, report.potential_mu
 
 
-def reachable_states(mdp):
-    """States reachable from the support of mu under some action sequence."""
-    _, indices, indptr = mdp.csr
-    src = _entry_rows(indptr[::mdp.n_joint])
-    seen = mdp.mu > 0
-    while True:
-        grown = seen.copy()
-        grown[indices[seen[src]]] = True
-        if np.array_equal(grown, seen):
-            return np.flatnonzero(seen)
-        seen = grown
-
-
 def deterministic_policy_count(mdp):
     count = 1
     for a in mdp.n_actions:
@@ -301,12 +287,12 @@ def mismatch_bound(mdp):
     reachable state has no initial mass, `upper` is None and `note` names
     such states.  No policy is evaluated.
     """
-    reach = reachable_states(mdp)
     positive = mdp.mu > 0
-    if np.all(positive[reach]):
+    bad = np.flatnonzero(mdp.reachable & ~positive)
+    if not bad.size:
         return MismatchBound(
             upper=1.0 / ((1.0 - mdp.gamma) * mdp.mu[positive].min()))
-    bad = [int(s) for s in reach if not positive[s]][:5]
+    bad = bad[:5].tolist()
     return MismatchBound(
         upper=None,
         note=(f"states {bad} are reachable but have mu = 0; the visitation "
@@ -319,9 +305,12 @@ def enumerated_mismatch(mdp):
 
     Every policy is decoded from one mixed-radix table (agent 0's action at
     state 0 most significant) and all are evaluated in one stacked
-    `evaluate`.  The result is inf when one policy visits a state that
-    another never does; states that no policy visits are skipped.  Only for
-    tiny games: more than 4096 policies raise a ValueError.
+    `evaluate`.  Only the states mu can reach (`MultiAgentMDP.reachable`)
+    are compared, so the float noise a solve leaves on an unreachable state
+    is never read as a visit.  The result is inf when one policy visits a
+    reachable state that another never does; reachable states that no
+    policy visits (all of them but mu's support at gamma = 0) are skipped.
+    Only for tiny games: more than 4096 policies raise a ValueError.
     """
     count = deterministic_policy_count(mdp)
     if count > 4096:
@@ -332,7 +321,7 @@ def enumerated_mismatch(mdp):
     probs = [np.eye(a)[digits[:, i * S:(i + 1) * S]]
              for i, a in enumerate(mdp.n_actions)]
     d = evaluate(mdp, JointPolicy(probs, validate=False),
-                 agents=[]).visitation
+                 agents=[]).visitation[:, mdp.reachable]
     visited = d > 0
     if np.any(visited.any(axis=0) & ~visited.all(axis=0)):
         return np.inf

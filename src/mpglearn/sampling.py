@@ -534,13 +534,10 @@ def estimate_eval(mdp, policy, cfg, episode_offset=0, bank=None, seeds=None):
     states, actions, rewards = _rollout(policy, plan, seeds, episode_offset,
                                         bank, K)
     # discounted returns, a running sum (0 * gamma + r_{K-1}) * gamma +
-    # r_{K-2} ... over the steps of (agent, episode, step) arrays.  The sum
-    # is +0.0 at every step after the last nonzero reward, so the
-    # recurrence starts there.
-    live = np.flatnonzero(rewards.any(axis=(0, 1)))
+    # r_{K-2} ... over the steps of (agent, episode, step) arrays
     returns = np.zeros((n, E, K))
     returns[..., K - 1] += rewards[..., K - 1]
-    for t in range(min(live[-1] if live.size else -1, K - 2), -1, -1):
+    for t in range(K - 2, -1, -1):
         np.multiply(returns[..., t + 1], gamma, out=returns[..., t])
         returns[..., t] += rewards[..., t]
     returns = returns.reshape(n, E * K)

@@ -95,15 +95,36 @@ def settling_mdp(n_states, n_actions, gamma, seed, max_width):
                            rng.dirichlet(np.ones(n_states)))
 
 
+def reference_next_states(mdp):
+    """Per state, the Python set of the next states of its stored
+    transition entries under every joint action."""
+    _, indices, indptr = (x.tolist() for x in mdp.csr)
+    A = mdp.n_joint
+    return [{indices[k] for k in range(indptr[s * A], indptr[(s + 1) * A])}
+            for s in range(mdp.n_states)]
+
+
+def reference_reachable(mdp):
+    """MultiAgentMDP.reachable as a Python-set closure: mu's support, then
+    every state a stored transition entry leads to from a state in the set,
+    until nothing is added.  A bool mask over the states."""
+    nxt = reference_next_states(mdp)
+    reached = {s for s in range(mdp.n_states) if mdp.mu[s] > 0}
+    todo = list(reached)
+    while todo:
+        new = nxt[todo.pop()] - reached
+        reached |= new
+        todo.extend(new)
+    return np.array([s in reached for s in range(mdp.n_states)])
+
+
 def reference_settle_step(mdp):
     """MultiAgentMDP.settle_step by enumeration, one Python set per step:
     the states reachable at steps 0, 1, ... from mu's support along any
     stored transition entry, until a set lies among the absorbing states
     that pay no reward (its step is returned) or a set repeats (None)."""
-    data, indices, indptr = (x.tolist() for x in mdp.csr)
-    S, A = mdp.n_states, mdp.n_joint
-    nxt = [{indices[k] for k in range(indptr[s * A], indptr[(s + 1) * A])}
-           for s in range(S)]
+    S = mdp.n_states
+    nxt = reference_next_states(mdp)
     goal = {s for s in range(S)
             if nxt[s] <= {s} and not np.any(mdp.rewards[:, s])}
     reached = frozenset(s for s in range(S) if mdp.mu[s] > 0)
@@ -255,9 +276,11 @@ def deterministic_policies(mdp):
 
 def pairwise_mismatch(mdp):
     """Largest visitation ratio over every ordered pair of deterministic
-    policies, one `visitation` per policy and a Python loop over the pairs:
-    the reference for `enumerated_mismatch`."""
-    dists = [m.visitation(mdp, pi) for pi in deterministic_policies(mdp)]
+    policies, one `visitation` per policy and a Python loop over the pairs,
+    on the states `reference_reachable` finds: the reference for
+    `enumerated_mismatch`."""
+    reach = reference_reachable(mdp)
+    dists = [m.visitation(mdp, pi)[reach] for pi in deterministic_policies(mdp)]
     lower = 0.0
     for da in dists:
         for db in dists:

@@ -89,8 +89,34 @@ class TestConfig:
         with pytest.raises(ConfigError, match="sarsa"):
             load_config(p)
 
+    @pytest.mark.parametrize("key, value", [
+        ("runs", "abc"), ("init_scale", "big"), ("shared_init", "maybe")])
+    def test_bad_experiment_value_names_its_key(self, tmp_path, key, value):
+        # the [experiment] section ends the config, so the line lands in it
+        (tmp_path / "stage.dag").write_text(STAGE_DAG)
+        lines = [line for line in STAGE_CONFIG.splitlines()
+                 if not line.startswith(f"{key} =")]
+        p = tmp_path / "exp.ini"
+        p.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        with pytest.raises(ConfigError,
+                           match=rf"bad value for '{key}' in \[experiment\]"):
+            load_config(p)
+
 
 class TestCmdRun:
+    def test_bad_seeds_name_the_option(self, tmp_path, capsys):
+        (tmp_path / "stage.dag").write_text(STAGE_DAG)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(STAGE_CONFIG)
+        out = tmp_path / "out"
+        for seeds in ("abc", "1,x"):
+            with pytest.raises(ConfigError, match="bad value for --seeds"):
+                cmd_run(cfg, out, seeds=seeds)
+            assert main(["run", "--config", str(cfg), "--out", str(out),
+                         f"--seeds={seeds}"]) == 2
+            assert "--seeds" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_action_environment_single_row(self, tmp_path):
         (tmp_path / "one.dag").write_text(SINGLE_ACTION_DAG)
         cfg = tmp_path / "exp.ini"

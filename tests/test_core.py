@@ -21,7 +21,8 @@ from mpglearn.core import (MDPFormatError, _row_cumsum, _row_max, _row_sum,
                            joint_digits)
 
 from conftest import (assert_same_bytes, random_mdp, random_policy,
-                      reference_settle_step, settling_mdp, sparse_mdp)
+                      reference_reachable, reference_settle_step,
+                      settling_mdp, sparse_mdp)
 
 
 def tiny_mdp(**kw):
@@ -364,6 +365,37 @@ class TestSettleStep:
         mdp = build_environment(load_config(path).environment).mdp
         assert mdp.settle_step == settle
         assert reference_settle_step(mdp) == settle
+
+
+class TestReachable:
+    """`MultiAgentMDP.reachable` against `reference_reachable`, a Python-set
+    closure from mu's support."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n_actions=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+           n_states=st.integers(1, 6), width=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1), upper=st.booleans(),
+           absorbing=st.integers(0, 2), start=st.integers(0, 5))
+    def test_matches_closure(self, n_actions, n_states, width, seed, upper,
+                             absorbing, start):
+        # mu on one state, so that most games leave some states unreached;
+        # absorbing states cut the paths that lead through them
+        base = sparse_mdp(n_states, tuple(n_actions), 0.9, seed,
+                          max_width=min(width, n_states), upper=upper,
+                          absorbing=min(absorbing, n_states))
+        mdp = m.MultiAgentMDP(base.n_actions, base.rewards, base.csr,
+                              base.gamma, np.eye(n_states)[start % n_states])
+        assert_same_bytes(mdp.reachable, reference_reachable(mdp),
+                          "reachable")
+        assert not mdp.reachable.flags.writeable
+
+    def test_routing_game_numbers_reachable_states_only(self):
+        spec = m.layered_dag([2, 2])
+        full = m.build_scg(spec, n_agents=2, gamma=0.9).mdp
+        pruned = m.build_scg(spec, n_agents=2, gamma=0.9,
+                             reachable_only=True).mdp
+        assert pruned.reachable.all()
+        assert full.reachable.sum() == pruned.n_states < full.n_states
 
 
 class TestRowReductions:

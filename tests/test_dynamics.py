@@ -208,6 +208,11 @@ class TestRunLoop:
         assert trace.n_iterations == 1
         assert trace.iterations.tolist() == [0]
 
+    def test_no_seeds_is_an_error(self, stage2):
+        cfg = m.AlgoConfig("inpg", eta=1e-4, max_iters=5)
+        with pytest.raises(ValueError, match="no run seed given"):
+            m.run(stage2, cfg, seeds=[])
+
     def test_interiority_required(self, stage2):
         cfg = m.AlgoConfig("mwu", eta=1e-4, max_iters=5, guard="off")
         pure = m.JointPolicy([np.tile([1.0, 0.0], (stage2.mdp.n_states, 1)),

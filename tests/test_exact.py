@@ -747,6 +747,10 @@ class TestMismatchBound:
            n_states=st.integers(1, 3), width=st.integers(1, 3),
            gamma=st.sampled_from([0.0, 0.5, 0.9]), point_mass=st.booleans(),
            seed=st.integers(0, 2 ** 32 - 1))
+    # mu reaches only state 0, and the dense LU leaves state 1 a visitation
+    # of about 1e-17 under some policies, which must not count as a visit
+    @example(n_actions=[3], n_states=3, width=1, gamma=0.9, point_mass=True,
+             seed=2164)
     def test_enumeration_matches_pairwise_loop(self, n_actions, n_states,
                                                width, gamma, point_mass,
                                                seed):

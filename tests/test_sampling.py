@@ -710,10 +710,10 @@ class TestShippedGamesOracle:
         mdp = shipped_mdp("distancing.ini")
         policy = random_policy(mdp, 113)
         m.estimate_eval(mdp, policy, m.SampleConfig(horizon=20, batch=20))
-        assert mdp._chain_cells is None
+        assert "chain_cells" not in mdp.__dict__
         assert mdp.digits.dtype == np.uint8
         m.evaluate(mdp, policy, agents=[])
-        assert mdp._chain_cells is not None
+        assert "chain_cells" in mdp.__dict__
 
 
 class TestRunAxis:
@@ -803,16 +803,16 @@ class CountingNumpy:
 
 class TestAbsorbedExit:
     """The steps a sampled estimate and a full-horizon batch take at horizon
-    20: every episode of the routing game sits in its goal from step 4 on
-    and earns its last nonzero reward at step 2, so the horizon loop steps
-    4 times, the estimate computes the joint actions of step 4 alone (it
-    reads K = 5 steps) and the batch those of steps 4..19 in one pass, and
-    the return recurrence takes 3 steps; the distancing game has no
-    absorbing state and rewards at every step."""
+    20: every episode of the routing game sits in its goal from step 4 on,
+    so the horizon loop steps 4 times, the estimate computes the joint
+    actions of step 4 alone (it reads K = 5 steps) and the batch those of
+    steps 4..19 in one pass, and the return recurrence takes K - 1 = 4
+    steps; the distancing game has no absorbing state, and its recurrence
+    takes T - 1 = 19 steps."""
 
     @pytest.mark.parametrize(
         "game, absorbing, settle, single, tail, batch_tail, recurrence", [
-            ("scg4", [34], 4, 4, [1], [16], 3),
+            ("scg4", [34], 4, 4, [1], [16], 4),
             ("distancing_return", [], None, 20, [], [], 19)],
         ids=["scg4", "distancing_return"])
     def test_steps_taken(self, request, monkeypatch, game, absorbing, settle,
