@@ -145,48 +145,52 @@ def load_config(path):
     return cfg
 
 
+def _words(cast):
+    """A cast of a whitespace-separated list, each word by `cast`."""
+    return lambda value: tuple(cast(w) for w in value.split())
+
+
 def build_environment(environment):
-    """Construct the environment described by an [environment] section dict."""
-    etype = environment.get("type")
+    """Construct the environment described by an [environment] section
+    dict.  A value that does not parse raises a ConfigError naming its key."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_dict({"environment": environment})
+    sec = parser["environment"]
+    etype = _get(sec, "type", str)
     if etype == "scg":
-        if "dag" in environment:
-            with open(environment["dag"]) as f:
-                spec = parse_dag_spec(f.read(), name=environment["dag"])
-        elif "layers" in environment:
-            sizes = [int(x) for x in environment["layers"].split()]
-            spec = layered_dag(sizes,
-                               default_base=float(environment.get("base", 1.0)))
+        if "dag" in sec:
+            with open(sec["dag"]) as f:
+                spec = parse_dag_spec(f.read(), name=sec["dag"])
+        elif "layers" in sec:
+            spec = layered_dag(_get(sec, "layers", _words(int)),
+                               default_base=_get(sec, "base", float, 1.0))
         else:
             raise ConfigError("scg environment needs a 'dag' file or 'layers'")
-        agents = environment.get("agents")
         return build_scg(
             spec,
-            n_agents=int(agents) if agents is not None else None,
-            gamma=float(environment.get("gamma", 0.99)),
-            reachable_only=environment.get("reachable_only", "false").lower()
-            in ("1", "true", "yes"),
-            mu=environment.get("mu", "start"),
-            goal=environment.get("goal", "absorb"),
-            return_reward=float(environment.get("return_reward", 0.0)))
+            n_agents=_get(sec, "agents", int),
+            gamma=_get(sec, "gamma", float, 0.99),
+            reachable_only=_get(sec, "reachable_only", bool, False),
+            mu=_get(sec, "mu", str, "start"),
+            goal=_get(sec, "goal", str, "absorb"),
+            return_reward=_get(sec, "return_reward", float, 0.0))
     if etype == "distancing":
-        weights = environment.get("weights")
         params = DistancingParams(
-            n_agents=int(environment.get("agents", 8)),
-            n_facilities=int(environment.get("facilities", 4)),
-            weights=tuple(float(w) for w in weights.split())
-            if weights else None,
-            penalty=float(environment.get("penalty", 0.5)),
-            spread_trigger=int(environment.get("spread_trigger", 4)),
-            return_trigger=int(environment.get("return_trigger", 2)),
-            gamma=float(environment.get("gamma", 0.99)))
-        return build_distancing(params, mu=environment.get("mu", "safe"))
+            n_agents=_get(sec, "agents", int, 8),
+            n_facilities=_get(sec, "facilities", int, 4),
+            weights=_get(sec, "weights", _words(float)) or None,
+            penalty=_get(sec, "penalty", float, 0.5),
+            spread_trigger=_get(sec, "spread_trigger", int, 4),
+            return_trigger=_get(sec, "return_trigger", int, 2),
+            gamma=_get(sec, "gamma", float, 0.99))
+        return build_distancing(params, mu=_get(sec, "mu", str, "safe"))
     if etype == "cooperative":
         return build_cooperative(
-            n_agents=int(environment.get("agents", 2)),
-            n_states=int(environment.get("states", 3)),
-            n_actions=int(environment.get("actions", 2)),
-            gamma=float(environment.get("gamma", 0.9)),
-            seed=int(environment.get("seed", 0)))
+            n_agents=_get(sec, "agents", int, 2),
+            n_states=_get(sec, "states", int, 3),
+            n_actions=_get(sec, "actions", int, 2),
+            gamma=_get(sec, "gamma", float, 0.9),
+            seed=_get(sec, "seed", int, 0))
     raise ConfigError(f"unknown environment type {etype!r}")
 
 
@@ -524,7 +528,7 @@ def main(argv=None):
                                 trials=args.trials)
             print(report.text(), end="")
             return 0 if report.passed else 1
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -100,6 +100,18 @@ class DagEdge:
     cost: CostDescriptor
 
 
+def _reach(start, neighbours):
+    """The set of vertices reachable from `start`, `neighbours` mapping each
+    vertex to a list of the vertices one step away."""
+    seen, todo = {start}, [start]
+    while todo:
+        for w in neighbours[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
 @dataclass(frozen=True)
 class DagSpec:
     """A routing network: DAG with a designated source and sink.
@@ -132,49 +144,41 @@ class DagSpec:
             problems.append(f"sink {self.sink!r} is not a vertex")
         if problems:
             raise DagSpecError("; ".join(problems))
-        # cycle detection by depth-first search, reporting one back edge
+        succ = {v: [] for v in self.vertices}
+        pred = {v: [] for v in self.vertices}
+        for e in self.edges:
+            succ[e.frm].append(e.to)
+            pred[e.to].append(e.frm)
+        # cycle detection by depth-first search, reporting one back edge; an
+        # explicit stack of (vertex, its successors still to visit), so that
+        # deep graphs do not hit the recursion limit
         color = {v: 0 for v in self.vertices}
-        out = self.out_edges()
-        stack = []
-
-        def visit(v):
-            color[v] = 1
-            stack.append(v)
-            for k in out[v]:
-                w = self.edges[k].to
-                if color[w] == 1:
-                    raise DagSpecError(
-                        f"cycle through back edge {self.edges[k].frm} -> {w}")
-                if color[w] == 0:
-                    visit(w)
-            stack.pop()
-            color[v] = 2
-
-        for v in self.vertices:
-            if color[v] == 0:
-                visit(v)
-        forward = {self.source}
-        changed = True
-        while changed:
-            changed = False
-            for e in self.edges:
-                if e.frm in forward and e.to not in forward:
-                    forward.add(e.to)
-                    changed = True
-        backward = {self.sink}
-        changed = True
-        while changed:
-            changed = False
-            for e in self.edges:
-                if e.to in backward and e.frm not in backward:
-                    backward.add(e.frm)
-                    changed = True
+        for root in self.vertices:
+            if color[root]:
+                continue
+            color[root] = 1
+            stack = [(root, iter(succ[root]))]
+            while stack:
+                v, rest = stack[-1]
+                for w in rest:
+                    if color[w] == 1:
+                        raise DagSpecError(
+                            f"cycle through back edge {v} -> {w}")
+                    if color[w] == 0:
+                        color[w] = 1
+                        stack.append((w, iter(succ[w])))
+                        break
+                else:
+                    color[v] = 2
+                    stack.pop()
+        forward = _reach(self.source, succ)
+        backward = _reach(self.sink, pred)
         for v in self.vertices:
             if v not in forward or v not in backward:
                 problems.append(f"vertex {v} is not on any {self.source} -> "
                                 f"{self.sink} path")
         for v in self.vertices:
-            if v != self.sink and not out[v]:
+            if v != self.sink and not succ[v]:
                 problems.append(f"non-sink vertex {v} has no outgoing edge")
         if problems:
             raise DagSpecError("; ".join(problems))
@@ -313,6 +317,16 @@ def build_scg(spec, n_agents=None, gamma=0.99, reachable_only=False,
     are expanded in number order, and each gives the configurations it is
     first to reach the next numbers, in order of code.  With goal="absorb"
     the terminal state comes last.
+
+    Construction.  One enumeration lists the configurations in state order,
+    as an (n_configs, n) table of vertex indices: the breadth-first search
+    with reachable_only, every code decoded in order without it.  One
+    sorted-code lookup maps any code to its state.  One pass over the table
+    then takes each configuration's moves (the edge every agent takes under
+    every joint action and the configuration it leads to, from the helper
+    the search also uses) and computes the edge loads, every agent's reward
+    and the Rosenthal potential.  The sink's no-op is a zero-cost self-loop,
+    left out of the potential.
     """
     spec.validate()
     if n_agents is None:
@@ -325,13 +339,20 @@ def build_scg(spec, n_agents=None, gamma=0.99, reachable_only=False,
     source = vindex[spec.source]
     sink = vindex[spec.sink]
 
+    # agents at the sink either return to the source or stay, paid nothing,
+    # on one more edge: the only one out of the sink
     edges = list(spec.edges)
     if goal == "return":
         if not (0.0 <= return_reward <= 1.0):
             raise ValueError("return_reward must lie in [0, 1]")
         edges.append(DagEdge(spec.sink, spec.source,
                              CostDescriptor("table", (return_reward,) * n)))
-    elif goal != "absorb":
+        n_paid = len(edges)
+    elif goal == "absorb":
+        n_paid = len(edges)
+        edges.append(DagEdge(spec.sink, spec.sink,
+                             CostDescriptor("table", (0.0,) * n)))
+    else:
         raise ValueError(f"unknown goal behavior {goal!r}")
     n_edges = len(edges)
     edge_to = np.array([vindex[e.to] for e in edges], dtype=np.int64)
@@ -344,133 +365,98 @@ def build_scg(spec, n_agents=None, gamma=0.99, reachable_only=False,
             raise ValueError(f"edge {e.frm} -> {e.to}: cost {e.cost} gives "
                              f"{t[bad]!r} at load {bad}, outside [0, 1]")
         cost_table[k] = t
-    rosenthal = np.cumsum(cost_table, axis=1)  # (n_edges, n+1)
+    # Rosenthal terms of the paid edges, (n_paid, n+1)
+    rosenthal = np.cumsum(cost_table[:n_paid], axis=1)
 
     out = spec.out_edges()
-    if goal == "return":
-        out[spec.sink] = [n_edges - 1]
-    n_act = max(len(out[v]) for v in spec.vertices if out[v])
-    # action k at vertex v follows its k-th outgoing edge, clamped; -1 = no-op
-    act_edge = np.full((V, n_act), -1, dtype=np.int64)
-    for v, ks in out.items():
-        if ks:
-            vi = vindex[v]
-            for a in range(n_act):
-                act_edge[vi, a] = ks[min(a, len(ks) - 1)]
+    out[spec.sink] = [n_edges - 1]
+    n_act = max(len(ks) for ks in out.values())
+    # action a at vertex v follows its a-th outgoing edge, clamped
+    act_edge = np.array(
+        [[out[v][min(a, len(out[v]) - 1)] for a in range(n_act)]
+         for v in spec.vertices], dtype=np.int64)
 
     n_actions = (n_act,) * n
     n_joint = n_act ** n
     digits = joint_digits(n_actions)
     radix = V ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    terminal_needed = goal == "absorb"
-
-    def config_code(verts):
-        return int(np.dot(verts, radix))
-
     start = np.full(n, source, dtype=np.int64)
-    all_sink_code = config_code(np.full(n, sink, dtype=np.int64))
+    # the all-at-sink configuration moves to the terminal state, if any
+    stop = sink * int(radix.sum()) if goal == "absorb" else -1
 
+    def moves(verts):
+        """The edge every agent takes under every joint action and the
+        configuration it leads to, both (n_joint, n)."""
+        edge = act_edge[verts, digits]
+        return edge, edge_to[edge]
+
+    # the one enumeration: (n_configs, n) vertex indices, in state order
     if reachable_only:
-        codes = [config_code(start)]
-        code_index = {codes[0]: 0}
-        queue = [0]
-        configs = [start.copy()]
-        while queue:
-            idx = queue.pop(0)
-            verts = configs[idx]
-            if terminal_needed and code_index.get(all_sink_code) == idx:
+        configs, seen = [start], {int(start @ radix)}
+        for verts in configs:                   # grows as it is read
+            if verts @ radix == stop:
                 continue
-            E = act_edge[verts[None, :].repeat(n_joint, axis=0), digits]
-            nxt = np.where(E >= 0, edge_to[E], verts[None, :])
-            for c in np.unique(nxt @ radix).tolist():
-                if c not in code_index:
-                    if len(codes) + 1 > state_budget:
-                        raise ValueError(f"state budget {state_budget} exceeded")
-                    code_index[c] = len(codes)
-                    codes.append(c)
-                    configs.append(np.array(np.unravel_index(c, (V,) * n),
-                                            dtype=np.int64))
-                    queue.append(code_index[c])
-        n_configs = len(codes)
-        by_code = np.argsort(codes)             # discovered codes, sorted
-        sorted_codes = np.array(codes)[by_code]
+            nxt = moves(verts)[1]
+            fresh, first = np.unique(nxt @ radix, return_index=True)
+            for code, k in zip(fresh.tolist(), first.tolist()):
+                if code not in seen:
+                    if len(configs) >= state_budget:
+                        raise ValueError(f"state budget {state_budget} "
+                                         f"exceeded")
+                    seen.add(code)
+                    configs.append(nxt[k])
+        configs = np.array(configs)
     else:
-        n_configs = V ** n
-        if n_configs + 1 > state_budget:
+        if V ** n + 1 > state_budget:
             raise ValueError(f"state budget {state_budget} exceeded: "
-                             f"|V|^n = {n_configs}")
-        code_index = None  # config code is the state index
-        configs = None
+                             f"|V|^n = {V ** n}")
+        configs = np.stack(np.unravel_index(np.arange(V ** n), (V,) * n),
+                           axis=1)
+    codes = configs @ radix
+    by_code = np.argsort(codes)
 
-    S = n_configs + (1 if terminal_needed else 0)
-    terminal = n_configs if terminal_needed else None
+    def state_of(c):
+        """The state number of every configuration code in `c`."""
+        return by_code[np.searchsorted(codes, c, sorter=by_code)]
 
+    n_configs = len(configs)
+    S = n_configs + (goal == "absorb")
     rewards = np.zeros((n, S, n_joint))
     potential = np.zeros((S, n_joint))
-    next_idx = np.empty((S, n_joint), dtype=np.int64)
-    labels = []
-    rows_rep = np.repeat(np.arange(n_joint), n)
-
+    next_idx = np.full((S, n_joint), S - 1)     # the terminal, if any
+    joints = np.arange(n_joint)[:, None]
     for s in range(n_configs):
-        verts = (configs[s] if reachable_only else
-                 np.array(np.unravel_index(s, (V,) * n), dtype=np.int64))
-        labels.append(tuple(spec.vertices[v] for v in verts))
-        code = codes[s] if reachable_only else s
-        if terminal_needed and code == all_sink_code:
-            next_idx[s, :] = terminal
+        if codes[s] == stop:
             continue
-        E = act_edge[verts[None, :].repeat(n_joint, axis=0), digits]
-        loads = np.zeros((n_joint, n_edges + 1), dtype=np.int64)
-        np.add.at(loads, (rows_rep, E.ravel() + 1), 1)
-        loads = loads[:, 1:]
-        for i in range(n):
-            e = E[:, i]
-            moving = e >= 0
-            li = loads[np.arange(n_joint), np.where(moving, e, 0)]
-            rewards[i, s] = np.where(moving, cost_table[e, li], 0.0)
-        potential[s] = rosenthal[np.arange(n_edges)[None, :], loads].sum(axis=1)
-        nxt = np.where(E >= 0, edge_to[E], verts[None, :])
-        next_codes = nxt @ radix
-        if reachable_only:
-            next_idx[s] = by_code[np.searchsorted(sorted_codes, next_codes)]
-        else:
-            next_idx[s] = next_codes
-
-    if terminal_needed:
-        labels.append("terminal")
-        next_idx[terminal, :] = terminal
+        edge, nxt = moves(configs[s])
+        # loads[j, e]: the agents on edge e under joint action j
+        loads = np.bincount((joints * n_edges + edge).ravel(),
+                            minlength=n_joint * n_edges).reshape(n_joint, -1)
+        rewards[:, s] = cost_table[edge, loads[joints, edge]].T
+        potential[s] = rosenthal[np.arange(n_paid), loads[:, :n_paid]].sum(1)
+        next_idx[s] = state_of(nxt @ radix)
 
     transitions = (np.ones(S * n_joint), next_idx.ravel(),
                    np.arange(S * n_joint + 1))
-
     mu_vec = np.zeros(S)
-    start_idx = code_index[config_code(start)] if reachable_only \
-        else config_code(start)
     if mu == "start":
-        mu_vec[start_idx] = 1.0
+        mu_vec[state_of(start @ radix)] = 1.0
     elif mu == "uniform":
         mu_vec[:] = 1.0 / S
     else:
         raise ValueError(f"unknown mu mode {mu!r}")
-
+    labels = [tuple(spec.vertices[v] for v in verts)
+              for verts in configs.tolist()] + ["terminal"] * (S - n_configs)
     mdp = MultiAgentMDP(n_actions, rewards, transitions, gamma, mu_vec,
                         state_labels=labels)
 
-    vertex_of_agent = np.empty((S, n), dtype=np.int64)
-    for s in range(n_configs):
-        verts = (configs[s] if reachable_only else
-                 np.array(np.unravel_index(s, (V,) * n), dtype=np.int64))
-        vertex_of_agent[s] = verts
-    if terminal_needed:
-        vertex_of_agent[terminal] = sink
+    # each state's vertex of every agent; the terminal's is the sink
+    vertex_of = np.vstack([configs, np.full((S - n_configs, n), sink)])
 
-    def sample_own_vertex_profile(rng, _vmap=vertex_of_agent, _n_act=n_act,
-                                  _V=V, _n=n):
-        tables = []
-        for i in range(_n):
-            per_vertex = rng.dirichlet(np.ones(_n_act), size=_V)
-            tables.append(per_vertex[_vmap[:, i]])
-        return JointPolicy(tables, validate=False)
+    def sample_own_vertex_profile(rng):
+        per_vertex = [rng.dirichlet(np.ones(n_act), size=V) for _ in range(n)]
+        return JointPolicy([p[v] for p, v in zip(per_vertex, vertex_of.T)],
+                           validate=False)
 
     name = f"scg(n={n}, |V|={V}, gamma={gamma})"
     return Environment(mdp=mdp, stage_potential=_frozen(potential), label=name,
@@ -532,21 +518,18 @@ def build_distancing(params, mu="safe"):
     c = float(params.penalty)
     n_joint = F ** n
     joints = np.arange(n_joint)
-
-    def facility(i):
-        """Agent i's facility under every joint action."""
-        return joints // F ** (n - 1 - i) % F
+    facility = joint_digits((F,) * n)   # column i: agent i's facility
 
     counts = np.zeros((n_joint, F), dtype=np.int64)
     for i in range(n):
-        counts[joints, facility(i)] += 1
+        counts[joints, facility[:, i]] += 1
 
     # the (n, 2, F**n) reward table is 8 MB on the shipped config: both of
     # an agent's rows are written straight into it, and it is rescaled in
     # place, so that no second copy of it is ever alive
     rewards = np.empty((n, 2, n_joint))
     for i in range(n):
-        k = facility(i)
+        k = facility[:, i]
         np.multiply(w[k], counts[joints, k], out=rewards[i, SAFE])
         np.subtract(rewards[i, SAFE], c, out=rewards[i, SPREAD])
 

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import mpglearn as m
-from mpglearn.core import JointPolicy, MultiAgentMDP, _frozen
-from mpglearn.environments import SAFE, SPREAD, CostDescriptor, Environment
+from mpglearn.core import JointPolicy, MultiAgentMDP, _frozen, joint_digits
+from mpglearn.environments import (SAFE, SPREAD, CostDescriptor, DagEdge,
+                                   Environment)
 
 
 def assert_same_bytes(got, want, what="arrays"):
@@ -138,7 +139,7 @@ def reference_settle_step(mdp):
     return step
 
 
-# --- reference builder ----------------------------------------------------------
+# --- reference builders -------------------------------------------------------
 #
 # build_distancing as it was before it wrote its tables in place: a digit
 # table with np.add.at and stacked copies of the reward rows.  A property
@@ -215,6 +216,200 @@ def reference_build_distancing(params, mu="safe"):
     name = f"distancing(n={n}, facilities={F}, gamma={params.gamma})"
     return Environment(mdp=mdp, stage_potential=_frozen(potential), label=name,
                        base_profile_sampler=sample_state_blind_profile)
+
+
+# build_scg as it was before it was rebuilt around one configuration table:
+# two state numberings kept by reachable_only branches over three per-state
+# loops.  A property test holds today's builder to it byte for byte.
+
+def reference_build_scg(spec, n_agents=None, gamma=0.99, reachable_only=False,
+                        mu="start", goal="absorb", return_reward=0.0,
+                        state_budget=300_000):
+    """Markov congestion game: states are joint vertex configurations.
+
+    Each agent's action chooses an outgoing edge of its current vertex
+    (indices past the out-degree are clamped to the last edge, so every agent
+    has the same action count A = max out-degree).  An agent on an edge with
+    load l receives that edge's cost at l; agents at the sink take a
+    zero-reward no-op.  With goal="absorb" the all-at-sink configuration
+    moves to an absorbing terminal state; goal="return" instead sends agents
+    at the sink back to the source along a constant-reward edge.  The stage
+    potential is the Rosenthal sum over this step's edge loads.
+
+    reachable_only=True enumerates only configurations reachable from the
+    start instead of all |V|^n tuples; sampled-mode learning traces are
+    unaffected because unvisited states never update.
+
+    State numbering.  A configuration's code reads its vertex indices as
+    base-|V| digits, agent 0 most significant.  Without reachable_only,
+    state s is the configuration with code s.  With it, states are numbered
+    in breadth-first order from the start configuration (state 0): states
+    are expanded in number order, and each gives the configurations it is
+    first to reach the next numbers, in order of code.  With goal="absorb"
+    the terminal state comes last.
+    """
+    spec.validate()
+    if n_agents is None:
+        n_agents = spec.n_agents
+    if n_agents is None:
+        raise ValueError("number of agents not given by spec or argument")
+    n = int(n_agents)
+    V = len(spec.vertices)
+    vindex = {v: i for i, v in enumerate(spec.vertices)}
+    source = vindex[spec.source]
+    sink = vindex[spec.sink]
+
+    edges = list(spec.edges)
+    if goal == "return":
+        if not (0.0 <= return_reward <= 1.0):
+            raise ValueError("return_reward must lie in [0, 1]")
+        edges.append(DagEdge(spec.sink, spec.source,
+                             CostDescriptor("table", (return_reward,) * n)))
+    elif goal != "absorb":
+        raise ValueError(f"unknown goal behavior {goal!r}")
+    n_edges = len(edges)
+    edge_to = np.array([vindex[e.to] for e in edges], dtype=np.int64)
+
+    cost_table = np.zeros((n_edges, n + 1))
+    for k, e in enumerate(edges):
+        t = e.cost.table(n)
+        if t[1:].min() < 0.0 or t[1:].max() > 1.0:
+            bad = 1 + int(np.argmax((t[1:] < 0) | (t[1:] > 1)))
+            raise ValueError(f"edge {e.frm} -> {e.to}: cost {e.cost} gives "
+                             f"{t[bad]!r} at load {bad}, outside [0, 1]")
+        cost_table[k] = t
+    rosenthal = np.cumsum(cost_table, axis=1)  # (n_edges, n+1)
+
+    out = spec.out_edges()
+    if goal == "return":
+        out[spec.sink] = [n_edges - 1]
+    n_act = max(len(out[v]) for v in spec.vertices if out[v])
+    # action k at vertex v follows its k-th outgoing edge, clamped; -1 = no-op
+    act_edge = np.full((V, n_act), -1, dtype=np.int64)
+    for v, ks in out.items():
+        if ks:
+            vi = vindex[v]
+            for a in range(n_act):
+                act_edge[vi, a] = ks[min(a, len(ks) - 1)]
+
+    n_actions = (n_act,) * n
+    n_joint = n_act ** n
+    digits = joint_digits(n_actions)
+    radix = V ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    terminal_needed = goal == "absorb"
+
+    def config_code(verts):
+        return int(np.dot(verts, radix))
+
+    start = np.full(n, source, dtype=np.int64)
+    all_sink_code = config_code(np.full(n, sink, dtype=np.int64))
+
+    if reachable_only:
+        codes = [config_code(start)]
+        code_index = {codes[0]: 0}
+        queue = [0]
+        configs = [start.copy()]
+        while queue:
+            idx = queue.pop(0)
+            verts = configs[idx]
+            if terminal_needed and code_index.get(all_sink_code) == idx:
+                continue
+            E = act_edge[verts[None, :].repeat(n_joint, axis=0), digits]
+            nxt = np.where(E >= 0, edge_to[E], verts[None, :])
+            for c in np.unique(nxt @ radix).tolist():
+                if c not in code_index:
+                    if len(codes) + 1 > state_budget:
+                        raise ValueError(f"state budget {state_budget} exceeded")
+                    code_index[c] = len(codes)
+                    codes.append(c)
+                    configs.append(np.array(np.unravel_index(c, (V,) * n),
+                                            dtype=np.int64))
+                    queue.append(code_index[c])
+        n_configs = len(codes)
+        by_code = np.argsort(codes)             # discovered codes, sorted
+        sorted_codes = np.array(codes)[by_code]
+    else:
+        n_configs = V ** n
+        if n_configs + 1 > state_budget:
+            raise ValueError(f"state budget {state_budget} exceeded: "
+                             f"|V|^n = {n_configs}")
+        code_index = None  # config code is the state index
+        configs = None
+
+    S = n_configs + (1 if terminal_needed else 0)
+    terminal = n_configs if terminal_needed else None
+
+    rewards = np.zeros((n, S, n_joint))
+    potential = np.zeros((S, n_joint))
+    next_idx = np.empty((S, n_joint), dtype=np.int64)
+    labels = []
+    rows_rep = np.repeat(np.arange(n_joint), n)
+
+    for s in range(n_configs):
+        verts = (configs[s] if reachable_only else
+                 np.array(np.unravel_index(s, (V,) * n), dtype=np.int64))
+        labels.append(tuple(spec.vertices[v] for v in verts))
+        code = codes[s] if reachable_only else s
+        if terminal_needed and code == all_sink_code:
+            next_idx[s, :] = terminal
+            continue
+        E = act_edge[verts[None, :].repeat(n_joint, axis=0), digits]
+        loads = np.zeros((n_joint, n_edges + 1), dtype=np.int64)
+        np.add.at(loads, (rows_rep, E.ravel() + 1), 1)
+        loads = loads[:, 1:]
+        for i in range(n):
+            e = E[:, i]
+            moving = e >= 0
+            li = loads[np.arange(n_joint), np.where(moving, e, 0)]
+            rewards[i, s] = np.where(moving, cost_table[e, li], 0.0)
+        potential[s] = rosenthal[np.arange(n_edges)[None, :], loads].sum(axis=1)
+        nxt = np.where(E >= 0, edge_to[E], verts[None, :])
+        next_codes = nxt @ radix
+        if reachable_only:
+            next_idx[s] = by_code[np.searchsorted(sorted_codes, next_codes)]
+        else:
+            next_idx[s] = next_codes
+
+    if terminal_needed:
+        labels.append("terminal")
+        next_idx[terminal, :] = terminal
+
+    transitions = (np.ones(S * n_joint), next_idx.ravel(),
+                   np.arange(S * n_joint + 1))
+
+    mu_vec = np.zeros(S)
+    start_idx = code_index[config_code(start)] if reachable_only \
+        else config_code(start)
+    if mu == "start":
+        mu_vec[start_idx] = 1.0
+    elif mu == "uniform":
+        mu_vec[:] = 1.0 / S
+    else:
+        raise ValueError(f"unknown mu mode {mu!r}")
+
+    mdp = MultiAgentMDP(n_actions, rewards, transitions, gamma, mu_vec,
+                        state_labels=labels)
+
+    vertex_of_agent = np.empty((S, n), dtype=np.int64)
+    for s in range(n_configs):
+        verts = (configs[s] if reachable_only else
+                 np.array(np.unravel_index(s, (V,) * n), dtype=np.int64))
+        vertex_of_agent[s] = verts
+    if terminal_needed:
+        vertex_of_agent[terminal] = sink
+
+    def sample_own_vertex_profile(rng, _vmap=vertex_of_agent, _n_act=n_act,
+                                  _V=V, _n=n):
+        tables = []
+        for i in range(_n):
+            per_vertex = rng.dirichlet(np.ones(_n_act), size=_V)
+            tables.append(per_vertex[_vmap[:, i]])
+        return JointPolicy(tables, validate=False)
+
+    name = f"scg(n={n}, |V|={V}, gamma={gamma})"
+    return Environment(mdp=mdp, stage_potential=_frozen(potential), label=name,
+                       base_profile_sampler=sample_own_vertex_profile)
+
 
 
 def random_policy(mdp, seed):

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import mpglearn as m
-from mpglearn.cli import (ConfigError, TRACE_COLUMNS, cmd_accuracy, cmd_plot,
-                          cmd_run, cmd_verify, load_config, main, read_trace)
+from mpglearn.cli import (ConfigError, TRACE_COLUMNS, build_environment,
+                          cmd_accuracy, cmd_plot, cmd_run, cmd_verify,
+                          load_config, main, read_trace)
 
 SINGLE_ACTION_DAG = "source = s\nsink = t\ns -> t cost=inverse_load(1.0)\n"
 
@@ -102,8 +103,36 @@ class TestConfig:
                            match=rf"bad value for '{key}' in \[experiment\]"):
             load_config(p)
 
+    @pytest.mark.parametrize("lines, key", [
+        ("type = cooperative\nagents = x\n", "agents"),
+        ("type = scg\nlayers = 2 2\nagents = 2\ngamma = high\n", "gamma"),
+        ("type = scg\nlayers = 2 2\nagents = 2\nreachable_only = ture\n",
+         "reachable_only")])
+    def test_bad_environment_value_names_its_key(self, tmp_path, capsys,
+                                                 lines, key):
+        p = tmp_path / "exp.ini"
+        p.write_text("[environment]\n" + lines
+                     + "[algorithm]\nalgorithm = inpg\neta = 0.1\n")
+        match = rf"bad value for '{key}' in \[environment\]"
+        with pytest.raises(ConfigError, match=match):
+            build_environment(load_config(p).environment)
+        with pytest.raises(ConfigError, match=match):
+            cmd_verify(p)
+        assert main(["verify", "--config", str(p)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
 
 class TestCmdRun:
+    def test_out_naming_an_existing_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "stage.dag").write_text(STAGE_DAG)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(STAGE_CONFIG)
+        out = tmp_path / "out"
+        out.write_text("")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+
     def test_bad_seeds_name_the_option(self, tmp_path, capsys):
         (tmp_path / "stage.dag").write_text(STAGE_DAG)
         cfg = tmp_path / "exp.ini"

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 import mpglearn as m
 from mpglearn import cli
-from mpglearn.environments import CostDescriptor, DagSpecError
+from mpglearn.environments import (CostDescriptor, DagEdge, DagSpec,
+                                   DagSpecError)
 
 from conftest import (STEEP_COSTS, assert_same_bytes,
-                      reference_build_distancing)
+                      reference_build_distancing, reference_build_scg)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -119,6 +120,13 @@ SHIPPED_DIGESTS = {
 }
 
 
+def path_dag(length):
+    """A path of `length` edges from v0 to v<length>."""
+    return (f"source = v0\nsink = v{length}\n"
+            + "".join(f"v{k} -> v{k + 1} cost=inverse_load(1.0)\n"
+                      for k in range(length)))
+
+
 class TestParseDagSpec:
     def test_minimal_single_edge(self):
         spec = m.parse_dag_spec("source = s\nsink = t\n"
@@ -164,6 +172,21 @@ class TestParseDagSpec:
         a = m.parse_dag_spec(PAPER_GRAPH)
         b = m.parse_dag_spec(PAPER_GRAPH)
         assert a == b
+
+    def test_deep_path_parses_and_builds(self):
+        # deeper than the interpreter's recursion limit
+        spec = m.parse_dag_spec(path_dag(1500))
+        assert len(spec.vertices) == 1501
+        for reachable_only in (False, True):
+            env = m.build_scg(spec, n_agents=1, gamma=0.9,
+                              reachable_only=reachable_only)
+            assert env.mdp.n_states == 1502
+
+    def test_deep_path_back_edge_is_named(self):
+        text = path_dag(1500) + "v1000 -> v10 cost=inverse_load(1.0)\n"
+        with pytest.raises(DagSpecError,
+                           match="cycle through back edge v1000 -> v10$"):
+            m.parse_dag_spec(text)
 
 
 class TestCostDescriptors:
@@ -217,6 +240,19 @@ class TestBuildScg:
         spec = m.parse_dag_spec(PAPER_GRAPH)
         with pytest.raises(ValueError, match="state budget"):
             m.build_scg(spec, gamma=0.99, state_budget=100)
+
+    @pytest.mark.parametrize("reachable_only, n_states, budget",
+                             [(True, 11, 10), (False, 37, 37)])
+    def test_state_budget_boundaries(self, reachable_only, n_states, budget):
+        # the reachable numbering counts configurations, the full one
+        # |V|^n + 1 states with or without a terminal
+        spec = m.layered_dag([2, 2])
+        env = m.build_scg(spec, n_agents=2, reachable_only=reachable_only,
+                          state_budget=budget)
+        assert env.mdp.n_states == n_states
+        with pytest.raises(ValueError, match="state budget"):
+            m.build_scg(spec, n_agents=2, reachable_only=reachable_only,
+                        state_budget=budget - 1)
 
     def test_state_budget_checked_before_any_table(self):
         # 22^12 (about 1.3e16) configurations and 2^12 joint actions: the
@@ -377,9 +413,56 @@ class TestBuildDistancing:
             m.DistancingParams(weights=(0.4, 0.3, 0.2, 0.1)).check()
 
 
+@st.composite
+def cost_descriptors(draw):
+    """A cost in [0, 1] at every load up to 3."""
+    kind = draw(st.sampled_from(["table", "linear", "inverse_load"]))
+    if kind == "table":
+        params = tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=3,
+                                     max_size=3)))
+    elif kind == "linear":
+        params = (draw(st.floats(0.5, 1.0)), draw(st.floats(0.0, 0.15)))
+    else:
+        params = (draw(st.floats(0.01, 1.0)),)
+    return CostDescriptor(kind, params)
+
+
+@st.composite
+def routing_dags(draw):
+    """A layered DAG of up to two hidden layers of 1-3 vertices, or 1-3
+    parallel edges, each edge with its own cost."""
+    if draw(st.booleans()):
+        shape = m.layered_dag(draw(st.lists(st.integers(1, 3), max_size=2)))
+    else:
+        shape = m.parallel_dag([1.0] * draw(st.integers(1, 3)))
+    edges = tuple(DagEdge(e.frm, e.to, draw(cost_descriptors()))
+                  for e in shape.edges)
+    return DagSpec(shape.vertices, shape.source, shape.sink, edges)
+
+
 class TestBuildersMatchReference:
-    """Today's distancing builder against the reference builder in
-    conftest: byte-equal tables and labels."""
+    """Today's builders against the reference builders in conftest:
+    byte-equal tables and labels, and equal base profiles from equal
+    rngs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=routing_dags(), n=st.integers(1, 3),
+           reachable_only=st.booleans(),
+           goal=st.sampled_from(["absorb", "return"]),
+           mu=st.sampled_from(["start", "uniform"]),
+           return_reward=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32))
+    def test_scg(self, spec, n, reachable_only, goal, mu, return_reward,
+                 seed):
+        kwargs = dict(n_agents=n, gamma=0.9, reachable_only=reachable_only,
+                      mu=mu, goal=goal, return_reward=return_reward)
+        env = m.build_scg(spec, **kwargs)
+        ref = reference_build_scg(spec, **kwargs)
+        assert_same_environment(env, ref)
+        assert env.label == ref.label
+        got = env.sample_base_profile(np.random.default_rng(seed)).probs
+        want = ref.sample_base_profile(np.random.default_rng(seed)).probs
+        for i, (p, q) in enumerate(zip(got, want, strict=True)):
+            assert_same_bytes(p, q, f"agent {i}'s base profile")
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 6), F=st.integers(2, 4),
