@@ -150,13 +150,32 @@ def _words(cast):
     return lambda value: tuple(cast(w) for w in value.split())
 
 
+# the [environment] keys that each environment type reads, besides type
+ENVIRONMENT_KEYS = {
+    "scg": {"dag", "layers", "base", "agents", "gamma", "reachable_only",
+            "mu", "goal", "return_reward"},
+    "distancing": {"agents", "facilities", "weights", "penalty",
+                   "spread_trigger", "return_trigger", "gamma", "mu"},
+    "cooperative": {"agents", "states", "actions", "gamma", "seed"},
+}
+
+
 def build_environment(environment):
     """Construct the environment described by an [environment] section
-    dict.  A value that does not parse raises a ConfigError naming its key."""
+    dict.  A value that does not parse, or a key that its type does not
+    read (a misspelling would otherwise fall back to its default), raises
+    a ConfigError naming the key."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict({"environment": environment})
     sec = parser["environment"]
     etype = _get(sec, "type", str)
+    if etype not in ENVIRONMENT_KEYS:
+        raise ConfigError(f"unknown environment type {etype!r}")
+    for key in sec:
+        if key != "type" and key not in ENVIRONMENT_KEYS[etype]:
+            raise ConfigError(f"unknown key {key!r} in [environment] for "
+                              f"type = {etype}; it reads "
+                              f"{', '.join(sorted(ENVIRONMENT_KEYS[etype]))}")
     if etype == "scg":
         if "dag" in sec:
             with open(sec["dag"]) as f:
@@ -191,7 +210,6 @@ def build_environment(environment):
             n_actions=_get(sec, "actions", int, 2),
             gamma=_get(sec, "gamma", float, 0.9),
             seed=_get(sec, "seed", int, 0))
-    raise ConfigError(f"unknown environment type {etype!r}")
 
 
 def _fmt_cell(x):

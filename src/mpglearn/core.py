@@ -152,10 +152,15 @@ class MultiAgentMDP:
     holds:
 
     - `transitions` is the scipy CSR matrix over the same arrays; its first
-      read imports scipy.
+      read imports scipy.sparse.  Nothing in the library reads it: exact
+      evaluation and the verifier back values up over `csr` themselves
+      (`exact.backup`), so it is there for callers and tests.
     - `digits` decodes joint actions, one byte per action.
     - `chain_cells` numbers the chain cell of every entry; only an exact
       solve reads it, so a sampled run never builds it.
+    - `deterministic` says whether every row holds one entry of
+      probability 1; `entry_ranks` lists the entries of rank k of every
+      row.  Only the back-up reads them.
     - `successors` is the sampler's draw table, in the CSR index dtype (a
       view of `indices` when every row has one successor).
     - `upper_triangular` and `absorbing` read one least and greatest next
@@ -168,11 +173,12 @@ class MultiAgentMDP:
     Every array is kept read-only.  An input array that is already
     read-only, owns its data, is C-contiguous and has the kept dtype (float,
     or for indices and indptr the int32 or int64 that `index_dtype` picks)
-    is shared, not copied; the distancing builder hands its finished tables
-    over this way.  Passing such an array gives it up: the caller must not
-    make it writable and write to it later, as `validate_mdp` and the
-    derived tables (`successors`, `absorbing`, `chain_cells`) read it, and
-    `successors` may share it.  Any other input is copied.
+    is shared, not copied; the routing and distancing builders hand their
+    finished tables over this way.  Passing such an array gives it up: the
+    caller must not make it writable and write to it later, as
+    `validate_mdp` and the derived tables (`successors`, `absorbing`,
+    `chain_cells`) read it, and `successors` may share it.  Any other input
+    is copied.
 
     Episodic problems are modeled with an absorbing zero-reward terminal
     state; rewards outside [0, 1] are rejected rather than clamped.  A
@@ -232,14 +238,39 @@ class MultiAgentMDP:
     def chain_cells(self):
         """(rows, cells) of every transition entry in CSR order: its row
         s*n_joint + a, and the (s, s') chain cell it feeds, numbered
-        column-major, s'*n_states + s, so that a bincount over the cells
-        fills a Fortran-ordered chain.  Built on the first read, which only
-        an exact solve makes (`exact._chain_matrix`)."""
+        column-major, s'*n_states + s, so that summing the entries per
+        cell fills a Fortran-ordered chain.  Built on the first read, which
+        only an exact solve makes (`exact._chain_matrix`)."""
         _, indices, indptr = self.csr
         rows = _entry_rows(indptr)
         cells = indices * np.int64(self.n_states) + rows // self.n_joint
         rows.flags.writeable = cells.flags.writeable = False
         return rows, cells
+
+    @cached_property
+    def deterministic(self):
+        """True when every transition row holds one entry, of probability
+        exactly 1: every (s, a) has one next state, as in every shipped
+        game."""
+        data, _, indptr = self.csr
+        return bool(np.all(np.diff(indptr) == 1) and np.all(data == 1.0))
+
+    @cached_property
+    def entry_ranks(self):
+        """For each entry rank k up to the longest transition row, the pair
+        (rows, entries): the rows holding more than k entries, in order,
+        and the CSR index of each one's k-th entry.  `exact.backup` sums
+        P V one rank at a time with them, unless the MDP is
+        `deterministic`."""
+        _, _, indptr = self.csr
+        lengths = np.diff(indptr)
+        ranks = []
+        for k in range(int(lengths.max(initial=0))):
+            rows = np.flatnonzero(lengths > k)
+            entries = indptr[rows] + k
+            rows.flags.writeable = entries.flags.writeable = False
+            ranks.append((rows, entries))
+        return tuple(ranks)
 
     @cached_property
     def _block_bounds(self):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import (EvalReport, JointPolicy, Logits, _softmax, softmax_policy,
                    uniform_logits)
-from .exact import evaluate, mismatch_bound
+from .exact import Scratch, evaluate, mismatch_bound
 from .sampling import SampleConfig, _StreamBank, estimate_eval
 
 log = logging.getLogger("mpglearn")
@@ -294,7 +294,9 @@ def run(env, cfg, initial=None, nash_gap_every=0, snapshot_every=0,
     from one _StreamBank in sampled mode, `evaluate` in exact mode.  That
     exact report skips the potential's marginal advantages, which no update
     rule reads, and an exact-mode Nash gap reuses its row of the report
-    instead of evaluating the policy again.
+    instead of evaluating the policy again.  Every exact evaluation of the
+    run, best responses included, writes its tables into one
+    `exact.Scratch` that the run makes once.
     Every run's records and final policy are bit-identical to running it
     alone, and an error in one run names its index and seed.
     """
@@ -319,6 +321,10 @@ def run(env, cfg, initial=None, nash_gap_every=0, snapshot_every=0,
     theta, policy = _initial_state(mdp, cfg, initial)
     target = env if track_potential else mdp
     bank = _StreamBank(mdp, cfg.sample_cfg, seeds) if sampled else None
+    # one scratch serves every exact evaluate and Nash-gap best response of
+    # the run (a sampled run's Nash gaps evaluate one policy at a time); it
+    # allocates a buffer only when a call first uses it
+    scratch = Scratch(mdp, 1 if sampled else len(seeds))
 
     runs = np.arange(len(seeds))        # the run of each row of the tables
     rows = [[] for _ in seeds]          # per run: (step, potential, gap)
@@ -340,7 +346,8 @@ def run(env, cfg, initial=None, nash_gap_every=0, snapshot_every=0,
                                    bank=bank, seeds=bank.seeds)
             phis = [np.nan] * len(runs)
         else:
-            report = evaluate(target, policy, want_adv_potential=False)
+            report = evaluate(target, policy, want_adv_potential=False,
+                              scratch=scratch)
             phis = (report.potential_mu if track_potential
                     else [np.nan] * len(runs))
         try:
@@ -363,7 +370,8 @@ def run(env, cfg, initial=None, nash_gap_every=0, snapshot_every=0,
             if nash_gap_every and k % nash_gap_every == 0:
                 from .verify import nash_gap as _nash_gap
                 gap = _nash_gap(mdp, _rows(policy, j), report=None if sampled
-                                else _report_row(report, j)).overall_gap
+                                else _report_row(report, j),
+                                scratch=scratch).overall_gap
             rows[r].append((step, phis[j], gap))
             if on_iteration is not None:
                 on_iteration({

@@ -326,7 +326,16 @@ def build_scg(spec, n_agents=None, gamma=0.99, reachable_only=False,
     every joint action and the configuration it leads to, from the helper
     the search also uses) and computes the edge loads, every agent's reward
     and the Rosenthal potential.  The sink's no-op is a zero-cost self-loop,
-    left out of the potential.
+    left out of the potential.  The pass writes every kept table once, in
+    its kept dtype: the rewards, the stage potential, and the CSR arrays
+    with int32 indices when they fit (`core.index_dtype`).  They are made
+    read-only and handed over uncopied: `env.mdp.rewards` is the array the
+    pass wrote, and so on.
+
+    state_budget bounds the number of states the MDP will have: the
+    configurations, plus the terminal with goal="absorb".  It is checked as
+    the search finds each configuration, and on the Python integer |V|^n
+    without reachable_only, so no table of a refused size is allocated.
     """
     spec.validate()
     if n_agents is None:
@@ -390,8 +399,19 @@ def build_scg(spec, n_agents=None, gamma=0.99, reachable_only=False,
         edge = act_edge[verts, digits]
         return edge, edge_to[edge]
 
+    terminal = int(goal == "absorb")
+
+    def check_budget(n_configs):
+        """Refuse a game of more than state_budget states: its
+        configurations, and the terminal with goal="absorb"."""
+        if n_configs + terminal > state_budget:
+            raise ValueError(f"state budget {state_budget} exceeded: "
+                             f"{n_configs} configurations"
+                             + " and the terminal" * terminal)
+
     # the one enumeration: (n_configs, n) vertex indices, in state order
     if reachable_only:
+        check_budget(1)
         configs, seen = [start], {int(start @ radix)}
         for verts in configs:                   # grows as it is read
             if verts @ radix == stop:
@@ -400,16 +420,12 @@ def build_scg(spec, n_agents=None, gamma=0.99, reachable_only=False,
             fresh, first = np.unique(nxt @ radix, return_index=True)
             for code, k in zip(fresh.tolist(), first.tolist()):
                 if code not in seen:
-                    if len(configs) >= state_budget:
-                        raise ValueError(f"state budget {state_budget} "
-                                         f"exceeded")
+                    check_budget(len(configs) + 1)
                     seen.add(code)
                     configs.append(nxt[k])
         configs = np.array(configs)
     else:
-        if V ** n + 1 > state_budget:
-            raise ValueError(f"state budget {state_budget} exceeded: "
-                             f"|V|^n = {V ** n}")
+        check_budget(V ** n)                    # a Python int: no table yet
         configs = np.stack(np.unravel_index(np.arange(V ** n), (V,) * n),
                            axis=1)
     codes = configs @ radix
@@ -419,11 +435,15 @@ def build_scg(spec, n_agents=None, gamma=0.99, reachable_only=False,
         """The state number of every configuration code in `c`."""
         return by_code[np.searchsorted(codes, c, sorter=by_code)]
 
+    # every kept table is written once, in its kept dtype, and handed to
+    # the MDP and the Environment uncopied (see MultiAgentMDP)
     n_configs = len(configs)
-    S = n_configs + (goal == "absorb")
+    S = n_configs + terminal
     rewards = np.zeros((n, S, n_joint))
     potential = np.zeros((S, n_joint))
-    next_idx = np.full((S, n_joint), S - 1)     # the terminal, if any
+    index = index_dtype(S * n_joint + 1)
+    indices = np.full(S * n_joint, S - 1, dtype=index)  # the terminal, if any
+    next_idx = indices.reshape(S, n_joint)
     joints = np.arange(n_joint)[:, None]
     for s in range(n_configs):
         if codes[s] == stop:
@@ -436,8 +456,10 @@ def build_scg(spec, n_agents=None, gamma=0.99, reachable_only=False,
         potential[s] = rosenthal[np.arange(n_paid), loads[:, :n_paid]].sum(1)
         next_idx[s] = state_of(nxt @ radix)
 
-    transitions = (np.ones(S * n_joint), next_idx.ravel(),
-                   np.arange(S * n_joint + 1))
+    transitions = (np.ones(S * n_joint), indices,
+                   np.arange(S * n_joint + 1, dtype=index))
+    for a in (rewards, potential) + transitions:
+        a.flags.writeable = False
     mu_vec = np.zeros(S)
     if mu == "start":
         mu_vec[state_of(start @ radix)] = 1.0
@@ -459,7 +481,7 @@ def build_scg(spec, n_agents=None, gamma=0.99, reachable_only=False,
                            validate=False)
 
     name = f"scg(n={n}, |V|={V}, gamma={gamma})"
-    return Environment(mdp=mdp, stage_potential=_frozen(potential), label=name,
+    return Environment(mdp=mdp, stage_potential=potential, label=name,
                        base_profile_sampler=sample_own_vertex_profile)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import JointPolicy, Logits, softmax_policy
-from .exact import evaluate, joint_policy_table, mismatch_bound
+from .exact import backup, evaluate, joint_policy_table, mismatch_bound
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,8 @@ class SmoothnessReport:
         return self.lhs <= self.rhs + 1e-9
 
 
-def best_response(mdp, policy, agent, tol=1e-12, max_rounds=500):
+def best_response(mdp, policy, agent, tol=1e-12, max_rounds=500,
+                  scratch=None):
     """Optimal deterministic reply of one agent against the others.
 
     Howard policy iteration on the induced single-agent MDP: each round runs
@@ -64,14 +65,14 @@ def best_response(mdp, policy, agent, tol=1e-12, max_rounds=500):
     deterministic reply, then improves greedily on the agent's marginal Q.
     The returned values are simultaneously optimal for every starting state,
     with Bellman residual below `tol`.  Ties break toward the lowest action
-    index.
+    index.  `scratch`, an `exact.Scratch` of the MDP, serves every round.
     """
     S, A_i = mdp.n_states, mdp.n_actions[agent]
     rows = np.arange(S)
     act = np.zeros(S, dtype=np.int64)
     for _ in range(max_rounds):
         rep = evaluate(mdp, policy.replace_agent(agent, np.eye(A_i)[act]),
-                       agents=[agent])
+                       agents=[agent], scratch=scratch)
         v, q = rep.v[agent], rep.q_marginal[agent]
         greedy = np.argmax(q, axis=1)
         improved = q[rows, greedy] > q[rows, act] + tol
@@ -102,15 +103,16 @@ def exhaustive_best_response_value(mdp, policy, agent):
     return best
 
 
-def nash_gap(mdp, policy, epsilon=None, report=None):
+def nash_gap(mdp, policy, epsilon=None, report=None, scratch=None):
     """Best-response improvement available to each agent at each state.
 
     `report`, when given, must be an exact evaluation of `policy` with every
     agent active (an Environment's report serves as well); its values and
     marginal advantages stand in for a fresh `evaluate` call.  The Bellman
-    residual is checked either way.
+    residual is checked either way.  `scratch`, an `exact.Scratch` of the
+    MDP, serves that call and every best response.
     """
-    rep = evaluate(mdp, policy) if report is None else report
+    rep = evaluate(mdp, policy, scratch=scratch) if report is None else report
     # q_marginal = r + gamma P V: the mean advantage is the Bellman residual
     residual = np.abs((policy.probs.stacked * rep.adv_marginal.stacked)
                       .sum(axis=-1)).max()
@@ -118,7 +120,7 @@ def nash_gap(mdp, policy, epsilon=None, report=None):
         raise ArithmeticError(f"value solve residual {residual}")
     gaps = np.empty((mdp.n_agents, mdp.n_states))
     for i in range(mdp.n_agents):
-        _, v_br = best_response(mdp, policy, i)
+        _, v_br = best_response(mdp, policy, i, scratch=scratch)
         gaps[i] = v_br - rep.v[i]
     return NashReport(gaps=gaps, overall_gap=float(gaps.max()),
                       mu_gap=float((gaps @ mdp.mu).max()), epsilon=epsilon)
@@ -347,8 +349,7 @@ def verify_environment(env, seed=0, potential_trials=100, gradient_points=3,
                 for stage, values, closed in (
                         (mdp.rewards[i], rep.v[i], closed_v[i]),
                         (env.stage_potential, rep.potential, closed_p[i])):
-                    q = stage + mdp.gamma * (mdp.transitions @ values).reshape(
-                        stage.shape)
+                    q = backup(mdp, stage, values)
                     exact = float(rep.visitation @ (djt * q).sum(axis=1)
                                   / (1.0 - mdp.gamma))
                     err = abs(exact - float((closed * delta).sum()))

@@ -121,6 +121,22 @@ class TestConfig:
         assert main(["verify", "--config", str(p)]) == 2
         assert f"'{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lines, key", [
+        ("type = scg\nlayers = 2 2\nagents = 2\nreachable_onyl = true\n",
+         "reachable_onyl"),
+        ("type = scg\nlayers = 2 2\nagnets = 2\n", "agnets"),
+        ("type = distancing\nstates = 2\n", "states")])
+    def test_unknown_environment_key_is_named(self, tmp_path, lines, key):
+        # unchecked, each key would fall back to its default: the first
+        # gives all 37 states instead of the 11 reachable, the second no
+        # agent count; the third is a key of another type
+        p = tmp_path / "exp.ini"
+        p.write_text("[environment]\n" + lines
+                     + "[algorithm]\nalgorithm = inpg\neta = 0.1\n")
+        with pytest.raises(ConfigError,
+                           match=rf"unknown key '{key}' in \[environment\]"):
+            build_environment(load_config(p).environment)
+
 
 class TestCmdRun:
     def test_out_naming_an_existing_file_exits_2(self, tmp_path, capsys):
@@ -420,6 +436,7 @@ mdp = envs[0].mdp
 m.evaluate(envs[0], m.JointPolicy([np.full((mdp.n_states, a), 1.0 / a)
                                    for a in mdp.n_actions]))
 assert "scipy.linalg" in sys.modules
+assert "scipy.sparse" not in sys.modules    # the back-up reads mdp.csr
 print("ok")
 """
 

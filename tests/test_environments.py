@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mpglearn as m
-from mpglearn import cli
+from mpglearn import cli, environments
 from mpglearn.environments import (CostDescriptor, DagEdge, DagSpec,
                                    DagSpecError)
 
@@ -241,18 +241,18 @@ class TestBuildScg:
         with pytest.raises(ValueError, match="state budget"):
             m.build_scg(spec, gamma=0.99, state_budget=100)
 
-    @pytest.mark.parametrize("reachable_only, n_states, budget",
-                             [(True, 11, 10), (False, 37, 37)])
-    def test_state_budget_boundaries(self, reachable_only, n_states, budget):
-        # the reachable numbering counts configurations, the full one
-        # |V|^n + 1 states with or without a terminal
+    @pytest.mark.parametrize("reachable_only, goal, n_states",
+                             [(True, "absorb", 11), (True, "return", 10),
+                              (False, "absorb", 37), (False, "return", 36)])
+    def test_state_budget_boundaries(self, reachable_only, goal, n_states):
+        # both numberings count the states the MDP will have: the
+        # configurations, and the terminal only with goal="absorb"
         spec = m.layered_dag([2, 2])
-        env = m.build_scg(spec, n_agents=2, reachable_only=reachable_only,
-                          state_budget=budget)
+        kwargs = dict(n_agents=2, reachable_only=reachable_only, goal=goal)
+        env = m.build_scg(spec, state_budget=n_states, **kwargs)
         assert env.mdp.n_states == n_states
         with pytest.raises(ValueError, match="state budget"):
-            m.build_scg(spec, n_agents=2, reachable_only=reachable_only,
-                        state_budget=budget - 1)
+            m.build_scg(spec, state_budget=n_states - 1, **kwargs)
 
     def test_state_budget_checked_before_any_table(self):
         # 22^12 (about 1.3e16) configurations and 2^12 joint actions: the
@@ -500,14 +500,45 @@ def traced_peak(make):
 
 
 class TestBuildMemory:
-    """The distancing builder writes its final tables once and hands them
-    over without a copy, so its build peaks close to what it keeps."""
+    """The distancing and routing builders write their final tables once
+    and hand them over without a copy, so a build peaks close to what it
+    keeps."""
 
     def test_distancing_build_peaks_near_what_it_keeps(self):
         cfg = cli.load_config(CONFIGS / "distancing.ini").environment
         env, kept, peak = traced_peak(lambda: cli.build_environment(cfg))
         assert kept >= env.mdp.rewards.nbytes
         assert peak <= 1.5 * kept, (kept, peak)
+
+    def test_scg8_exact_build_peaks_near_what_it_keeps(self):
+        # about 11.7 MB kept, 8.4 MB of it rewards; copying the rewards,
+        # the potential and the indices peaked at 2.36 times that
+        cfg = cli.load_config(CONFIGS.parent / "bench" / "configs"
+                              / "scg8-exact.ini").environment
+        env, kept, peak = traced_peak(lambda: cli.build_environment(cfg))
+        assert kept >= env.mdp.rewards.nbytes
+        assert peak <= 1.5 * kept, (kept, peak)
+
+    def test_scg_tables_handed_over(self, monkeypatch):
+        # the MDP and the Environment keep the very arrays build_scg wrote
+        passed = []
+
+        class Spy(m.MultiAgentMDP):
+            def __init__(self, n_actions, rewards, transitions, *args,
+                         **kwargs):
+                passed.append((rewards, transitions))
+                super().__init__(n_actions, rewards, transitions, *args,
+                                 **kwargs)
+
+        monkeypatch.setattr(environments, "MultiAgentMDP", Spy)
+        env = m.build_scg(m.layered_dag([2, 2]), n_agents=3, gamma=0.9)
+        (rewards, transitions), = passed
+        assert env.mdp.rewards is rewards
+        assert all(kept is given for kept, given in zip(env.mdp.csr,
+                                                        transitions))
+        assert env.mdp.csr[1].dtype == np.int32
+        assert not env.stage_potential.flags.writeable
+        assert env.stage_potential.flags.owndata
 
     def test_first_digits_read_peaks_near_the_table(self):
         mdp = m.build_distancing(m.DistancingParams()).mdp

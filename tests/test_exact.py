@@ -1,12 +1,14 @@
 """Exact evaluation against independent oracles: truncated-horizon chain
 sums, exhaustive enumeration, and closed-form special cases."""
 
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import linalg
 
 import mpglearn as m
@@ -68,9 +70,9 @@ class TestInducedChain:
         built = []
         chain_matrix = exact._chain_matrix
 
-        def counting(mdp, jt):
+        def counting(mdp, jt, *scratch):
             built.append(jt.shape)
-            return chain_matrix(mdp, jt)
+            return chain_matrix(mdp, jt, *scratch)
 
         monkeypatch.setattr(exact, "_chain_matrix", counting)
         mdp = random_mdp(3, (2, 2), gamma, seed=23)
@@ -564,6 +566,133 @@ class TestRunAxis:
                                tuple(a[r] for a in stacked.adv_potential)))
             assert_report_bytes(row, want[r])
             assert_report_bytes(alone[r], want[r])
+
+
+class TestBackup:
+    """`exact.backup` sums P V as scipy's CSR product does: byte for byte
+    `mdp.transitions @ V`, on rows of one to three entries, deterministic
+    or stochastic, with probabilities scaled off 1 as well, on one or three
+    value rows of both signs and both zeros."""
+
+    values = st.one_of(st.sampled_from([0.0, -0.0]),
+                       st.floats(-1e3, 1e3, allow_nan=False))
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_actions=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           n_states=st.integers(1, 6), width=st.integers(1, 3),
+           gamma=st.sampled_from([0.0, 0.5, 0.99]),
+           scale=st.sampled_from([1.0, 0.3]), runs=st.sampled_from([1, 3]),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    @example(n_actions=[2], n_states=2, width=1, gamma=0.5, scale=1.0,
+             runs=1, seed=0, data=None)
+    def test_equals_csr_product(self, n_actions, n_states, width, gamma,
+                                scale, runs, seed, data):
+        width = min(width, n_states)
+        base = sparse_mdp(n_states, tuple(n_actions), gamma, seed,
+                          max_width=width)
+        probs, indices, indptr = base.csr
+        if width == 1:          # Dirichlet rows of one entry may miss 1.0
+            probs = np.ones_like(probs)
+        mdp = m.MultiAgentMDP(base.n_actions, base.rewards,
+                              (scale * probs, indices, indptr), gamma,
+                              base.mu, validate=False)
+        if width == 1:          # both back-up paths are taken
+            assert mdp.deterministic == (scale == 1.0)
+        shape, table = (runs, n_states), (n_states, mdp.n_joint)
+        if data is None:        # every value -0.0: P V is +0.0 throughout
+            V, stage = np.full(shape, -0.0), np.full(table, -0.0)
+        else:
+            V = data.draw(arrays(float, shape, elements=self.values))
+            stage = data.draw(arrays(float, table, elements=self.values))
+        # gamma = 1 and a stage of -0.0 leave P V as it is
+        unit = m.MultiAgentMDP(mdp.n_actions, mdp.rewards, mdp.csr, 1.0,
+                               mdp.mu, validate=False)
+        assert_same_bytes(
+            exact.backup(unit, np.full(table, -0.0), V).reshape(runs, -1),
+            np.ascontiguousarray((mdp.transitions @ V.T).T), "P V")
+        # stage + gamma * P V, as the CSR product was scaled and added
+        want = np.zeros((runs,) + table)
+        if gamma:
+            want[...] = (mdp.transitions @ V.T).T.reshape(want.shape)
+            want *= gamma
+        want += stage
+        scratch = exact.Scratch(mdp, runs)
+        got = exact.backup(mdp, stage, V, scratch)
+        assert np.shares_memory(got, scratch.view("q", got.shape))
+        assert_same_bytes(got, want, "stage + gamma * P V")
+        assert_same_bytes(exact.backup(mdp, stage, V), want, "no scratch")
+        assert_same_bytes(exact.backup(mdp, stage, V[0]), want[0],
+                          "one value row")
+
+    def test_entry_ranks(self):
+        mdp = sparse_mdp(4, (2,), 0.9, seed=3, max_width=3)
+        _, _, indptr = mdp.csr
+        lengths = np.diff(indptr)
+        assert not mdp.deterministic
+        assert len(mdp.entry_ranks) == lengths.max()
+        for k, (rows, entries) in enumerate(mdp.entry_ranks):
+            assert_same_bytes(rows, np.flatnonzero(lengths > k), "rows")
+            assert np.array_equal(entries, indptr[rows] + k)
+
+
+class TestScratch:
+    """`evaluate` with an `exact.Scratch` gives the report it gives
+    without one, byte for byte, and that report shares no memory with the
+    scratch: a second call leaves the first report as it was."""
+
+    @staticmethod
+    def stacked(pols):
+        return m.JointPolicy([np.stack(t) for t in zip(*(p.probs for p in
+                                                        pols))],
+                             validate=False)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_actions=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           n_states=st.integers(1, 4), width=st.integers(1, 3),
+           gamma=st.sampled_from([0.0, 0.5, 0.99]), runs=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1), want_q=st.booleans(),
+           dense_solve=st.booleans())
+    def test_consecutive_calls_equal_fresh_ones(self, n_actions, n_states,
+                                                width, gamma, runs, seed,
+                                                want_q, dense_solve):
+        mdp = sparse_mdp(n_states, tuple(n_actions), gamma, seed,
+                         max_width=min(width, n_states))
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed + 1)))
+        env = m.Environment(mdp=mdp, stage_potential=rng.uniform(
+            0, 1, (n_states, mdp.n_joint)), label="random")
+        scratch = exact.Scratch(mdp, runs + 1)
+        firsts, seconds = ([m.random_product_policy(mdp, rng)
+                            for _ in range(runs)] for _ in range(2))
+        with pytest.MonkeyPatch.context() as patch:
+            if not dense_solve:
+                patch.setattr(exact, "DENSE_SOLVE_MAX", 0)
+            calls = []
+            for pols in (firsts, seconds):
+                policy = self.stacked(pols) if runs > 1 else pols[0]
+                calls.append((
+                    m.evaluate(env, policy, want_q=want_q, scratch=scratch),
+                    m.evaluate(env, policy, want_q=want_q)))
+                if len(calls) == 1:
+                    first = copy.deepcopy(calls[0][0])
+        for got, want in calls:
+            assert_report_bytes(got, want)
+        assert_report_bytes(calls[0][0], first)
+        for field in dataclasses.fields(first):
+            x = getattr(calls[0][0], field.name)
+            x = getattr(x, "stacked", x)
+            if isinstance(x, np.ndarray):
+                assert not any(np.shares_memory(x, buf) for buf in
+                               scratch._buffers.values()), field.name
+
+    def test_runs_and_mdp_checked(self, scg2):
+        mdp = scg2.mdp
+        policy = m.random_product_policy(mdp, np.random.default_rng(0))
+        pair = self.stacked([policy, policy])
+        with pytest.raises(ValueError, match="made for 1 runs has no room"):
+            m.evaluate(mdp, pair, scratch=exact.Scratch(mdp))
+        other = m.build_scg(m.parallel_dag([1.0, 0.5]), n_agents=2).mdp
+        with pytest.raises(ValueError, match="another MDP"):
+            m.evaluate(mdp, policy, scratch=exact.Scratch(other))
 
 
 class TestEvalReportInvariants:
