@@ -184,8 +184,9 @@ class MultiAgentMDP:
     state; rewards outside [0, 1] are rejected rather than clamped.  A
     sampled batch is stepped only `settle_step` steps (None when some
     episode never settles): its states then stay put, the sampler draws the
-    remaining joint actions in one pass, and the estimator reads only one
-    step more (`sampling.estimate_eval`).
+    remaining joint actions in one pass, and the estimator reads only the
+    steps before it, whose actions are the last a return or bin reads
+    (`sampling.estimate_eval`).
     """
 
     def __init__(self, n_actions, rewards, transitions, gamma, mu,

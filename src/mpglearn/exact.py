@@ -79,7 +79,7 @@ class Scratch:
                        "q": S * A, "chain": S * S,
                        "weights": len(mdp.csr[0])}
         self._buffers = {}
-        self._cells = self._indices = None
+        self._cells = self._indices = self._rows = None
 
     def view(self, name, shape):
         """The first prod(shape) entries of buffer `name` in that shape."""
@@ -112,6 +112,14 @@ class Scratch:
         if self._indices is None:
             self._indices = self.mdp.csr[1].astype(np.intp)
         return self._indices
+
+    def rows(self):
+        """The row of every transition entry (`MultiAgentMDP.chain_cells`
+        rows) as a writable np.intp array, made once: np.take copies a
+        read-only index array on every call."""
+        if self._rows is None:
+            self._rows = self.mdp.chain_cells[0].astype(np.intp)
+        return self._rows
 
 
 def joint_policy_table(mdp, policy, scratch=None):
@@ -184,7 +192,7 @@ def _chain_matrix(mdp, jt, scratch=None):
     if mdp.deterministic:       # entry e is row e, of weight jt * 1.0 = jt
         weights = jt
     else:
-        rows = mdp.chain_cells[0]
+        rows = scratch.rows()
         weights = scratch.view("weights", (R, len(rows)))
         np.take(jt, rows, axis=1, out=weights, mode="clip")
         weights *= mdp.csr[0]

@@ -22,14 +22,16 @@ so every per-agent field of its report is one bincount reshaped.
 The draws come from a numpy Philox4x64-10 that is bit-identical to
 `np.random.Generator(np.random.Philox(key=[seed, (episode << 8) | stream]))
 .random(count)`, computed for every (episode, run, stream, block) lane in
-one array pass.  Only the draws of the steps a rollout reads are computed:
-one per step on each agent stream, and on the environment stream draw 0
-for the initial state plus one draw per transition into a later step,
-which it reads only when some transition row has more than one successor
-(else it computes 1 draw).  No draw is made for the transition out of the
-last step, whose state is never recorded.  Because the draws do not
-depend on the policy, a learning run keeps a _StreamBank that computes
-them a chunk of episodes ahead, so one pass serves many updates.  Next
+one array pass.  Only the Philox blocks a rollout or estimate reads are
+computed: one draw per step read on each agent stream; on the environment
+stream draw 0 for the initial state, unless mu is a point mass (the
+initial state is then its support for any draw), and, when some transition
+row has more than one successor, one draw per transition the rollout
+steps.  When neither is read the environment stream computes nothing.  No
+draw is made for the transition out of the last step, whose state is never
+recorded.  Because the draws do not depend on the policy, a learning run
+keeps a _StreamBank that computes them a chunk of whole batches ahead,
+enough to fill a Philox pass, so one pass serves many updates.  Next
 states come from the successor table the MDP derives from its CSR
 transition rows (`MultiAgentMDP.successors`).
 
@@ -38,17 +40,19 @@ absorbing state from step L on, whatever the policy
 (`MultiAgentMDP.settle_step`), as in the routing games -- is stepped L
 times: the states stay put after that, and the joint actions of the later
 steps come from their agent draws in one pass.  The estimator reads only
-K = min(T, L + 1) steps of its episodes: their draws, joint actions,
-returns, first visits and bins; the discounted state counts alone cover
-all T steps.  `_sample_batch` and `sample_episode` give every step of the
-horizon.  An MDP that does not settle within the horizon (distancing) is
-stepped and read for all T steps.
+K = max(1, min(T, L)) steps of its episodes: their agent draws, joint
+actions, returns, first visits and bins; the environment stream keeps the
+min(T, L + 1) draws of the L transitions, and the discounted state counts
+cover all T steps.  `_sample_batch` and `sample_episode` give every step
+of the horizon.  An MDP that does not settle within the horizon
+(distancing) is stepped and read for all T steps.
 
 Every table that depends only on (MDP, horizon, batch, run count) -- the
-step counts L and K, the initial-state cdf, the joint-index weights, the
-run and episode offsets, the estimator's bin bases and bin-to-value index,
-the discount weights -- sits in an _IndexPlan that the bank builds once per run (again when runs
-stop); a call without a bank builds one for that call.  Per-agent actions
+step counts L and K, the initial-state cdf (or the one initial state of a
+point-mass mu), the joint-index weights, the run and episode offsets, the
+estimator's bin bases and bin-to-value index, the discount weights -- sits
+in an _IndexPlan that the bank builds once per run (again when runs stop);
+a call without a bank builds one for that call.  Per-agent actions
 are decoded from the joint actions through the MDP's one-byte digit table,
 and rewards gathered in one take, straight into the estimator's (agent,)
 episode, step layout.  First visits are not compressed out of that layout:
@@ -99,13 +103,15 @@ _PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]],
 _M_LO, _M_HI = _PHILOX_M & 0xFFFFFFFF, _PHILOX_M >> 32
 _PHILOX_ROUNDS = 10
 
-# (episode, run) pairs whose draws a _StreamBank computes in one pass: R
-# runs share a chunk of _CHUNK_EPISODES // R episodes, so the bank's memory
-# does not grow with the number of runs
+# a _StreamBank's chunk is a whole number of batches: at least
+# _CHUNK_EPISODES // R episodes of each of R runs, and as many batches as
+# one Philox pass of _MAX_LANES lanes holds
 _CHUNK_EPISODES = 640
 # Philox lanes (one lane = one 4-word block) per array pass; larger requests
-# are computed in slices of episodes so temporaries stay bounded
-_MAX_LANES = 1 << 14
+# are computed in slices of episodes so temporaries stay in cache (passes of
+# 8,192 lanes cost least per lane on a 2-core x86 host; 12,288 and more
+# spilled its cache)
+_MAX_LANES = 1 << 13
 
 
 def _philox4x64(counter0, key1, seed):
@@ -210,14 +216,20 @@ def _uniforms(seed, start, count, n_streams, n_draws):
     return u.reshape(u.shape[:2] + seeds.shape + (n_streams,))
 
 
-def _draw_counts(mdp, steps):
+def _draw_counts(mdp, horizon, steps=None):
     """(agents, agent draws, environment draws) that the first `steps`
-    steps of an episode read: each agent stream one draw per step; the
-    environment stream draw 0 for the initial state, and draws 1..steps-1
-    for the transitions into those steps, which it reads only when a
-    transition row has more than one successor."""
-    stochastic = mdp.successors[1] is not None
-    return mdp.n_agents, steps, steps if stochastic else 1
+    steps (all `horizon` by default) of an episode read: each agent stream
+    one draw per step; the environment stream, when some transition row has
+    more than one successor, draw 0 for the initial state and one draw per
+    transition the rollout steps, min(T, L + 1) in all for the settle step
+    L (T when the MDP does not settle), and otherwise draw 0 alone, or none
+    when mu is a point mass."""
+    if mdp.successors[1] is not None:
+        settle = mdp.settle_step
+        env = horizon if settle is None else min(horizon, settle + 1)
+    else:
+        env = int(np.count_nonzero(mdp.mu) > 1)
+    return mdp.n_agents, horizon if steps is None else steps, env
 
 
 def _rollout_uniforms(seeds, start, count, counts):
@@ -238,8 +250,10 @@ class _IndexPlan:
     new run count; a call without a bank builds one for that call.  The
     rollout steps `settle` = min(T, mdp.settle_step) steps (T when the MDP
     does not settle), after which every episode sits in a zero-reward
-    absorbing state; the estimator reads `steps` = min(T, settle + 1) of
-    them, and its per-step tables are that long.
+    absorbing state, where no return, bin or visitation reads its action;
+    the estimator reads `steps` = max(1, settle) of them, and its per-step
+    tables are that long.  `start` is the initial state when mu is a point
+    mass (None otherwise), which every draw of the initial state gives.
     Columns e = b*R + r are episode-major, run-minor; the estimator lays its
     arrays out (agent,) episode, step.  Its bins are numbered as the stacked
     (R, n, S, A_max) marginal tables: bin ((r*n + i)*S + s)*A_max + a holds
@@ -253,8 +267,10 @@ class _IndexPlan:
         self.mdp, self.horizon, self.batch = mdp, T, batch
         settle = mdp.settle_step
         self.settle = T if settle is None else min(settle, T)
-        self.steps = K = min(T, self.settle + 1)
+        self.steps = K = max(1, self.settle)
         # the rollout; `only` is every row's successor when W == 1
+        support = np.flatnonzero(mdp.mu)
+        self.start = int(support[0]) if support.size == 1 else None
         self.mu_cdf = np.cumsum(mdp.mu)
         self.succ, self.row_cdf, self.row_total = mdp.successors
         self.only = self.succ[:, 0]
@@ -274,6 +290,16 @@ class _IndexPlan:
         self.pair_col = E * K * np.arange(n)[:, None, None]
 
 
+def _chunk_batches(batch, runs, counts):
+    """The batches of `batch` episodes of `runs` runs in a bank's chunk:
+    enough for _CHUNK_EPISODES // runs episodes of each run, and as many as
+    one pass of _MAX_LANES lanes of `counts` holds."""
+    n, agent_draws, env_draws = counts
+    lanes = n * -(-agent_draws // 4) + -(-env_draws // 4)   # per episode
+    least = -(-(_CHUNK_EPISODES // runs) // batch)
+    return max(1, least, _MAX_LANES // (batch * runs * lanes))
+
+
 class _StreamBank:
     """Draws of the streams of R sampled runs, computed a chunk of episodes
     ahead, and the runs' _IndexPlan.
@@ -282,13 +308,15 @@ class _StreamBank:
     one pass over a chunk of episodes of every run serves every request
     whose batch falls inside the chunk and reads no more draws than it
     holds; any other request starts a new chunk there, with the draws that
-    request reads (`_draw_counts`).  An estimate reads the plan's `steps`
-    steps, a full-horizon `_sample_batch` all T.  The bank is keyed by
-    `counts`, the draw counts of a full episode of `mdp` at cfg.horizon, and
-    the index tables of `mdp`, cfg.horizon, cfg.batch and the run count are
-    built once, here.  `seeds` defaults to the one seed of `cfg`; `keep`
-    drops the runs that have stopped and rebuilds the plan for the runs
-    left.
+    request reads (`_draw_counts`).  A chunk is a whole number of batches
+    (`_chunk_batches`): at least _CHUNK_EPISODES // R episodes of each run,
+    and as many batches as one Philox pass of _MAX_LANES lanes holds.  An
+    estimate reads the plan's `steps` steps, a full-horizon `_sample_batch`
+    all T.  The bank is keyed by `counts`, the draw counts of a full
+    episode of `mdp` at cfg.horizon, and the index tables of `mdp`,
+    cfg.horizon, cfg.batch and the run count are built once, here.  `seeds`
+    defaults to the one seed of `cfg`; `keep` drops the runs that have
+    stopped and rebuilds the plan for the runs left.
     """
 
     def __init__(self, mdp, cfg, seeds=None):
@@ -308,7 +336,7 @@ class _StreamBank:
         if (lo < 0 or lo + count > agent_u.shape[1]
                 or counts[1] > agent_u.shape[0]
                 or counts[2] > env_u.shape[0]):
-            chunk = max(count, _CHUNK_EPISODES // self.seeds.size)
+            chunk = count * _chunk_batches(count, self.seeds.size, counts)
             self._u = _rollout_uniforms(self.seeds, start, chunk, counts)
             self._start, lo = start, 0
         return [u[:, lo:lo + count] for u in self._u]
@@ -383,7 +411,7 @@ def _rollout(policy, plan, seeds, episode_offset, bank, steps):
     mdp = plan.mdp
     n, S, T = mdp.n_agents, mdp.n_states, plan.horizon
     E = plan.batch * seeds.size
-    counts = _draw_counts(mdp, steps)
+    counts = _draw_counts(mdp, T, steps)
     if bank is None:
         agent_u, env_u = _rollout_uniforms(seeds.ravel(), episode_offset,
                                            plan.batch, counts)
@@ -394,9 +422,12 @@ def _rollout(policy, plan, seeds, episode_offset, bank, steps):
     env_u = env_u.reshape(-1, E)
 
     cdf = _cdf_table(policy)                          # (R*S, n, A_max)
-    s = np.searchsorted(plan.mu_cdf, env_u[0] * plan.mu_cdf[-1],
-                        side="right")
-    s = np.minimum(s, S - 1).astype(np.int64)
+    if plan.start is not None:
+        s = np.full(E, plan.start, dtype=np.int64)
+    else:
+        s = np.searchsorted(plan.mu_cdf, env_u[0] * plan.mu_cdf[-1],
+                            side="right")
+        s = np.minimum(s, S - 1).astype(np.int64)
 
     # recorded episode-major, written one step (column) at a time
     states = np.empty((E, T), dtype=np.int64)
@@ -422,6 +453,7 @@ def _rollout(policy, plan, seeds, episode_offset, bank, steps):
         # every episode sits in the goal from here on: its state for the
         # remaining steps, and the joint actions up to `steps` in one pass
         by_step[plan.settle:] = s
+    if plan.settle < steps:
         rows = cdf.take(s + plan.run_rows, axis=0)
         _joint_actions(rows, agent_u[plan.settle:steps], plan.digit_weights,
                        out=joint_by_step[plan.settle:])
@@ -499,16 +531,19 @@ def estimate_eval(mdp, policy, cfg, episode_offset=0, bank=None, seeds=None):
     of many batches are computed in one pass and the index tables
     (`_IndexPlan`) are built once; the report is the same.
 
-    The estimate reads K = min(T, L + 1) steps of each episode, L the MDP's
-    settle step (`MultiAgentMDP.settle_step`; K = T when it has none): from
-    step L on every episode sits in a zero-reward absorbing state, where
-    its returns are +0.0 and whose first visit falls at a step <= L.  Its
-    draws, actions, returns, first visits and V and Q bins cover those K
-    steps; only the discounted state counts take all T, so the visitation
-    sums as it would over the whole horizon.  The report is the one all T
-    steps give, except that `visited_pairs` at a zero-reward absorbing
-    state flags only the actions played there before step K; its
-    `q_marginal` and `adv_marginal` entries are +0.0 either way.
+    The estimate reads K = max(1, min(T, L)) steps of each episode, L the
+    MDP's settle step (`MultiAgentMDP.settle_step`; K = T when it has
+    none): from step L on every episode sits in a zero-reward absorbing
+    state, where its returns are +0.0, so no return, V or Q sum, advantage
+    or visitation reads the actions played there.  Its agent draws,
+    actions, returns, first visits and V and Q bins cover those K steps;
+    the discounted state counts take all T, so the visitation sums as it
+    would over the whole horizon, and `visited_states` also marks the
+    states the batch sits in at step L, whose values are +0.0.  The report
+    is the one all T steps give, except that `visited_pairs` at a
+    zero-reward absorbing state flags only the actions played there before
+    step K; its `q_marginal` and `adv_marginal` entries are +0.0 either
+    way.
 
     First visits are not compressed out: their masks are np.bincount
     weights.  A bin's count is the sum of its mask entries and its sum the
@@ -550,7 +585,9 @@ def estimate_eval(mdp, policy, cfg, episode_offset=0, bank=None, seeds=None):
     run_state = states + plan.run_col                 # (E, T)
     d_acc = np.bincount(run_state.T.ravel(), weights=plan.disc,
                         minlength=R * S).reshape(R, S)
+    settled = None
     if K < T:
+        settled = run_state[:, plan.settle]
         states, run_state = states[:, :K], run_state[:, :K]
     values = states + plan.value_col                  # (n, E, K)
     actions = actions.transpose(2, 0, 1)              # (n, E, K)
@@ -575,6 +612,8 @@ def estimate_eval(mdp, policy, cfg, episode_offset=0, bank=None, seeds=None):
     visited_states = v_cnt > 0
     v = np.divide(v_sum, v_cnt, out=np.zeros((R, n, S)),
                   where=visited_states)
+    if settled is not None:         # the goals the batch sits in at step L
+        visited_states.reshape(-1)[settled] = True
 
     table = (R, n, S, A)
     cnt, qs = (np.bincount(pairs, weights=w, minlength=R * n * S * A)

@@ -3,6 +3,8 @@ sums, exhaustive enumeration, and closed-form special cases."""
 
 import copy
 import dataclasses
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -683,6 +685,26 @@ class TestScratch:
             if isinstance(x, np.ndarray):
                 assert not any(np.shares_memory(x, buf) for buf in
                                scratch._buffers.values()), field.name
+
+    def test_chain_gathers_without_copying_its_index(self):
+        # np.take copies a read-only index array on every call; the
+        # scratch's writable copy of the entry rows is made on the first
+        mdp = sparse_mdp(300, (3, 3, 3, 2), 0.9, seed=5, max_width=3)
+        assert not mdp.deterministic
+        jt = joint_policy_table(mdp, m.random_product_policy(
+            mdp, np.random.default_rng(0)))
+        scratch = exact.Scratch(mdp)
+        first = exact._chain_matrix(mdp, jt, scratch).copy()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            second = exact._chain_matrix(mdp, jt, scratch)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert_same_bytes(second, first)
+        assert peak < mdp.chain_cells[0].nbytes / 10
 
     def test_runs_and_mdp_checked(self, scg2):
         mdp = scg2.mdp

@@ -3,7 +3,6 @@ one-step probabilities, and convergence toward exact values."""
 
 import re
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -186,6 +185,21 @@ def numpy_philox_uniforms(seed, key1, count):
     return np.random.Generator(np.random.Philox(key=key)).random(count)
 
 
+def count_chunks(monkeypatch):
+    """The (first episode, episodes) of every Philox draw made for a
+    rollout while the test runs: a bank's chunks, and the batches drawn
+    without a bank."""
+    chunks = []
+    draw = sampling._rollout_uniforms
+
+    def counting(seeds, start, count, counts):
+        chunks.append((start, count))
+        return draw(seeds, start, count, counts)
+
+    monkeypatch.setattr(sampling, "_rollout_uniforms", counting)
+    return chunks
+
+
 class TestStreamDraws:
     """The vectorized Philox4x64-10 against numpy's own generator."""
 
@@ -228,9 +242,12 @@ class TestStreamDraws:
             sampling._uniforms(0, 2**56 - 1, 2, 1, 4)
 
     def test_shared_bank_equals_one_shot_estimates(self, monkeypatch):
-        # batches of 7 against chunks of 10 episodes: most batches straddle
-        # a chunk boundary, and the last request goes back to episode 0
+        # batches of 7 against chunks of two batches (10 episodes rounded
+        # up, and a pass of 4 lanes holds none): the requests span three
+        # chunks, and the last one goes back to episode 0 and draws a fourth
         monkeypatch.setattr(sampling, "_CHUNK_EPISODES", 10)
+        monkeypatch.setattr(sampling, "_MAX_LANES", 4)
+        chunks = count_chunks(monkeypatch)
         mdp = random_mdp(3, (2, 3), 0.9, seed=95)
         pol = random_policy(mdp, 96)
         cfg = m.SampleConfig(horizon=6, batch=7, seed=2**63 + 11)
@@ -243,13 +260,20 @@ class TestStreamDraws:
             assert np.array_equal(shared.visitation, alone.visitation)
             for x, y in zip(shared.adv_marginal, alone.adv_marginal):
                 assert np.array_equal(x, y)
+        # the estimates alone draw one batch each, the bank chunks of two
+        assert [c for c in chunks if c[1] > 7] == [(0, 14), (14, 14),
+                                                   (28, 14), (0, 14)]
 
     @pytest.mark.parametrize("estimator", ["first_visit", "every_visit"])
     def test_stacked_runs_equal_runs_alone(self, monkeypatch, estimator):
         # runs estimated together, through a bank that drops a run midway,
         # match each run estimated alone bit for bit; ragged action counts
-        # and rows with up to three successors
+        # and rows with up to three successors; chunks of 24 // R episodes
+        # a run rounded up to whole batches: two batches for three runs, so
+        # the run is dropped in the second chunk, and three for the two left
         monkeypatch.setattr(sampling, "_CHUNK_EPISODES", 24)
+        monkeypatch.setattr(sampling, "_MAX_LANES", 4)
+        chunks = count_chunks(monkeypatch)
         mdp = sparse_mdp(5, (3, 1, 2), 0.95, seed=102, max_width=3)
         seeds = [7, 2**63 + 1, 0]
         pols = [random_policy(mdp, 103 + r) for r in range(3)]
@@ -277,6 +301,8 @@ class TestStreamDraws:
                     for x, y in zip(getattr(got, field),
                                     getattr(alone, field)):
                         assert_same_bytes(x[j], y, field)
+        assert [c for c in chunks if c[1] > 5] == [(0, 10), (10, 10),
+                                                   (20, 15)]
 
     def test_stacked_batch_is_episode_major(self):
         mdp = sparse_mdp(4, (2, 3), 0.9, seed=104, max_width=2)
@@ -488,7 +514,8 @@ class TestRolloutOracle:
     actions, one to three successors per row, one to three runs, horizons
     that are and are not multiples of 4, and MDPs with absorbing states,
     whose batches leave the horizon loop once every episode is absorbed
-    (at t = 0 when S = 1)."""
+    (at t = 0 when S = 1).  A bank's chunks hold one or two batches, so
+    three consecutive batches always draw a second chunk."""
 
     @settings(max_examples=80, deadline=None)
     @given(n_actions=st.lists(st.integers(1, 3), min_size=1, max_size=3),
@@ -499,28 +526,28 @@ class TestRolloutOracle:
            seeds=st.lists(st.integers(0, 2 ** 64 - 1), min_size=3,
                           max_size=3),
            seed=st.integers(0, 2 ** 32 - 1), banked=st.booleans(),
-           chunk=st.integers(1, 24), lanes=st.sampled_from([1, 7, 1 << 14]),
+           chunk=st.integers(1, 2), lanes=st.sampled_from([1, 4]),
            scalar=st.booleans(), zeros=st.booleans(),
            absorbing=st.integers(0, 2), upper=st.booleans())
     @example(n_actions=[3, 1, 2], n_states=4, width=3, runs=3, horizon=5,
              batch=4, offset=9, seeds=[0, 2 ** 64 - 1, 7], seed=1,
-             banked=True, chunk=10, lanes=7, scalar=False, zeros=True,
+             banked=True, chunk=1, lanes=4, scalar=False, zeros=True,
              absorbing=0, upper=False)
     @example(n_actions=[2], n_states=3, width=1, runs=1, horizon=1,
              batch=3, offset=0, seeds=[5, 0, 0], seed=2, banked=True,
-             chunk=4, lanes=1 << 14, scalar=True, zeros=False, absorbing=0,
+             chunk=2, lanes=1, scalar=True, zeros=False, absorbing=0,
              upper=False)
     @example(n_actions=[2, 3], n_states=1, width=1, runs=2, horizon=20,
              batch=3, offset=0, seeds=[5, 6, 0], seed=3, banked=True,
-             chunk=4, lanes=7, scalar=False, zeros=False, absorbing=1,
+             chunk=1, lanes=4, scalar=False, zeros=False, absorbing=1,
              upper=False)
     @example(n_actions=[2, 2], n_states=4, width=3, runs=3, horizon=20,
              batch=5, offset=2, seeds=[1, 2, 3], seed=39, banked=False,
-             chunk=4, lanes=1 << 14, scalar=False, zeros=True, absorbing=1,
+             chunk=1, lanes=1, scalar=False, zeros=True, absorbing=1,
              upper=False)
     @example(n_actions=[2, 2], n_states=4, width=1, runs=2, horizon=20,
              batch=4, offset=0, seeds=[1, 2, 3], seed=5, banked=True,
-             chunk=6, lanes=1 << 14, scalar=False, zeros=False, absorbing=1,
+             chunk=2, lanes=4, scalar=False, zeros=False, absorbing=1,
              upper=True)
     def test_matches_reference(self, n_actions, n_states, width, runs,
                                horizon, batch, offset, seeds, seed, banked,
@@ -542,9 +569,12 @@ class TestRolloutOracle:
         if banked:
             bank = sampling._StreamBank(
                 mdp, m.SampleConfig(horizon=horizon, batch=batch), run_seeds)
-        # chunks of `chunk` episodes, computed in slices of `lanes` lanes
-        with mock.patch.multiple(sampling, _CHUNK_EPISODES=chunk,
-                                 _MAX_LANES=lanes):
+        # chunks of `chunk` batches (a pass of `lanes` lanes holds at most
+        # two), computed in slices of `lanes` lanes
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sampling, "_CHUNK_EPISODES", chunk * batch * runs)
+            patch.setattr(sampling, "_MAX_LANES", lanes)
+            chunks = count_chunks(patch)
             # consecutive batches, so banked requests straddle chunks
             for k in range(3):
                 start = offset + k * batch
@@ -554,6 +584,7 @@ class TestRolloutOracle:
                                               run_seeds, start, batch)
                 for x, y in zip(got, want):
                     assert_same_bytes(x, y)
+        assert len(chunks) >= 2
 
 
 def reference_estimate(mdp, policy, cfg, episode_offset, seeds):
@@ -563,14 +594,14 @@ def reference_estimate(mdp, policy, cfg, episode_offset, seeds):
     K steps, into each agent's (run, state, action) bin, at the first visit
     of that bin in the episode (or at every visit), and the bins' means are
     taken; the discounted state counts are summed step by step and
-    normalized.  K = min(T, L + 1) for the settle step L that
-    `reference_settle_step` enumerates (K = T when there is none): every
-    later step sits in a zero-reward absorbing state, whose Q entries are
-    +0.0 whichever actions are counted there."""
+    normalized.  K = max(1, min(T, L)) for the settle step L that
+    `reference_settle_step` enumerates (K = T when there is none): step L
+    and every later step sit in a zero-reward absorbing state, whose Q
+    entries are +0.0 whichever actions are counted there."""
     n, S, T, R = mdp.n_agents, mdp.n_states, cfg.horizon, len(seeds)
     gamma, every = mdp.gamma, cfg.estimator == "every_visit"
     settle = reference_settle_step(mdp)
-    K = T if settle is None else min(T, settle + 1)
+    K = T if settle is None else max(1, min(T, settle))
     states, actions, rewards = reference_sample_batch(
         mdp, policy, T, seeds, episode_offset, cfg.batch)
     disc = gamma ** np.arange(T)
@@ -804,15 +835,15 @@ class CountingNumpy:
 class TestAbsorbedExit:
     """The steps a sampled estimate and a full-horizon batch take at horizon
     20: every episode of the routing game sits in its goal from step 4 on,
-    so the horizon loop steps 4 times, the estimate computes the joint
-    actions of step 4 alone (it reads K = 5 steps) and the batch those of
-    steps 4..19 in one pass, and the return recurrence takes K - 1 = 4
-    steps; the distancing game has no absorbing state, and its recurrence
-    takes T - 1 = 19 steps."""
+    so the horizon loop steps 4 times, the estimate computes no later joint
+    action (it reads K = 4 steps) and the batch those of steps 4..19 in one
+    pass, and the return recurrence takes K - 1 = 3 steps; the distancing
+    game has no absorbing state, and its recurrence takes T - 1 = 19
+    steps."""
 
     @pytest.mark.parametrize(
         "game, absorbing, settle, single, tail, batch_tail, recurrence", [
-            ("scg4", [34], 4, 4, [1], [16], 4),
+            ("scg4", [34], 4, 4, [], [16], 3),
             ("distancing_return", [], None, 20, [], [], 19)],
         ids=["scg4", "distancing_return"])
     def test_steps_taken(self, request, monkeypatch, game, absorbing, settle,
@@ -832,7 +863,8 @@ class TestAbsorbedExit:
         bank = sampling._StreamBank(mdp, cfg, seeds)
         for steps in (bank.plan.steps, cfg.horizon):
             # no Philox pass while counting
-            bank.draws(0, cfg.batch, sampling._draw_counts(mdp, steps))
+            bank.draws(0, cfg.batch,
+                       sampling._draw_counts(mdp, cfg.horizon, steps))
         steps = []
         joint_actions = sampling._joint_actions
 
@@ -854,20 +886,47 @@ class TestAbsorbedExit:
         assert [k for k in steps if k is not None] == batch_tail
 
 
-def settled_lanes(mdp, steps, chunk):
-    """The Philox lanes a chunk of `chunk` episodes of one run computes for
-    `steps` steps: ceil(steps / 4) blocks on every agent stream, and as many
-    on the environment stream, or 1 when no transition row has more than one
-    successor."""
-    blocks = -(-steps // 4)
-    stochastic = mdp.successors[1] is not None
-    return chunk * (mdp.n_agents * blocks + (blocks if stochastic else 1))
+def episode_lanes(mdp, horizon, steps):
+    """The Philox lanes one episode of one run computes when its first
+    `steps` of `horizon` steps are read: ceil(steps / 4) blocks on every
+    agent stream; on the environment stream, when a transition row has more
+    than one successor, the blocks of min(T, L + 1) draws (the initial state
+    and the transitions the rollout steps; L the settle step, T without
+    one), else 1 block for the initial state, or none when mu is a point
+    mass."""
+    settle = reference_settle_step(mdp)
+    if np.diff(mdp.csr[2]).max() > 1:
+        env = -(-(horizon if settle is None else min(horizon, settle + 1))
+                // 4)
+    else:
+        env = int(np.count_nonzero(mdp.mu) > 1)
+    return mdp.n_agents * -(-steps // 4) + env
+
+
+def chunk_episodes(batch, runs, lanes):
+    """The episodes of each run in a bank's chunk of episodes of `lanes`
+    lanes each: the fewest whole batches holding _CHUNK_EPISODES // runs
+    episodes, or the most whose lanes fit one pass of _MAX_LANES, if more."""
+    least = batch
+    while least < sampling._CHUNK_EPISODES // runs:
+        least += batch
+    fit = batch * (sampling._MAX_LANES // (batch * runs * lanes))
+    return max(least, fit)
+
+
+def point_mass(mdp, state):
+    """`mdp` with mu a point mass on `state`."""
+    mu = np.zeros(mdp.n_states)
+    mu[state] = 1.0
+    return m.MultiAgentMDP(mdp.n_actions, mdp.rewards, mdp.csr, mdp.gamma, mu)
 
 
 class TestDrawCounts:
-    """The Philox lanes a rollout computes: T draws on every agent stream,
-    and 1 environment draw, or T when a transition row has more than one
-    successor; an estimate on a game that settles computes K < T of them."""
+    """The Philox lanes a rollout computes: one draw per step read on every
+    agent stream; on the environment stream the initial state and, when a
+    transition row has more than one successor, the transitions the rollout
+    steps, and nothing when neither is read; a bank computes whole batches
+    that fill a pass of _MAX_LANES lanes."""
 
     @pytest.fixture
     def lanes(self, monkeypatch):
@@ -887,15 +946,14 @@ class TestDrawCounts:
     def test_bank_chunk_computes_only_read_lanes(self, lanes, horizon,
                                                  width):
         mdp = sparse_mdp(5, (2, 3, 2), 0.9, seed=109, max_width=width)
-        n, blocks = mdp.n_agents, -(-horizon // 4)
-        stochastic = mdp.successors[1] is not None
-        assert stochastic == (width > 1)
-        per_run = n * blocks + (blocks if stochastic else 1)
+        assert (mdp.successors[1] is not None) == (width > 1)
+        per_run = episode_lanes(mdp, horizon, horizon)
         seeds = [3, 4]
         bank = sampling._StreamBank(mdp, m.SampleConfig(horizon, 6), seeds)
         bank.draws(0, 6, sampling._draw_counts(mdp, horizon))
-        chunk = sampling._CHUNK_EPISODES // len(seeds)
+        chunk = chunk_episodes(6, len(seeds), per_run)
         assert sum(lanes) == chunk * len(seeds) * per_run
+        assert max(lanes) <= sampling._MAX_LANES
         # a batch drawn without a bank computes the same lanes per episode
         lanes.clear()
         pol = random_policy(mdp, 110)
@@ -909,20 +967,21 @@ class TestDrawCounts:
         assert (mdp.successors[1] is not None) == (width > 1)
         settle = mdp.settle_step
         assert settle == 5
-        K = min(horizon, settle + 1)
+        K = max(1, min(horizon, settle))
         seeds = [3, 4]
         cfg = m.SampleConfig(horizon, 6)
         bank = sampling._StreamBank(mdp, cfg, seeds)
         assert bank.plan.steps == K
-        chunk = sampling._CHUNK_EPISODES // len(seeds)
+        per_run = episode_lanes(mdp, horizon, K)
         policy = stacked_policy(mdp, [random_policy(mdp, 119 + r)
                                       for r in range(len(seeds))])
         m.estimate_eval(mdp, policy, cfg, bank=bank, seeds=seeds)
-        assert sum(lanes) == len(seeds) * settled_lanes(mdp, K, chunk)
+        chunk = chunk_episodes(6, len(seeds), per_run)
+        assert sum(lanes) == len(seeds) * chunk * per_run
         # an estimate without a bank computes K steps of its own episodes
         lanes.clear()
         m.estimate_eval(mdp, policy, cfg, seeds=seeds)
-        assert sum(lanes) == len(seeds) * settled_lanes(mdp, K, 6)
+        assert sum(lanes) == len(seeds) * 6 * per_run
         # a full-horizon batch reads more draws than the chunk holds, so it
         # starts a chunk of T steps (when K < T), which the next estimate
         # reads from
@@ -930,12 +989,89 @@ class TestDrawCounts:
         sampling._sample_batch(mdp, policy, horizon, seeds, 6, 6, bank)
         m.estimate_eval(mdp, policy, cfg, episode_offset=12, bank=bank,
                         seeds=seeds)
-        want = settled_lanes(mdp, horizon, chunk) if K < horizon else 0
+        full = episode_lanes(mdp, horizon, horizon)
+        want = chunk_episodes(6, len(seeds), full) * full if K < horizon else 0
         assert sum(lanes) == len(seeds) * want
+
+    @pytest.mark.parametrize("horizon", [1, 4, 5, 6, 20])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_settled_estimate_draws(self, monkeypatch, horizon, width):
+        # K agent draws; min(T, L + 1) environment draws on stochastic rows
+        # (the initial state and the L transitions), else the initial state
+        mdp = settling_mdp(6, (2, 3, 2), 0.9, seed=118, max_width=width)
+        groups = []
+        draw = sampling._stream_uniforms
+
+        def recording(seeds, start, count, request):
+            groups.append([(list(streams), n) for streams, n in request])
+            return draw(seeds, start, count, request)
+
+        monkeypatch.setattr(sampling, "_stream_uniforms", recording)
+        policy = random_policy(mdp, 123)
+        m.estimate_eval(mdp, policy, m.SampleConfig(horizon, 3))
+        env = min(horizon, 6) if width > 1 else 1
+        assert groups == [[([0, 1, 2], min(horizon, 5)), ([3], env)]]
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_point_mass_mu_reads_no_initial_draw(self, lanes, width):
+        # a point-mass mu starts every episode in its support: on rows with
+        # one successor no environment lane is computed, and the episodes
+        # are those the drawn initial state gives
+        full = sparse_mdp(5, (2, 3), 0.9, seed=124, max_width=width)
+        mdp = point_mass(full, 2)
+        policy = random_policy(mdp, 125)
+        # 7 steps: 2 blocks on every agent stream, and 2 on the environment
+        # stream of stochastic rows
+        stochastic = 2 if width > 1 else None
+        for game, env in ((full, stochastic or 1), (mdp, stochastic or 0)):
+            lanes.clear()
+            got = sampling._sample_batch(game, policy, 7, 11, 4, 6)
+            assert sum(lanes) == 6 * (game.n_agents * 2 + env)
+            want = reference_sample_batch(game, policy, 7, 11, 4, 6)
+            for x, y in zip(got, want):
+                assert_same_bytes(x, y)
+        assert (got[0][0] == 2).all()
+
+    @pytest.mark.parametrize("batch, runs", [(6, 2), (7, 3), (20, 1)])
+    @pytest.mark.parametrize("horizon", [1, 20])
+    def test_bank_chunk_fills_a_pass(self, lanes, batch, runs, horizon):
+        # whole batches, at least _CHUNK_EPISODES // runs episodes a run,
+        # and one batch more would not fit a pass of _MAX_LANES lanes
+        mdp = sparse_mdp(4, (2, 2), 0.9, seed=126, max_width=1)
+        per_run = episode_lanes(mdp, horizon, horizon)
+        bank = sampling._StreamBank(mdp, m.SampleConfig(horizon, batch),
+                                    list(range(runs)))
+        agent_u, _ = bank.draws(0, batch, sampling._draw_counts(mdp, horizon))
+        chunk = bank._u[0].shape[1]
+        assert agent_u.shape[1] == batch
+        assert chunk % batch == 0
+        assert chunk >= sampling._CHUNK_EPISODES // runs
+        assert (chunk + batch) * runs * per_run > sampling._MAX_LANES
+        assert sum(lanes) == chunk * runs * per_run
+        assert max(lanes) <= sampling._MAX_LANES
+
+    @pytest.mark.parametrize("config, per_run, chunk", [
+        ("scg4.ini", 4, 1020), ("scg8.ini", 8, 500),
+        ("distancing.ini", 40, 320)])
+    def test_shipped_lane_budget(self, lanes, config, per_run, chunk):
+        # the Philox lanes per episode of a run of a shipped config's
+        # estimate: one block per agent stream on the routing games (K = 4
+        # steps), five on distancing, and no environment lane (a point-mass
+        # mu and one successor per row)
+        mdp = shipped_mdp(config)
+        seeds = [0, 1]
+        cfg = m.SampleConfig(horizon=20, batch=20)
+        bank = sampling._StreamBank(mdp, cfg, seeds)
+        policy = stacked_policy(mdp, [random_policy(mdp, 127 + r)
+                                      for r in range(len(seeds))])
+        m.estimate_eval(mdp, policy, cfg, bank=bank, seeds=seeds)
+        assert episode_lanes(mdp, 20, bank.plan.steps) == per_run
+        assert sum(lanes) == len(seeds) * chunk * per_run
+        assert bank._u[0].shape[1] == chunk
 
 
 class TestSettledEstimate:
-    """On games that settle, the estimate over K = min(T, L + 1) steps
+    """On games that settle, the estimate over K = max(1, min(T, L)) steps
     against the same estimate over all T steps (the settle step hidden):
     only `visited_pairs` differs, and only at zero-reward absorbing states,
     where it flags fewer actions."""
