@@ -71,6 +71,14 @@ def _get(section, key, cast, default=None, required=False):
         raise ConfigError(f"bad value for {key!r} in [{section.name}]: {exc}")
 
 
+def _nonnegative_int(value):
+    """An integer that is not negative, for the interval keys."""
+    count = int(value)
+    if count < 0:
+        raise ValueError(f"{count} is negative")
+    return count
+
+
 def _read_config(path):
     """Read an INI config; returns the parser and the [environment] section
     as a dict, its DAG path resolved against the config's directory."""
@@ -132,8 +140,10 @@ def load_config(path):
         algo=algo,
         runs=_get(exp_sec, "runs", int, default=1),
         seed_base=_get(exp_sec, "seed_base", int, default=0),
-        nash_gap_every=_get(exp_sec, "nash_gap_every", int, default=0),
-        snapshot_every=_get(exp_sec, "snapshot_every", int, default=1),
+        nash_gap_every=_get(exp_sec, "nash_gap_every", _nonnegative_int,
+                            default=0),
+        snapshot_every=_get(exp_sec, "snapshot_every", _nonnegative_int,
+                            default=1),
         init=_get(exp_sec, "init", str, default="uniform"),
         init_scale=_get(exp_sec, "init_scale", float, default=1.0),
         shared_init=_get(exp_sec, "shared_init", bool, default=True),

@@ -307,6 +307,10 @@ def run(env, cfg, initial=None, nash_gap_every=0, snapshot_every=0,
     cfg.check()
     if len(seeds) == 0:
         raise ValueError("no run seed given: seeds is empty")
+    if nash_gap_every < 0 or snapshot_every < 0:
+        raise ValueError(f"intervals must be >= 0, got nash_gap_every = "
+                         f"{nash_gap_every}, snapshot_every = "
+                         f"{snapshot_every}")
     has_env = hasattr(env, "mdp")
     mdp = env.mdp if has_env else env
     track_potential = (has_env and env.stage_potential is not None

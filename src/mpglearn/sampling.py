@@ -29,8 +29,10 @@ initial state is then its support for any draw), and, when some transition
 row has more than one successor, one draw per transition the rollout
 steps.  When neither is read the environment stream computes nothing.  No
 draw is made for the transition out of the last step, whose state is never
-recorded.  Because the draws do not depend on the policy, a learning run
-keeps a _StreamBank that computes them a chunk of whole batches ahead,
+recorded.  `_stream_uniforms` makes every draw, and the rollout takes the
+draws it is given: a call without a bank draws exactly its batch, and,
+since the draws do not depend on the policy, a learning run's estimates
+read theirs from a _StreamBank that draws a chunk of whole batches ahead,
 enough to fill a Philox pass, so one pass serves many updates.  Next
 states come from the successor table the MDP derives from its CSR
 transition rows (`MultiAgentMDP.successors`).
@@ -51,8 +53,8 @@ Every table that depends only on (MDP, horizon, batch, run count) -- the
 step counts L and K, the initial-state cdf (or the one initial state of a
 point-mass mu), the joint-index weights, the run and episode offsets, the
 estimator's bin bases and bin-to-value index, the discount weights -- sits
-in an _IndexPlan that the bank builds once per run (again when runs stop);
-a call without a bank builds one for that call.  Per-agent actions
+in an _IndexPlan that a run's bank builds once (again when runs stop); a
+call without a bank builds one for that call.  Per-agent actions
 are decoded from the joint actions through the MDP's one-byte digit table,
 and rewards gathered in one take, straight into the estimator's (agent,)
 episode, step layout.  First visits are not compressed out of that layout:
@@ -156,23 +158,27 @@ def _philox4x64(counter0, key1, seed):
     return x[0], y[0], x[1], y[1]
 
 
-def _stream_uniforms(seeds, start, count, groups):
-    """Uniform draws of episodes start..start+count-1 of R run seeds, for
-    groups of streams that draw different counts, in one Philox pass.
+def _stream_uniforms(seeds, start, count, counts):
+    """Uniform draws of episodes start..start+count-1 of the R run seeds
+    `seeds`, on the agent streams 0..n-1 and the environment stream n, for
+    `counts` = (n, agent draws, environment draws) (`_draw_counts`), in one
+    Philox pass.
 
-    `groups` lists (streams, n_draws) pairs.  Returns one u per group, of
-    shape (D, count, R, len(streams)) with D = n_draws rounded up to a
-    multiple of 4, where u[:n_draws, e, r, k] equals
-    Generator(Philox(key=[seeds[r], ((start + e) << 8) | streams[k]]))
-    .random(n_draws).  A stream computes only its ceil(n_draws / 4) Philox
-    blocks, block j under counter j + 1 as in any longer draw.
+    Returns (agent_u, env_u) of shapes (D, count, R, n) and
+    (D_env, count, R, 1), each draw count rounded up to a multiple of 4,
+    where u[:draws, e, r, k] equals
+    Generator(Philox(key=[seeds[r], ((start + e) << 8) | stream]))
+    .random(draws) for u's k-th stream.  A stream computes only its
+    ceil(draws / 4) Philox blocks, block j under counter j + 1 as in any
+    longer draw, so no block the rollout does not read.
     """
     if start < 0 or start + count > 1 << (64 - _STREAM_BITS):
         raise ValueError(f"episodes {start}..{start + count - 1} do not fit "
                          f"the stream key")
     runs = seeds.size
-    tags = [np.asarray(streams, dtype=np.uint64) for streams, _ in groups]
-    blocks = [-(-n_draws // 4) for _, n_draws in groups]
+    n, agent_draws, env_draws = counts
+    tags = [np.arange(n, dtype=np.uint64), np.array([n], dtype=np.uint64)]
+    blocks = [-(-agent_draws // 4), -(-env_draws // 4)]
     # one lane per (group, block, stream) of every (episode, run); numpy's
     # Philox increments the counter before its first block
     counter0 = np.concatenate([
@@ -200,25 +206,9 @@ def _stream_uniforms(seeds, start, count, groups):
             for t, b, end in zip(tags, blocks, ends)]
 
 
-def _uniforms(seed, start, count, n_streams, n_draws):
-    """Uniform draws of episodes start..start+count-1 on streams
-    0..n_streams-1, n_draws on each.
-
-    `seed` is one seed, or an array of R run seeds.  Returns u of shape
-    (D, count, n_streams), or (D, count, R, n_streams) for R seeds, with
-    D = n_draws rounded up to a multiple of 4, where u[:n_draws, e, s]
-    (u[:n_draws, e, r, s]) equals
-    Generator(Philox(key=[seed, ((start + e) << 8) | s])).random(n_draws).
-    """
-    seeds = np.asarray(seed, dtype=np.uint64)
-    u, = _stream_uniforms(seeds.ravel(), start, count,
-                          [(range(n_streams), n_draws)])
-    return u.reshape(u.shape[:2] + seeds.shape + (n_streams,))
-
-
-def _draw_counts(mdp, horizon, steps=None):
+def _draw_counts(mdp, horizon, steps):
     """(agents, agent draws, environment draws) that the first `steps`
-    steps (all `horizon` by default) of an episode read: each agent stream
+    steps of an episode of `horizon` steps read: each agent stream
     one draw per step; the environment stream, when some transition row has
     more than one successor, draw 0 for the initial state and one draw per
     transition the rollout steps, min(T, L + 1) in all for the settle step
@@ -229,17 +219,21 @@ def _draw_counts(mdp, horizon, steps=None):
         env = horizon if settle is None else min(horizon, settle + 1)
     else:
         env = int(np.count_nonzero(mdp.mu) > 1)
-    return mdp.n_agents, horizon if steps is None else steps, env
+    return mdp.n_agents, steps, env
 
 
-def _rollout_uniforms(seeds, start, count, counts):
-    """(agent_u, env_u) of shapes (D, count, R, n) and (D_env, count, R, 1)
-    on the agent streams 0..n-1 and the environment stream n, for `counts`
-    = (n, agent draws, environment draws): one Philox pass that computes
-    no block the rollout does not read."""
-    n, agent_draws, env_draws = counts
-    return _stream_uniforms(seeds, start, count,
-                            [(range(n), agent_draws), ([n], env_draws)])
+def _run_seeds(seeds):
+    """`seeds`, one run seed or a sequence of them, as a uint64 array of its
+    shape; a uint64 array is returned as it is.  A seed that is not an
+    integer in [0, 2**64) raises a ValueError that names it."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        return seeds
+    seeds = np.asarray(seeds, dtype=object)
+    for seed in seeds.flat:
+        if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+            raise ValueError(f"run seed {seed!r} is not an integer in "
+                             f"[0, 2**64)")
+    return seeds.astype(np.uint64)
 
 
 class _IndexPlan:
@@ -301,45 +295,37 @@ def _chunk_batches(batch, runs, counts):
 
 
 class _StreamBank:
-    """Draws of the streams of R sampled runs, computed a chunk of episodes
-    ahead, and the runs' _IndexPlan.
+    """The draws of the estimates of R sampled runs, computed a chunk of
+    batches ahead, and the runs' _IndexPlan.
 
-    The draws depend only on (seed, episode, stream), never on the policy, so
-    one pass over a chunk of episodes of every run serves every request
-    whose batch falls inside the chunk and reads no more draws than it
-    holds; any other request starts a new chunk there, with the draws that
-    request reads (`_draw_counts`).  A chunk is a whole number of batches
+    The draws depend only on (seed, episode, stream), never on the policy,
+    so one pass over a chunk of episodes of every run serves every batch
+    inside it; a batch outside it starts a new chunk there.  The index
+    tables of `mdp`, cfg.horizon, cfg.batch and the run count are built
+    here, and `counts`, the draws of the plan's `steps` steps
+    (`_draw_counts`), fixed.  A chunk is a whole number of batches
     (`_chunk_batches`): at least _CHUNK_EPISODES // R episodes of each run,
-    and as many batches as one Philox pass of _MAX_LANES lanes holds.  An
-    estimate reads the plan's `steps` steps, a full-horizon `_sample_batch`
-    all T.  The bank is keyed by `counts`, the draw counts of a full
-    episode of `mdp` at cfg.horizon, and the index tables of `mdp`,
-    cfg.horizon, cfg.batch and the run count are built once, here.  `seeds`
-    defaults to the one seed of `cfg`; `keep` drops the runs that have
-    stopped and rebuilds the plan for the runs left.
+    and as many batches as one Philox pass of _MAX_LANES lanes holds.
+    `seeds` defaults to the one seed of `cfg`; `keep` drops the runs that
+    have stopped and rebuilds the plan for the runs left.
     """
 
     def __init__(self, mdp, cfg, seeds=None):
-        self.seeds = np.atleast_1d(np.asarray(
-            cfg.seed if seeds is None else seeds, dtype=np.uint64))
-        self.counts = _draw_counts(mdp, cfg.horizon)
+        self.seeds = _run_seeds(cfg.seed if seeds is None else seeds).ravel()
         self.plan = _IndexPlan(mdp, cfg.horizon, cfg.batch, self.seeds.size)
-        self._start = 0
-        self._u = [np.empty((0, 0, self.seeds.size, 0))] * 2
+        self.counts = _draw_counts(mdp, cfg.horizon, self.plan.steps)
+        self._start, self._u = 0, [np.empty((0, 0, self.seeds.size, 0))] * 2
 
-    def draws(self, start, count, counts):
-        """(agent_u, env_u) of episodes start, ..., start + count - 1, with
-        at least the draws of `counts`, as `_rollout_uniforms` lays them
-        out."""
+    def draws(self, start):
+        """(agent_u, env_u) of the plan's batch of episodes from `start`, as
+        `_stream_uniforms` lays them out."""
+        batch = self.plan.batch
         lo = start - self._start
-        agent_u, env_u = self._u
-        if (lo < 0 or lo + count > agent_u.shape[1]
-                or counts[1] > agent_u.shape[0]
-                or counts[2] > env_u.shape[0]):
-            chunk = count * _chunk_batches(count, self.seeds.size, counts)
-            self._u = _rollout_uniforms(self.seeds, start, chunk, counts)
+        if lo < 0 or lo + batch > self._u[0].shape[1]:
+            chunk = batch * _chunk_batches(batch, self.seeds.size, self.counts)
+            self._u = _stream_uniforms(self.seeds, start, chunk, self.counts)
             self._start, lo = start, 0
-        return [u[:, lo:lo + count] for u in self._u]
+        return [u[:, lo:lo + batch] for u in self._u]
 
     def keep(self, kept):
         """Keep the runs `kept` (a mask or an index array), with the draws
@@ -376,9 +362,9 @@ def _joint_actions(rows, u, digit_weights, out):
 
 def _plan(mdp, policy, horizon, seeds, batch, bank):
     """The _IndexPlan of a batch of `batch` episodes of the runs `seeds`,
-    an array of shape () or (R,): `bank`'s, once it is checked to be keyed
-    to these seeds, to the draw counts of this MDP and horizon, and to this
-    MDP and batch, or one built for this call when `bank` is None."""
+    a uint64 array of shape () or (R,): `bank`'s, once it is checked to be
+    planned for this MDP, horizon and batch and keyed to these seeds, or
+    one built for this call when `bank` is None."""
     if mdp.n_agents + 1 > _MAX_STREAMS:
         raise ValueError("too many agents for the stream layout")
     if policy.probs[0].shape[:-2] != seeds.shape:
@@ -387,39 +373,28 @@ def _plan(mdp, policy, horizon, seeds, batch, bank):
             f"of the seeds' shape {seeds.shape}")
     if bank is None:
         return _IndexPlan(mdp, horizon, batch, seeds.size)
-    counts = _draw_counts(mdp, horizon)
-    if (bank.counts != counts
+    plan = bank.plan
+    if (plan.mdp is not mdp or plan.horizon != horizon or plan.batch != batch
             or not np.array_equal(bank.seeds, seeds.ravel())):
         raise ValueError(
-            f"stream bank keyed (seeds, agents, agent draws, environment "
-            f"draws) = {(bank.seeds.tolist(), *bank.counts)}, batch needs "
-            f"{(seeds.ravel().tolist(), *counts)}")
-    if bank.plan.mdp is not mdp or bank.plan.batch != batch:
-        raise ValueError(f"stream bank planned for batches of "
-                         f"{bank.plan.batch} on {bank.plan.mdp!r}, batch "
-                         f"needs {batch} on {mdp!r}")
-    return bank.plan
+            f"stream bank keyed (mdp, horizon, batch, seeds) = "
+            f"{(plan.mdp, plan.horizon, plan.batch, bank.seeds.tolist())}, "
+            f"batch needs {(mdp, horizon, batch, seeds.ravel().tolist())}")
+    return plan
 
 
-def _rollout(policy, plan, seeds, episode_offset, bank, steps):
-    """The episodes of `_sample_batch` on plan.mdp, in the estimator's
-    layout, with the actions and rewards of their first `steps` steps
-    (plan.steps <= steps <= T): (states, actions, rewards) with shapes
-    (B*R, T), (B*R, steps, n) and (n, B*R, steps).  Actions are rows of the
-    digit table, in its one-byte dtype.  Draws come from `bank` when given,
-    else they are made for exactly these steps."""
+def _rollout(policy, plan, agent_u, env_u, steps):
+    """The episodes of a batch on plan.mdp, in the estimator's layout, with
+    the actions and rewards of their first `steps` steps (plan.steps <=
+    steps <= T), from the draws (agent_u, env_u) that `_stream_uniforms`
+    makes for those steps: (states, actions, rewards) with shapes (B*R, T),
+    (B*R, steps, n) and (n, B*R, steps).  Actions are rows of the digit
+    table, in its one-byte dtype."""
     mdp = plan.mdp
     n, S, T = mdp.n_agents, mdp.n_states, plan.horizon
-    E = plan.batch * seeds.size
-    counts = _draw_counts(mdp, T, steps)
-    if bank is None:
-        agent_u, env_u = _rollout_uniforms(seeds.ravel(), episode_offset,
-                                           plan.batch, counts)
-    else:
-        agent_u, env_u = bank.draws(episode_offset, plan.batch, counts)
+    E = plan.run_rows.size
     # (D, B*R, n) and (D_env, B*R): draw counts rounded up to whole blocks
-    agent_u = agent_u.reshape(-1, E, n)
-    env_u = env_u.reshape(-1, E)
+    agent_u, env_u = agent_u.reshape(-1, E, n), env_u.reshape(-1, E)
 
     cdf = _cdf_table(policy)                          # (R*S, n, A_max)
     if plan.start is not None:
@@ -463,8 +438,7 @@ def _rollout(policy, plan, seeds, episode_offset, bank, steps):
     return states, actions, rewards
 
 
-def _sample_batch(mdp, policy, horizon, seed, episode_offset, batch,
-                  bank=None):
+def _sample_batch(mdp, policy, horizon, seed, episode_offset, batch):
     """Step `batch` episodes of every run in lockstep.
 
     `seed` is one seed with (S, A_i) policy tables, or R run seeds with
@@ -472,24 +446,19 @@ def _sample_batch(mdp, policy, horizon, seed, episode_offset, batch,
     episode_offset + b of run r (R = 1 for one seed).  Returns (states,
     actions, rewards) with shapes (T, B*R), (T, B*R, n), (T, B*R, n):
     states and rewards are views of the episode-major arrays the estimator
-    reads, and actions an int64 copy of its one-byte ones.  Draws and the
-    _IndexPlan come from `bank` when given (it must be keyed to these
-    seeds, to the draw counts of this MDP and horizon, and to this MDP and
-    batch), else they are made for exactly this batch.
+    reads, and actions an int64 copy of its one-byte ones.  The draws and
+    the _IndexPlan are made for exactly this batch.
 
     The horizon loop carries only the state and the joint action
-    (`_joint_actions`).  After the loop, per-agent actions are read off the
-    joint actions in the MDP's digit table (`MultiAgentMDP.digits`), and
-    rewards in one take from the flat (n, S*n_joint) reward view.  The loop
-    stops at the MDP's settle step (`MultiAgentMDP.settle_step`), by which
-    every episode sits in a zero-reward absorbing state: the state is
-    recorded for every remaining step, and the remaining joint actions come
-    from the same agent draws in one pass.  An MDP that does not settle
-    within the horizon steps every step."""
-    seeds = np.asarray(seed, dtype=np.uint64)
-    plan = _plan(mdp, policy, horizon, seeds, batch, bank)
-    states, actions, rewards = _rollout(policy, plan, seeds, episode_offset,
-                                        bank, horizon)
+    (`_joint_actions`); per-agent actions come from the MDP's digit table
+    (`MultiAgentMDP.digits`) and rewards from one take after it.  The loop
+    stops at the settle step (`MultiAgentMDP.settle_step`), and the states
+    and joint actions of the later steps are filled in one pass."""
+    seeds = _run_seeds(seed)
+    plan = _plan(mdp, policy, horizon, seeds, batch, None)
+    draws = _stream_uniforms(seeds.ravel(), episode_offset, batch,
+                             _draw_counts(mdp, horizon, horizon))
+    states, actions, rewards = _rollout(policy, plan, *draws, horizon)
     return (states.T, actions.astype(np.int64).transpose(1, 0, 2),
             rewards.transpose(2, 1, 0))
 
@@ -558,7 +527,7 @@ def estimate_eval(mdp, policy, cfg, episode_offset=0, bank=None, seeds=None):
     the marginal bincounts reshaped to (..., n, S, A_max), padded with 0.
     """
     cfg.check()
-    seeds = np.asarray(cfg.seed if seeds is None else seeds, dtype=np.uint64)
+    seeds = _run_seeds(cfg.seed if seeds is None else seeds)
     n, S, R, A = mdp.n_agents, mdp.n_states, seeds.size, mdp.a_max()
     T, B = cfg.horizon, cfg.batch
     E = B * R                               # episode-major, run-minor columns
@@ -566,8 +535,10 @@ def estimate_eval(mdp, policy, cfg, episode_offset=0, bank=None, seeds=None):
 
     plan = _plan(mdp, policy, T, seeds, B, bank)
     K = plan.steps
-    states, actions, rewards = _rollout(policy, plan, seeds, episode_offset,
-                                        bank, K)
+    draws = (_stream_uniforms(seeds.ravel(), episode_offset, B,
+                              _draw_counts(mdp, T, K)) if bank is None
+             else bank.draws(episode_offset))
+    states, actions, rewards = _rollout(policy, plan, *draws, K)
     # discounted returns, a running sum (0 * gamma + r_{K-1}) * gamma +
     # r_{K-2} ... over the steps of (agent, episode, step) arrays
     returns = np.zeros((n, E, K))

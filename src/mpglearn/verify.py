@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import JointPolicy, Logits, softmax_policy
-from .exact import backup, evaluate, joint_policy_table, mismatch_bound
+from .exact import (Scratch, backup, evaluate, joint_policy_table,
+                    mismatch_bound)
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,10 @@ def best_response(mdp, policy, agent, tol=1e-12, max_rounds=500,
     deterministic reply, then improves greedily on the agent's marginal Q.
     The returned values are simultaneously optimal for every starting state,
     with Bellman residual below `tol`.  Ties break toward the lowest action
-    index.  `scratch`, an `exact.Scratch` of the MDP, serves every round.
+    index.  `scratch`, an `exact.Scratch` of the MDP (one is made when none
+    is given), serves every round.
     """
+    scratch = Scratch(mdp) if scratch is None else scratch
     S, A_i = mdp.n_states, mdp.n_actions[agent]
     rows = np.arange(S)
     act = np.zeros(S, dtype=np.int64)
@@ -110,8 +113,10 @@ def nash_gap(mdp, policy, epsilon=None, report=None, scratch=None):
     agent active (an Environment's report serves as well); its values and
     marginal advantages stand in for a fresh `evaluate` call.  The Bellman
     residual is checked either way.  `scratch`, an `exact.Scratch` of the
-    MDP, serves that call and every best response.
+    MDP (one is made when none is given), serves that call and every best
+    response.
     """
+    scratch = Scratch(mdp) if scratch is None else scratch
     rep = evaluate(mdp, policy, scratch=scratch) if report is None else report
     # q_marginal = r + gamma P V: the mean advantage is the Bellman residual
     residual = np.abs((policy.probs.stacked * rep.adv_marginal.stacked)

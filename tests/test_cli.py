@@ -91,7 +91,8 @@ class TestConfig:
             load_config(p)
 
     @pytest.mark.parametrize("key, value", [
-        ("runs", "abc"), ("init_scale", "big"), ("shared_init", "maybe")])
+        ("runs", "abc"), ("init_scale", "big"), ("shared_init", "maybe"),
+        ("snapshot_every", "-2"), ("nash_gap_every", "-1")])
     def test_bad_experiment_value_names_its_key(self, tmp_path, key, value):
         # the [experiment] section ends the config, so the line lands in it
         (tmp_path / "stage.dag").write_text(STAGE_DAG)

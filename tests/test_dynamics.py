@@ -213,6 +213,12 @@ class TestRunLoop:
         with pytest.raises(ValueError, match="no run seed given"):
             m.run(stage2, cfg, seeds=[])
 
+    @pytest.mark.parametrize("key", ["nash_gap_every", "snapshot_every"])
+    def test_negative_interval_rejected(self, stage2, key):
+        cfg = m.AlgoConfig("inpg", eta=1e-4, max_iters=5)
+        with pytest.raises(ValueError, match=f"{key} = -1"):
+            m.run(stage2, cfg, **{key: -1})
+
     def test_interiority_required(self, stage2):
         cfg = m.AlgoConfig("mwu", eta=1e-4, max_iters=5, guard="off")
         pure = m.JointPolicy([np.tile([1.0, 0.0], (stage2.mdp.n_states, 1)),

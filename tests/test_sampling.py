@@ -185,18 +185,36 @@ def numpy_philox_uniforms(seed, key1, count):
     return np.random.Generator(np.random.Philox(key=key)).random(count)
 
 
+def uniforms(seed, start, count, n_streams, n_draws):
+    """Uniform draws of episodes start..start+count-1 on streams
+    0..n_streams-1, n_draws on each, from one `_stream_uniforms` call: the
+    draws of n_streams - 1 agents and of the environment stream.
+
+    `seed` is one seed, or an array of R run seeds.  Returns u of shape
+    (D, count, n_streams), or (D, count, R, n_streams) for R seeds, with
+    D = n_draws rounded up to a multiple of 4, where u[:n_draws, e, s]
+    (u[:n_draws, e, r, s]) equals
+    Generator(Philox(key=[seed, ((start + e) << 8) | s])).random(n_draws).
+    """
+    seeds = np.asarray(seed, dtype=np.uint64)
+    u = np.concatenate(sampling._stream_uniforms(
+        seeds.ravel(), start, count, (n_streams - 1, n_draws, n_draws)),
+        axis=-1)
+    return u.reshape(u.shape[:2] + seeds.shape + (n_streams,))
+
+
 def count_chunks(monkeypatch):
     """The (first episode, episodes) of every Philox draw made for a
     rollout while the test runs: a bank's chunks, and the batches drawn
     without a bank."""
     chunks = []
-    draw = sampling._rollout_uniforms
+    draw = sampling._stream_uniforms
 
     def counting(seeds, start, count, counts):
         chunks.append((start, count))
         return draw(seeds, start, count, counts)
 
-    monkeypatch.setattr(sampling, "_rollout_uniforms", counting)
+    monkeypatch.setattr(sampling, "_stream_uniforms", counting)
     return chunks
 
 
@@ -207,7 +225,7 @@ class TestStreamDraws:
     def test_matches_numpy_philox_for_every_count(self, seed):
         start = 2**48 - 1                   # crosses into the high key bits
         for count in range(1, 26):
-            u = sampling._uniforms(seed, start, 3, 2, count)
+            u = uniforms(seed, start, 3, 2, count)
             assert u.shape == (-(-count // 4) * 4, 3, 2)
             for e in range(3):
                 for s in range(2):
@@ -216,7 +234,7 @@ class TestStreamDraws:
                     assert np.array_equal(u[:count, e, s], expect)
 
     def test_matches_numpy_philox_on_every_stream_tag(self):
-        u = sampling._uniforms(999, 2**50 + 7, 2, 256, 21)
+        u = uniforms(999, 2**50 + 7, 2, 256, 21)
         for e in range(2):
             for s in range(256):
                 expect = numpy_philox_uniforms(999, ((2**50 + 7 + e) << 8) | s,
@@ -224,22 +242,22 @@ class TestStreamDraws:
                 assert np.array_equal(u[:21, e, s], expect)
 
     def test_lane_slices_do_not_change_draws(self, monkeypatch):
-        whole = sampling._uniforms(5, 10, 9, 3, 7)
+        whole = uniforms(5, 10, 9, 3, 7)
         monkeypatch.setattr(sampling, "_MAX_LANES", 4)
-        assert np.array_equal(sampling._uniforms(5, 10, 9, 3, 7), whole)
+        assert np.array_equal(uniforms(5, 10, 9, 3, 7), whole)
 
     def test_run_seeds_draw_as_their_own_streams(self, monkeypatch):
         seeds = np.array([0, 2**64 - 1, 5, 5], dtype=np.uint64)
         monkeypatch.setattr(sampling, "_MAX_LANES", 40)   # uneven slices
-        u = sampling._uniforms(seeds, 2**48 - 3, 6, 3, 9)
+        u = uniforms(seeds, 2**48 - 3, 6, 3, 9)
         assert u.shape == (12, 6, 4, 3)
         for r, seed in enumerate(seeds):
             assert np.array_equal(u[:, :, r],
-                                  sampling._uniforms(seed, 2**48 - 3, 6, 3, 9))
+                                  uniforms(seed, 2**48 - 3, 6, 3, 9))
 
     def test_episode_beyond_key_space_rejected(self):
         with pytest.raises(ValueError, match="stream key"):
-            sampling._uniforms(0, 2**56 - 1, 2, 1, 4)
+            uniforms(0, 2**56 - 1, 2, 1, 4)
 
     def test_shared_bank_equals_one_shot_estimates(self, monkeypatch):
         # batches of 7 against chunks of two batches (10 episodes rounded
@@ -323,8 +341,10 @@ class TestStreamDraws:
         assert det.successors[1] is None and sto.successors[1] is not None
         cfg = m.SampleConfig(horizon=5, batch=4, seed=1)
         bank = sampling._StreamBank(det, cfg)
-        with pytest.raises(ValueError, match=r"environment draws\) = \(\[1\], "
-                           r"2, 5, 1\), batch needs \(\[1\], 2, 5, 5\)"):
+        key = re.escape(f"{det!r}, 5, 4, [1]), batch needs ({sto!r}, 5, 4, "
+                        f"[1])")
+        with pytest.raises(ValueError, match=r"stream bank keyed \(mdp, "
+                           r"horizon, batch, seeds\) = \(" + key):
             m.estimate_eval(sto, random_policy(sto, 108), cfg, bank=bank)
 
     def test_bank_for_another_run_rejected(self):
@@ -334,6 +354,27 @@ class TestStreamDraws:
         bank = sampling._StreamBank(mdp, m.SampleConfig(5, 4, seed=2))
         with pytest.raises(ValueError, match="stream bank"):
             m.estimate_eval(mdp, pol, cfg, bank=bank)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, 2**64, "3"])
+    def test_bad_seed_named(self, seed):
+        # every sampler entry point checks its run seeds: no float is cut to
+        # an integer, no string parsed, and no seed outside [0, 2**64)
+        # wraps or raises without naming it
+        mdp = random_mdp(3, (2, 2), 0.9, seed=128)
+        pol = random_policy(mdp, 129)
+        named = re.escape(f"run seed {seed!r} is not an integer in "
+                          f"[0, 2**64)")
+        with pytest.raises(ValueError, match=named):
+            m.estimate_eval(mdp, pol, m.SampleConfig(5, 4, seed=seed))
+        with pytest.raises(ValueError, match=named):
+            m.estimate_eval(mdp, stacked_policy(mdp, [pol, pol]),
+                            m.SampleConfig(5, 4), seeds=[2, seed])
+        with pytest.raises(ValueError, match=named):
+            m.sample_episode(mdp, pol, 5, seed)
+        cfg = m.AlgoConfig("inpg", eta=1e-4, max_iters=2, eval_mode="sampled",
+                           sample_cfg=m.SampleConfig(5, 4))
+        with pytest.raises(ValueError, match=named):
+            m.run(mdp, cfg, seeds=[seed, 2])
 
     def test_too_many_agents_for_stream_layout(self):
         n = 256                             # n + 1 streams exceed 8 tag bits
@@ -369,7 +410,7 @@ def reference_sample_batch(mdp, policy, horizon, seed, episode_offset, batch):
     n, S, T, B = mdp.n_agents, mdp.n_states, horizon, batch
     seeds = np.asarray(seed, dtype=np.uint64)
     R = seeds.size
-    u = sampling._uniforms(seeds, episode_offset, B, n + 1, T + 1)
+    u = uniforms(seeds, episode_offset, B, n + 1, T + 1)
     u = u.reshape(u.shape[0], B * R, n + 1)
     agent_u = u[:T, :, :n]                            # (T, B*R, n)
     env_u = u[:T + 1, :, n]                           # (T + 1, B*R)
@@ -412,7 +453,7 @@ def csr_loop_sample_batch(mdp, policy, horizon, seed, episode_offset,
     successor.  Agent draws and the initial state are drawn as the sampler
     draws them."""
     n, T, B = mdp.n_agents, horizon, batch
-    u = sampling._uniforms(seed, episode_offset, B, n + 1, T + 1)
+    u = uniforms(seed, episode_offset, B, n + 1, T + 1)
     agent_u, env_u = u[:T, :, :n], u[:T + 1, :, n]
     cum_all = padded_cumsum(policy, mdp.n_actions)
     mu_cdf = np.cumsum(mdp.mu)
@@ -510,12 +551,11 @@ def zero_first_actions(policy):
 
 class TestRolloutOracle:
     """`_sample_batch` against `reference_sample_batch`, byte for byte in
-    states, actions and rewards: with and without a stream bank, over ragged
-    actions, one to three successors per row, one to three runs, horizons
-    that are and are not multiples of 4, and MDPs with absorbing states,
-    whose batches leave the horizon loop once every episode is absorbed
-    (at t = 0 when S = 1).  A bank's chunks hold one or two batches, so
-    three consecutive batches always draw a second chunk."""
+    states, actions and rewards: over ragged actions, one to three
+    successors per row, one to three runs, horizons that are and are not
+    multiples of 4, and MDPs with absorbing states, whose batches leave the
+    horizon loop once every episode is absorbed (at t = 0 when S = 1).
+    Draws are computed in passes of one or two lanes."""
 
     @settings(max_examples=80, deadline=None)
     @given(n_actions=st.lists(st.integers(1, 3), min_size=1, max_size=3),
@@ -525,37 +565,27 @@ class TestRolloutOracle:
            batch=st.integers(1, 7), offset=st.integers(0, 2 ** 40),
            seeds=st.lists(st.integers(0, 2 ** 64 - 1), min_size=3,
                           max_size=3),
-           seed=st.integers(0, 2 ** 32 - 1), banked=st.booleans(),
-           chunk=st.integers(1, 2), lanes=st.sampled_from([1, 2]),
+           seed=st.integers(0, 2 ** 32 - 1), lanes=st.sampled_from([1, 2]),
            scalar=st.booleans(), zeros=st.booleans(),
            absorbing=st.integers(0, 2), upper=st.booleans())
     @example(n_actions=[3, 1, 2], n_states=4, width=3, runs=3, horizon=5,
              batch=4, offset=9, seeds=[0, 2 ** 64 - 1, 7], seed=1,
-             banked=True, chunk=1, lanes=2, scalar=False, zeros=True,
-             absorbing=0, upper=False)
+             lanes=2, scalar=False, zeros=True, absorbing=0, upper=False)
     @example(n_actions=[2], n_states=3, width=1, runs=1, horizon=1,
-             batch=3, offset=0, seeds=[5, 0, 0], seed=2, banked=True,
-             chunk=2, lanes=1, scalar=True, zeros=False, absorbing=0,
-             upper=False)
+             batch=3, offset=0, seeds=[5, 0, 0], seed=2, lanes=1,
+             scalar=True, zeros=False, absorbing=0, upper=False)
     @example(n_actions=[2, 3], n_states=1, width=1, runs=2, horizon=20,
-             batch=3, offset=0, seeds=[5, 6, 0], seed=3, banked=True,
-             chunk=1, lanes=2, scalar=False, zeros=False, absorbing=1,
-             upper=False)
+             batch=3, offset=0, seeds=[5, 6, 0], seed=3, lanes=2,
+             scalar=False, zeros=False, absorbing=1, upper=False)
     @example(n_actions=[2, 2], n_states=4, width=3, runs=3, horizon=20,
-             batch=5, offset=2, seeds=[1, 2, 3], seed=39, banked=False,
-             chunk=1, lanes=1, scalar=False, zeros=True, absorbing=1,
-             upper=False)
+             batch=5, offset=2, seeds=[1, 2, 3], seed=39, lanes=1,
+             scalar=False, zeros=True, absorbing=1, upper=False)
     @example(n_actions=[2, 2], n_states=4, width=1, runs=2, horizon=20,
-             batch=4, offset=0, seeds=[1, 2, 3], seed=5, banked=True,
-             chunk=2, lanes=2, scalar=False, zeros=False, absorbing=1,
-             upper=True)
-    @example(n_actions=[1], n_states=1, width=1, runs=1, horizon=1,
-             batch=1, offset=0, seeds=[0, 0, 0], seed=0, banked=True,
-             chunk=1, lanes=2, scalar=False, zeros=False, absorbing=0,
-             upper=False)
+             batch=4, offset=0, seeds=[1, 2, 3], seed=5, lanes=2,
+             scalar=False, zeros=False, absorbing=1, upper=True)
     def test_matches_reference(self, n_actions, n_states, width, runs,
-                               horizon, batch, offset, seeds, seed, banked,
-                               chunk, lanes, scalar, zeros, absorbing, upper):
+                               horizon, batch, offset, seeds, seed, lanes,
+                               scalar, zeros, absorbing, upper):
         mdp = sparse_mdp(n_states, tuple(n_actions), 0.9, seed,
                          max_width=min(width, n_states), upper=upper,
                          absorbing=min(absorbing, n_states))
@@ -569,22 +599,13 @@ class TestRolloutOracle:
                 [np.stack([p.probs[i] for p in pols])
                  for i in range(mdp.n_agents)], validate=False)
             run_seeds = seeds[:runs]
-        bank = None
-        if banked:
-            bank = sampling._StreamBank(
-                mdp, m.SampleConfig(horizon=horizon, batch=batch), run_seeds)
-        # chunks of `chunk` batches (a pass of `lanes` lanes holds at most
-        # two, even of one-lane episodes), computed in slices of `lanes`
-        # lanes
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sampling, "_CHUNK_EPISODES", chunk * batch * runs)
             patch.setattr(sampling, "_MAX_LANES", lanes)
             chunks = count_chunks(patch)
-            # consecutive batches, so banked requests straddle chunks
             for k in range(3):
                 start = offset + k * batch
                 got = sampling._sample_batch(mdp, policy, horizon, run_seeds,
-                                             start, batch, bank)
+                                             start, batch)
                 want = reference_sample_batch(mdp, policy, horizon,
                                               run_seeds, start, batch)
                 for x, y in zip(got, want):
@@ -651,7 +672,10 @@ class TestEstimatorOracle:
     values, marginal Q tables, advantages, visitation and visited flags,
     also on MDPs whose absorbing zero-reward states end the return
     recurrence early, and on games that settle (`settling`, and one state
-    that is its own goal), whose estimate reads K < T steps."""
+    that is its own goal), whose estimate reads K < T steps.  A banked case
+    makes three consecutive estimates from one _StreamBank whose chunks
+    hold one or two batches (a pass of one or two lanes holds at most two,
+    even of one-lane episodes), so they always draw a second chunk."""
 
     @settings(max_examples=60, deadline=None)
     @given(n_actions=st.lists(st.integers(1, 3), min_size=1, max_size=3),
@@ -661,28 +685,40 @@ class TestEstimatorOracle:
            gamma=st.sampled_from([0.0, 0.5, 0.99]),
            estimator=st.sampled_from(["first_visit", "every_visit"]),
            absorbing=st.integers(0, 2), upper=st.booleans(),
-           settling=st.booleans())
+           settling=st.booleans(), banked=st.booleans(),
+           chunk=st.integers(1, 2), lanes=st.sampled_from([1, 2]))
     @example(n_actions=[2, 3], n_states=1, width=1, runs=2, horizon=20,
              batch=3, seed=3, gamma=0.99, estimator="first_visit",
-             absorbing=1, upper=False, settling=False)
+             absorbing=1, upper=False, settling=False, banked=True,
+             chunk=1, lanes=2)
     @example(n_actions=[2, 2], n_states=4, width=3, runs=3, horizon=20,
              batch=5, seed=9, gamma=0.99, estimator="every_visit",
-             absorbing=1, upper=False, settling=False)
+             absorbing=1, upper=False, settling=False, banked=False,
+             chunk=1, lanes=1)
     @example(n_actions=[2, 2], n_states=4, width=1, runs=2, horizon=20,
              batch=4, seed=5, gamma=0.5, estimator="first_visit",
-             absorbing=1, upper=True, settling=False)
+             absorbing=1, upper=True, settling=False, banked=True,
+             chunk=2, lanes=2)
     @example(n_actions=[3, 1, 2], n_states=4, width=3, runs=3, horizon=20,
              batch=5, seed=11, gamma=0.99, estimator="first_visit",
-             absorbing=0, upper=False, settling=True)
+             absorbing=0, upper=False, settling=True, banked=True,
+             chunk=1, lanes=2)
     @example(n_actions=[2, 2], n_states=4, width=2, runs=2, horizon=20,
              batch=4, seed=12, gamma=0.5, estimator="every_visit",
-             absorbing=0, upper=False, settling=True)
+             absorbing=0, upper=False, settling=True, banked=False,
+             chunk=1, lanes=2)
     @example(n_actions=[2, 3], n_states=4, width=1, runs=2, horizon=2,
              batch=6, seed=13, gamma=0.99, estimator="first_visit",
-             absorbing=0, upper=False, settling=True)
+             absorbing=0, upper=False, settling=True, banked=True,
+             chunk=2, lanes=1)
+    @example(n_actions=[1], n_states=1, width=1, runs=1, horizon=1,
+             batch=1, seed=0, gamma=0.5, estimator="first_visit",
+             absorbing=0, upper=False, settling=False, banked=True,
+             chunk=1, lanes=2)
     def test_matches_reference(self, n_actions, n_states, width, runs,
                                horizon, batch, seed, gamma, estimator,
-                               absorbing, upper, settling):
+                               absorbing, upper, settling, banked, chunk,
+                               lanes):
         if settling:
             mdp = settling_mdp(n_states, tuple(n_actions), gamma, seed,
                                max_width=width)
@@ -695,14 +731,24 @@ class TestEstimatorOracle:
                                 for i in range(mdp.n_agents)], validate=False)
         seeds = [seed + 7 * r for r in range(runs)]
         cfg = m.SampleConfig(horizon, batch, 0, estimator)
-        got = m.estimate_eval(mdp, policy, cfg, episode_offset=3,
-                              seeds=seeds)
-        want = reference_estimate(mdp, policy, cfg, 3, seeds)
-        for field in ("v", "visitation", "visited_states"):
-            assert_same_bytes(getattr(got, field), want[field], field)
-        for field in ("q_marginal", "adv_marginal", "visited_pairs"):
-            for x, y in zip(getattr(got, field), want[field], strict=True):
-                assert_same_bytes(x, y, field)
+        bank = sampling._StreamBank(mdp, cfg, seeds) if banked else None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sampling, "_CHUNK_EPISODES", chunk * batch * runs)
+            patch.setattr(sampling, "_MAX_LANES", lanes)
+            chunks = count_chunks(patch)
+            for offset in range(3, 3 + (3 if banked else 1) * batch, batch):
+                got = m.estimate_eval(mdp, policy, cfg, episode_offset=offset,
+                                      bank=bank, seeds=seeds)
+                want = reference_estimate(mdp, policy, cfg, offset, seeds)
+                for field in ("v", "visitation", "visited_states"):
+                    assert_same_bytes(getattr(got, field), want[field],
+                                      field)
+                for field in ("q_marginal", "adv_marginal", "visited_pairs"):
+                    for x, y in zip(getattr(got, field), want[field],
+                                    strict=True):
+                        assert_same_bytes(x, y, field)
+        if banked:
+            assert len(chunks) >= 2
 
 
 def stacked_policy(mdp, pols):
@@ -779,7 +825,8 @@ class TestRunAxis:
 
 class TestIndexPlan:
     """A call without a bank builds one _IndexPlan; a banked call builds
-    none, and a bank used for another MDP or batch size is rejected."""
+    none, and a bank used for another MDP, horizon, batch size or seeds is
+    rejected with both keys named."""
 
     def test_builds(self, monkeypatch):
         builds = []
@@ -813,11 +860,17 @@ class TestIndexPlan:
         pol = random_policy(mdp, 117)
         cfg = m.SampleConfig(horizon=7, batch=4, seed=3)
         bank = sampling._StreamBank(mdp, cfg)
-        with pytest.raises(ValueError, match="planned for batches of 4"):
-            m.estimate_eval(twin, pol, cfg, bank=bank)
-        with pytest.raises(ValueError, match=r"of 4 .*, batch needs 5"):
-            m.estimate_eval(mdp, pol, m.SampleConfig(7, 5, seed=3),
-                            bank=bank)
+        m.estimate_eval(mdp, pol, cfg, bank=bank)
+        keyed = (r"stream bank keyed \(mdp, horizon, batch, seeds\) = "
+                 r"\(MultiAgentMDP\(.*\), 7, 4, \[3\]\), batch needs ")
+        for game, other, needs in (
+                (twin, cfg, r"7, 4, \[3\]"),
+                (mdp, m.SampleConfig(7, 5, seed=3), r"7, 5, \[3\]"),
+                (mdp, m.SampleConfig(8, 4, seed=3), r"8, 4, \[3\]"),
+                (mdp, m.SampleConfig(7, 4, seed=4), r"7, 4, \[4\]")):
+            with pytest.raises(ValueError, match=(
+                    keyed + r"\(MultiAgentMDP\(.*\), " + needs + r"\)$")):
+                m.estimate_eval(game, pol, other, bank=bank)
 
 
 class CountingNumpy:
@@ -866,10 +919,7 @@ class TestAbsorbedExit:
              for a in mdp.n_actions], validate=False)
         cfg = m.SampleConfig(horizon=20, batch=20)
         bank = sampling._StreamBank(mdp, cfg, seeds)
-        for steps in (bank.plan.steps, cfg.horizon):
-            # no Philox pass while counting
-            bank.draws(0, cfg.batch,
-                       sampling._draw_counts(mdp, cfg.horizon, steps))
+        bank.draws(0)                       # no Philox pass while counting
         steps = []
         joint_actions = sampling._joint_actions
 
@@ -885,8 +935,7 @@ class TestAbsorbedExit:
         assert [k for k in steps if k is not None] == tail
         assert counted.multiplies == recurrence
         steps.clear()
-        sampling._sample_batch(mdp, policy, cfg.horizon, seeds, 0, cfg.batch,
-                               bank)
+        sampling._sample_batch(mdp, policy, cfg.horizon, seeds, 0, cfg.batch)
         assert steps.count(None) == single
         assert [k for k in steps if k is not None] == batch_tail
 
@@ -955,7 +1004,8 @@ class TestDrawCounts:
         per_run = episode_lanes(mdp, horizon, horizon)
         seeds = [3, 4]
         bank = sampling._StreamBank(mdp, m.SampleConfig(horizon, 6), seeds)
-        bank.draws(0, 6, sampling._draw_counts(mdp, horizon))
+        assert bank.plan.steps == horizon           # the MDP does not settle
+        bank.draws(0)
         chunk = chunk_episodes(6, len(seeds), per_run)
         assert sum(lanes) == chunk * len(seeds) * per_run
         assert max(lanes) <= sampling._MAX_LANES
@@ -987,16 +1037,6 @@ class TestDrawCounts:
         lanes.clear()
         m.estimate_eval(mdp, policy, cfg, seeds=seeds)
         assert sum(lanes) == len(seeds) * 6 * per_run
-        # a full-horizon batch reads more draws than the chunk holds, so it
-        # starts a chunk of T steps (when K < T), which the next estimate
-        # reads from
-        lanes.clear()
-        sampling._sample_batch(mdp, policy, horizon, seeds, 6, 6, bank)
-        m.estimate_eval(mdp, policy, cfg, episode_offset=12, bank=bank,
-                        seeds=seeds)
-        full = episode_lanes(mdp, horizon, horizon)
-        want = chunk_episodes(6, len(seeds), full) * full if K < horizon else 0
-        assert sum(lanes) == len(seeds) * want
 
     @pytest.mark.parametrize("horizon", [1, 4, 5, 6, 20])
     @pytest.mark.parametrize("width", [1, 3])
@@ -1004,18 +1044,18 @@ class TestDrawCounts:
         # K agent draws; min(T, L + 1) environment draws on stochastic rows
         # (the initial state and the L transitions), else the initial state
         mdp = settling_mdp(6, (2, 3, 2), 0.9, seed=118, max_width=width)
-        groups = []
+        requests = []
         draw = sampling._stream_uniforms
 
-        def recording(seeds, start, count, request):
-            groups.append([(list(streams), n) for streams, n in request])
-            return draw(seeds, start, count, request)
+        def recording(seeds, start, count, counts):
+            requests.append(counts)
+            return draw(seeds, start, count, counts)
 
         monkeypatch.setattr(sampling, "_stream_uniforms", recording)
         policy = random_policy(mdp, 123)
         m.estimate_eval(mdp, policy, m.SampleConfig(horizon, 3))
         env = min(horizon, 6) if width > 1 else 1
-        assert groups == [[([0, 1, 2], min(horizon, 5)), ([3], env)]]
+        assert requests == [(3, min(horizon, 5), env)]
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_point_mass_mu_reads_no_initial_draw(self, lanes, width):
@@ -1046,7 +1086,8 @@ class TestDrawCounts:
         per_run = episode_lanes(mdp, horizon, horizon)
         bank = sampling._StreamBank(mdp, m.SampleConfig(horizon, batch),
                                     list(range(runs)))
-        agent_u, _ = bank.draws(0, batch, sampling._draw_counts(mdp, horizon))
+        assert bank.plan.steps == horizon           # the MDP does not settle
+        agent_u, _ = bank.draws(0)
         chunk = bank._u[0].shape[1]
         assert agent_u.shape[1] == batch
         assert chunk % batch == 0

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mpglearn as m
+from mpglearn import exact
 from mpglearn.environments import CostDescriptor
 from mpglearn.verify import exhaustive_best_response_value
 
@@ -90,6 +91,33 @@ class TestNashGap:
         assert_same_bytes(reused.gaps, fresh.gaps, "gaps")
         assert repr((reused.overall_gap, reused.mu_gap)) == \
             repr((fresh.overall_gap, fresh.mu_gap))
+
+    def test_one_scratch_per_call(self, monkeypatch):
+        # without a scratch, nash_gap and best_response each make one that
+        # serves every evaluate and Howard round, and report the bytes a
+        # call given one reports
+        mdp = random_mdp(3, (2, 3), 0.9, seed=69)
+        pol = random_policy(mdp, 70)
+        given = m.nash_gap(mdp, pol, scratch=exact.Scratch(mdp))
+        given_br = m.best_response(mdp, pol, 1, scratch=exact.Scratch(mdp))
+        builds = []
+        init = exact.Scratch.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(exact.Scratch, "__init__", counting)
+        rep = m.nash_gap(mdp, pol)
+        assert len(builds) == 1
+        assert_same_bytes(rep.gaps, given.gaps, "gaps")
+        assert repr((rep.overall_gap, rep.mu_gap)) == \
+            repr((given.overall_gap, given.mu_gap))
+        builds.clear()
+        act, v = m.best_response(mdp, pol, 1)
+        assert len(builds) == 1
+        assert_same_bytes(act, given_br[0], "act")
+        assert_same_bytes(v, given_br[1], "v")
 
     def test_uniform_policy_gap_matches_enumeration(self):
         mdp = random_mdp(1, (2, 3), 0.6, seed=67)
