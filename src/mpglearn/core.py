@@ -66,14 +66,8 @@ def joint_digits(n_actions):
     return digits
 
 
-def _entry_rows(indptr):
-    """The row of every entry of a CSR table, in entry order: row r
-    repeated indptr[r+1] - indptr[r] times."""
-    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-
-
 def _csr_arrays(transitions, n_states, n_joint):
-    """(data, indices, indptr) of a transition table in any of the forms
+    """(data, indices, indptr) of a transition table in either form
     MultiAgentMDP accepts.  A CSR triple must already be canonical; a
     ValueError names the first row (state, joint action) that is not."""
     n_rows = n_states * n_joint
@@ -87,14 +81,8 @@ def _csr_arrays(transitions, n_states, n_joint):
         np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
         return dense[rows, indices], indices, indptr
     if not isinstance(transitions, tuple):
-        import scipy.sparse as sp   # a sparse matrix: its maker loaded scipy
-        P = sp.csr_matrix(transitions, dtype=float)
-        if P.shape != (n_rows, n_states):
-            raise ValueError(f"transition matrix shape {P.shape}")
-        if not P.has_canonical_format:
-            P = P.copy()                # the caller's matrix stays as it is
-            P.sum_duplicates()
-        return P.data, P.indices, P.indptr
+        raise TypeError(f"transitions must be a dense (S, A, S) array or a "
+                        f"CSR triple, not {type(transitions).__name__}")
     data, indices, indptr = (np.asarray(x) for x in transitions)
     if indices.dtype.kind not in "iu" or indptr.dtype.kind not in "iu":
         raise ValueError("transition indices and indptr must be integers")
@@ -116,7 +104,7 @@ def _csr_arrays(transitions, n_states, n_joint):
     if not len(data) == len(indices) == indptr[-1]:
         raise ValueError(f"transition data and indices have {len(data)} "
                          f"and {len(indices)} entries, indptr {indptr[-1]}")
-    rows = _entry_rows(indptr)
+    rows = np.repeat(np.arange(n_rows), lengths)
     out = (indices < 0) | (indices >= n_states)
     unsorted = np.append(False, (rows[1:] == rows[:-1])
                          & (indices[1:] <= indices[:-1]))
@@ -137,11 +125,10 @@ class MultiAgentMDP:
     rewards      float array (n_agents, n_states, n_joint), entries in [0, 1]
     transitions  the distribution over successor states of every (s, a), in
                  row s*n_joint + a of an (n_states * n_joint, n_states)
-                 table, given in one of three forms: a dense (S, A, S)
-                 array; a scipy sparse matrix, canonicalized (sorted
-                 columns, no duplicates) on a copy when it is not; or a
-                 canonical CSR triple (data, indices, indptr), whose
-                 indptr, column range and column order are checked.
+                 table, given in one of two forms: a dense (S, A, S)
+                 array, or a canonical CSR triple (data, indices, indptr)
+                 (sorted columns, no duplicates), whose indptr, column
+                 range and column order are checked.
     gamma        discount factor in [0, 1)
     mu           initial state distribution, length n_states
 
@@ -151,10 +138,8 @@ class MultiAgentMDP:
     is a `cached_property`, built on its first read and sized to what it
     holds:
 
-    - `transitions` is the scipy CSR matrix over the same arrays; its first
-      read imports scipy.sparse.  Nothing in the library reads it: exact
-      evaluation and the verifier back values up over `csr` themselves
-      (`exact.backup`), so it is there for callers and tests.
+    - `entry_rows` is the row of every entry, in the CSR index dtype;
+      validation, `successors`, `write_mdp` and `chain_cells` read it.
     - `digits` decodes joint actions, one byte per action.
     - `chain_cells` numbers the chain cell of every entry; only an exact
       solve reads it, so a sampled run never builds it.
@@ -176,8 +161,8 @@ class MultiAgentMDP:
     is shared, not copied; the routing and distancing builders hand their
     finished tables over this way.  Passing such an array gives it up: the
     caller must not make it writable and write to it later, as
-    `validate_mdp` and the derived tables (`successors`, `absorbing`,
-    `chain_cells`) read it, and `successors` may share it.  Any other input
+    `validate_mdp` and the derived tables (`entry_rows`, `successors`,
+    `absorbing`) read it, and `successors` may share it.  Any other input
     is copied.
 
     Episodic problems are modeled with an absorbing zero-reward terminal
@@ -206,7 +191,8 @@ class MultiAgentMDP:
                 f"{(self.n_agents, self.n_states, self.n_joint)}")
         data, indices, indptr = _csr_arrays(transitions, self.n_states,
                                             self.n_joint)
-        # scipy's index dtype, so that `transitions` shares the arrays
+        # int32 when it suffices: the builders hand their int32 arrays over
+        # uncopied, and the draw table and entry rows take this dtype
         index = index_dtype(max(len(indptr), len(data)))
         self.csr = (_frozen(data), _frozen(indices, index),
                     _frozen(indptr, index))
@@ -219,14 +205,15 @@ class MultiAgentMDP:
                 raise ValueError("invalid MDP:\n" + "\n".join(problems))
 
     @cached_property
-    def transitions(self):
-        """The transition table as a canonical scipy CSR matrix over the
-        `csr` arrays; scipy is imported on the first read."""
-        import scipy.sparse as sp
-        P = sp.csr_matrix(self.csr, copy=False, shape=(
-            self.n_states * self.n_joint, self.n_states))
-        P.has_canonical_format = True
-        return P
+    def entry_rows(self):
+        """The row s*n_joint + a of every transition entry, in CSR order
+        and the CSR index dtype: row r repeated indptr[r+1] - indptr[r]
+        times."""
+        indptr = self.csr[2]
+        rows = np.repeat(np.arange(len(indptr) - 1, dtype=indptr.dtype),
+                         np.diff(indptr))
+        rows.flags.writeable = False
+        return rows
 
     @cached_property
     def digits(self):
@@ -237,16 +224,14 @@ class MultiAgentMDP:
 
     @cached_property
     def chain_cells(self):
-        """(rows, cells) of every transition entry in CSR order: its row
-        s*n_joint + a, and the (s, s') chain cell it feeds, numbered
-        column-major, s'*n_states + s, so that summing the entries per
-        cell fills a Fortran-ordered chain.  Built on the first read, which
-        only an exact solve makes (`exact._chain_matrix`)."""
-        _, indices, indptr = self.csr
-        rows = _entry_rows(indptr)
-        cells = indices * np.int64(self.n_states) + rows // self.n_joint
-        rows.flags.writeable = cells.flags.writeable = False
-        return rows, cells
+        """The (s, s') chain cell that every transition entry feeds, in CSR
+        order, numbered column-major, s'*n_states + s, so that summing the
+        entries per cell fills a Fortran-ordered chain.  Built on the first
+        read, which only an exact solve makes (`exact._chain_matrix`)."""
+        cells = (self.csr[1] * np.int64(self.n_states)
+                 + self.entry_rows // self.n_joint)
+        cells.flags.writeable = False
+        return cells
 
     @cached_property
     def deterministic(self):
@@ -376,7 +361,7 @@ class MultiAgentMDP:
         width = int(lengths.max(initial=1))
         if width == 1:
             return indices.reshape(-1, 1), None, None
-        rows = _entry_rows(indptr)
+        rows = self.entry_rows
         pos = np.arange(len(indices)) - indptr[rows]
         succ = np.zeros((len(lengths), width), dtype=indices.dtype)
         succ[rows, pos] = indices
@@ -407,7 +392,7 @@ def validate_mdp(mdp):
     if not (0.0 <= mdp.gamma < 1.0):
         problems.append(f"gamma = {mdp.gamma} is not in [0, 1)")
     data, _, indptr = mdp.csr
-    rows = _entry_rows(indptr)
+    rows = mdp.entry_rows
     if data.size and data.min() < 0:
         k = int(np.argmin(data))
         s, a = divmod(int(rows[k]), mdp.n_joint)
@@ -749,8 +734,8 @@ def write_mdp(mdp, path):
     for i, s, a in zip(*np.nonzero(r)):
         lines.append(f"{i} {s} {a} {float(r[i, s, a])!r}")
     lines.append("[transitions]")
-    data, indices, indptr = mdp.csr     # canonical: row-major, sorted columns
-    for row, col, p in zip(_entry_rows(indptr).tolist(), indices.tolist(),
+    data, indices, _ = mdp.csr          # canonical: row-major, sorted columns
+    for row, col, p in zip(mdp.entry_rows.tolist(), indices.tolist(),
                            data.tolist()):
         s, a = divmod(row, mdp.n_joint)
         lines.append(f"{s} {a} {col} {p!r}")
@@ -772,8 +757,9 @@ class MDPFormatError(ValueError):
 def read_mdp(path, validate=True):
     """Parse the structured-text MDP format written by write_mdp.
 
-    Every index is checked against the declared counts; an MDPFormatError
-    names the line, the index and its range.
+    Every index is checked against the declared counts, and may appear
+    once per section; an MDPFormatError names the line, the index and its
+    range, or the line that gave the index before.
     """
     with open(path) as f:
         raw = f.readlines()
@@ -848,19 +834,26 @@ def read_mdp(path, validate=True):
               "transitions": (state, joint, ("next state", n_states)),
               "mu": (state,)}
     for kind, items in entries.items():
+        seen = {}
         for no, index, _ in items:
             for k, (name, bound) in zip(index, ranges[kind]):
                 if not 0 <= k < bound:
                     fail(no, f"{name} index {k} outside [0, {bound})")
+            if index in seen:
+                fail(no, f"{kind} index ({', '.join(map(str, index))}) "
+                         f"repeats line {seen[index]}")
+            seen[index] = no
     rewards = np.zeros((n_agents, n_states, n_joint))
     for _, (i, s, a), val in entries["rewards"]:
         rewards[i, s, a] = val
-    rows = [s * n_joint + a for _, (s, a, _), _ in entries["transitions"]]
-    cols = [sp_ for _, (_, _, sp_), _ in entries["transitions"]]
-    vals = [v for _, _, v in entries["transitions"]]
-    import scipy.sparse as sp       # sums duplicate entries, sorts columns
-    transitions = sp.csr_matrix((vals, (rows, cols)),
-                                shape=(n_states * n_joint, n_states))
+    # the canonical CSR arrays: entries sorted by row, then column
+    trans, n_rows = entries["transitions"], n_states * n_joint
+    rows = np.array([s * n_joint + a for _, (s, a, _), _ in trans], np.int64)
+    cols = np.array([t for _, (_, _, t), _ in trans], np.int64)
+    vals = np.array([v for _, _, v in trans], float)
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
     mu = np.zeros(n_states)
     for _, (s,), val in entries["mu"]:
         mu[s] = val
@@ -868,7 +861,8 @@ def read_mdp(path, validate=True):
     if entries["label"]:
         labels = {s: lab for _, (s,), lab in entries["label"]}
         state_labels = tuple(labels.get(s, str(s)) for s in range(n_states))
-    return MultiAgentMDP(n_actions, rewards, transitions, gamma, mu,
+    return MultiAgentMDP(n_actions, rewards,
+                         (vals[order], cols[order], indptr), gamma, mu,
                          state_labels=state_labels, validate=validate)
 
 

@@ -23,9 +23,8 @@ identity: no chain is built, no solver made, and the values are the
 one-step rewards.
 
 scipy is imported by the first solver, not with this module: the sampled
-path and the step-size guard read only the MDP's CSR arrays.  scipy.sparse
-is imported only beyond DENSE_SOLVE_MAX states; nothing here reads the
-scipy matrix `mdp.transitions`.
+path and the step-size guard read only the MDP's CSR arrays.  Only the
+sparse LU beyond DENSE_SOLVE_MAX states imports `scipy.sparse.linalg`.
 """
 
 import math
@@ -97,7 +96,7 @@ class Scratch:
         """The chain cell of every transition entry of R runs' chains,
         numbered as `MultiAgentMDP.chain_cells` numbers them, run r's
         offset by r*S*S: made once for all the scratch's runs."""
-        cells = self.mdp.chain_cells[1]
+        cells = self.mdp.chain_cells
         if self.runs == 1:
             return cells
         if self._cells is None:
@@ -114,11 +113,11 @@ class Scratch:
         return self._indices
 
     def rows(self):
-        """The row of every transition entry (`MultiAgentMDP.chain_cells`
-        rows) as a writable np.intp array, made once: np.take copies a
-        read-only index array on every call."""
+        """The row of every transition entry (`MultiAgentMDP.entry_rows`)
+        as a writable np.intp array, made once: np.take copies a read-only
+        index array on every call."""
         if self._rows is None:
-            self._rows = self.mdp.chain_cells[0].astype(np.intp)
+            self._rows = self.mdp.entry_rows.astype(np.intp)
         return self._rows
 
 

@@ -374,12 +374,16 @@ def _plan(mdp, policy, horizon, seeds, batch, bank):
     if bank is None:
         return _IndexPlan(mdp, horizon, batch, seeds.size)
     plan = bank.plan
-    if (plan.mdp is not mdp or plan.horizon != horizon or plan.batch != batch
-            or not np.array_equal(bank.seeds, seeds.ravel())):
+    differs = [what for what, same in (
+        ("mdp (another MDP object)", plan.mdp is mdp),
+        ("horizon", plan.horizon == horizon), ("batch", plan.batch == batch),
+        ("seeds", np.array_equal(bank.seeds, seeds.ravel()))) if not same]
+    if differs:
         raise ValueError(
             f"stream bank keyed (mdp, horizon, batch, seeds) = "
             f"{(plan.mdp, plan.horizon, plan.batch, bank.seeds.tolist())}, "
-            f"batch needs {(mdp, horizon, batch, seeds.ravel().tolist())}")
+            f"batch needs {(mdp, horizon, batch, seeds.ravel().tolist())}: "
+            f"differs in {', '.join(differs)}")
     return plan
 
 

@@ -7,6 +7,7 @@ enumeration, and gradients from central differences.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import mpglearn as m
 from mpglearn.core import JointPolicy, MultiAgentMDP, _frozen, joint_digits
@@ -29,6 +30,17 @@ def assert_same_bytes(got, want, what="arrays"):
         k = tuple(int(i) for i in k)
         raise AssertionError(f"{what} first differ at index {k}: "
                              f"{x[k].item()!r} != {y[k].item()!r}")
+
+
+def transition_matrix(mdp):
+    """The MDP's transition table as a scipy CSR matrix over its `csr`
+    arrays, shared, not copied: the reference for dense views of the table
+    and for products P V.  It is marked canonical, as the arrays are, so
+    that scipy never sorts the read-only arrays in place."""
+    P = sp.csr_matrix(mdp.csr, shape=(mdp.n_states * mdp.n_joint,
+                                      mdp.n_states))
+    P.has_canonical_format = True
+    return P
 
 
 def random_mdp(n_states, n_actions, gamma, seed, n_agents=None):
@@ -420,7 +432,7 @@ def random_policy(mdp, seed):
 def chain_of(mdp, policy):
     """Dense (S, S) chain and (n, S) one-step rewards by direct summation."""
     S, A = mdp.n_states, mdp.n_joint
-    P = mdp.transitions.toarray().reshape(S, A, S)
+    P = transition_matrix(mdp).toarray().reshape(S, A, S)
     jt = np.ones((S, A))
     for i in range(mdp.n_agents):
         jt *= policy.probs[i][:, mdp.digits[:, i]]

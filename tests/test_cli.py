@@ -432,6 +432,9 @@ assert count == 1
 cli.cmd_run(tmp / "scg4.ini", tmp / "out")
 cli.cmd_accuracy(tmp / "out")
 cli.cmd_plot([tmp / "out"], tmp / "plot.svg")
+m.write_mdp(envs[0].mdp, tmp / "scg4.mdp")
+again = m.read_mdp(tmp / "scg4.mdp")
+assert all(np.array_equal(x, y) for x, y in zip(again.csr, envs[0].mdp.csr))
 assert not scipy_modules(), scipy_modules()
 mdp = envs[0].mdp
 m.evaluate(envs[0], m.JointPolicy([np.full((mdp.n_states, a), 1.0 / a)
@@ -444,9 +447,9 @@ print("ok")
 
 class TestScipyLoadsLazily:
     def test_sampled_pipeline_runs_without_scipy(self, tmp_path):
-        # importing mpglearn, building the shipped environments and a
-        # sampled run, its accuracy and its plot load no scipy; the first
-        # exact solve does
+        # importing mpglearn, building the shipped environments, a sampled
+        # run, its accuracy and its plot, and an MDP file round trip load
+        # no scipy; the first exact solve does
         root = Path(__file__).resolve().parent.parent
         done = subprocess.run(
             [sys.executable, "-c", SCIPY_FREE_SCRIPT, str(root / "configs"),

@@ -22,7 +22,7 @@ from mpglearn.core import (MDPFormatError, _row_cumsum, _row_max, _row_sum,
 
 from conftest import (assert_same_bytes, random_mdp, random_policy,
                       reference_reachable, reference_settle_step,
-                      settling_mdp, sparse_mdp)
+                      settling_mdp, sparse_mdp, transition_matrix)
 
 
 def tiny_mdp(**kw):
@@ -92,13 +92,14 @@ class TestValidateMdp:
 
 
 class TestTransitionForms:
-    """A dense tensor, a scipy matrix and a CSR triple of the same table
-    give the same MDP, array for array."""
+    """A dense tensor and a CSR triple of the same table give the same MDP,
+    array for array; no other form is taken."""
 
     @staticmethod
     def derived(mdp):
         succ, cdf, total = mdp.successors
-        return (*mdp.csr, *mdp.chain_cells, succ, cdf, total, mdp.absorbing)
+        return (*mdp.csr, mdp.entry_rows, mdp.chain_cells, succ, cdf, total,
+                mdp.absorbing)
 
     @settings(max_examples=60, deadline=None)
     @given(n_actions=st.lists(st.integers(1, 3), min_size=1, max_size=3),
@@ -109,19 +110,14 @@ class TestTransitionForms:
                           max_width=min(width, n_states), upper=upper)
         S, A = base.n_states, base.n_joint
         data, indices, indptr = base.csr
-        rows = base.chain_cells[0]
         dense = np.zeros((S * A, S))
-        dense[rows, indices] = data
+        dense[base.entry_rows, indices] = data
         # explicit zeros of either sign are not entries
         rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
         dense[(dense == 0) & (rng.random(dense.shape) < 0.5)] = -0.0
-        perm = rng.permutation(len(data))     # rows unsorted within
-        shuffled = sp.csr_matrix((data[perm], (rows[perm], indices[perm])),
-                                 shape=(S * A, S))
-        forms = [dense.reshape(S, A, S), sp.csr_matrix(dense), shuffled,
-                 (data, indices, indptr)]
         want = self.derived(base)
-        for form in forms:
+        ref = sp.csr_matrix(dense)
+        for form in (dense.reshape(S, A, S), (data, indices, indptr)):
             mdp = m.MultiAgentMDP(base.n_actions, base.rewards, form,
                                   base.gamma, base.mu)
             for x, y in zip(self.derived(mdp), want):
@@ -129,12 +125,14 @@ class TestTransitionForms:
                 if y is not None:
                     assert_same_bytes(x, y, "derived table")
             assert mdp.upper_triangular is base.upper_triangular
-            P, ref = mdp.transitions, sp.csr_matrix(dense)
-            assert P.has_canonical_format and P.shape == ref.shape
-            for x, y in ((P.data, ref.data), (P.indices, ref.indices),
-                         (P.indptr, ref.indptr)):
-                assert_same_bytes(x, y.astype(x.dtype), "CSR array")
-            assert np.shares_memory(P.data, mdp.csr[0])
+            for x, y in zip(mdp.csr, (ref.data, ref.indices, ref.indptr)):
+                assert_same_bytes(x, y, "CSR array")
+
+    def test_scipy_matrix_rejected(self):
+        P = sp.csr_matrix(np.eye(2)[[0, 1, 1, 1]])
+        with pytest.raises(TypeError, match=r"dense \(S, A, S\) array or a "
+                           r"CSR triple, not csr_matrix"):
+            m.MultiAgentMDP((2,), np.zeros((1, 2, 2)), P, 0.9, [1.0, 0.0])
 
     # 1 agent, 2 actions, 2 states: rows (0, 0), (0, 1), (1, 0), (1, 1)
     GOOD = ([0.5, 0.5, 1.0, 1.0, 0.25, 0.75], [0, 1, 1, 0, 0, 1],
@@ -198,9 +196,10 @@ class TestDerivedTables:
         mdp = sparse_mdp(5, (2, 2), 0.9, seed=142, max_width=3)
         S, A = mdp.n_states, mdp.n_joint
         _, indices, indptr = mdp.csr
-        rows, cells = mdp.chain_cells
+        rows, cells = mdp.entry_rows, mdp.chain_cells
         assert np.array_equal(rows, np.repeat(np.arange(S * A),
                                               np.diff(indptr)))
+        assert rows.dtype == indptr.dtype == np.int32
         assert np.array_equal(cells, indices * S + rows // A)
         assert cells.dtype == np.int64
         assert not rows.flags.writeable and not cells.flags.writeable
@@ -247,7 +246,7 @@ class TestAbsorbing:
                          max_width=min(width, n_states), upper=upper,
                          absorbing=absorbing)
         S, A = mdp.n_states, mdp.n_joint
-        dense = mdp.transitions.toarray().reshape(S, A, S)
+        dense = transition_matrix(mdp).toarray().reshape(S, A, S)
         want = [all(dense[s, a, t] == 0.0 for a in range(A) for t in range(S)
                     if t != s) for s in range(S)]
         assert mdp.absorbing.tolist() == want
@@ -704,7 +703,7 @@ class TestSerialization:
         mdp = sparse_mdp(n_states, tuple(n_actions), gamma, seed,
                          max_width=min(width, n_states))
         if labelled:
-            mdp = m.MultiAgentMDP(mdp.n_actions, mdp.rewards, mdp.transitions,
+            mdp = m.MultiAgentMDP(mdp.n_actions, mdp.rewards, mdp.csr,
                                   gamma, mdp.mu, state_labels=[
                                       f"s{k}" for k in range(n_states)])
         tmp = tmp_path_factory.mktemp("mdp")
@@ -718,7 +717,7 @@ class TestSerialization:
         assert again.state_labels == mdp.state_labels
         assert np.array_equal(again.rewards, mdp.rewards)
         assert np.array_equal(again.mu, mdp.mu)
-        assert (again.transitions != mdp.transitions).nnz == 0
+        assert (transition_matrix(again) != transition_matrix(mdp)).nnz == 0
 
     def test_labels_survive(self, tmp_path):
         env = m.build_scg(m.parallel_dag([1.0, 0.5]), n_agents=1, gamma=0.5)
@@ -793,6 +792,61 @@ class TestSerialization:
         with pytest.raises(MDPFormatError,
                            match=rf"line {at + 1}: {re.escape(message)}"):
             m.read_mdp(path, validate=False)
+
+    @pytest.mark.parametrize("section, entry, index", [
+        ("label", 1, "(1)"),
+        ("rewards", 4, "(0, 1, 0)"),
+        ("transitions", 3, "(0, 1, 1)"),
+        ("mu", 1, "(1)"),
+    ])
+    def test_repeated_index_names_both_lines(self, tmp_path, section, entry,
+                                             index):
+        # a repeat is neither summed nor overwritten: the file is refused
+        mdp = random_mdp(2, (2, 2), 0.9, seed=11)
+        mdp = m.MultiAgentMDP(mdp.n_actions, mdp.rewards, mdp.csr, mdp.gamma,
+                              mdp.mu, state_labels=["a", "b"])
+        path = tmp_path / "bad.mdp"
+        lines = m.write_mdp(mdp, path).splitlines()
+        header = "[states]" if section == "label" else f"[{section}]"
+        at = lines.index(header) + 1 + entry + (section == "label")
+        lines.insert(at + 1, lines[at])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MDPFormatError, match=re.escape(
+                f"line {at + 2}: {section} index {index} repeats line "
+                f"{at + 1}")):
+            m.read_mdp(path, validate=False)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_states=st.integers(1, 40), n_joint=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n_states=40, n_joint=2, seed=3)
+    def test_read_build_equals_scipy(self, tmp_path_factory, n_states,
+                                     n_joint, seed):
+        # duplicate-free entries in random order, explicit zeros of either
+        # sign among them, rows of up to 40 entries: the CSR arrays read_mdp
+        # builds are scipy's COO to CSR conversion, byte for byte
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        cells = [(r, int(c)) for r in range(n_states * n_joint) for c in
+                 rng.choice(n_states, rng.integers(0, n_states + 1),
+                            replace=False)]
+        rows, cols = np.array(cells, dtype=np.int64).reshape(-1, 2).T
+        vals = rng.random(len(cells))
+        zero = rng.random(len(cells)) < 0.2
+        vals[zero] = np.copysign(0.0, rng.random(zero.sum()) - 0.5)
+        order = rng.permutation(len(cells))
+        lines = ["[states]", f"count = {n_states}", "[agents]", "count = 1",
+                 f"actions = {n_joint}", "[transitions]"]
+        lines += [f"{rows[k] // n_joint} {rows[k] % n_joint} {cols[k]} "
+                  f"{float(vals[k])!r}" for k in order]
+        lines += ["[gamma]", "0.5", "[mu]", "0 1.0"]
+        path = tmp_path_factory.mktemp("mdp") / "entries.mdp"
+        path.write_text("\n".join(lines) + "\n")
+        got = m.read_mdp(path, validate=False).csr
+        want = sp.csr_matrix((vals[order], (rows[order], cols[order])),
+                             shape=(n_states * n_joint, n_states))
+        for x, y, what in zip(got, (want.data, want.indices, want.indptr),
+                              ("data", "indices", "indptr")):
+            assert_same_bytes(x, y, what)
 
     def test_truncated_policy_file_rejected(self, tmp_path):
         mdp = random_mdp(3, (2, 3), 0.9, seed=9)

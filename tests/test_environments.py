@@ -17,7 +17,8 @@ from mpglearn.environments import (CostDescriptor, DagEdge, DagSpec,
                                    DagSpecError)
 
 from conftest import (STEEP_COSTS, assert_same_bytes,
-                      reference_build_distancing, reference_build_scg)
+                      reference_build_distancing, reference_build_scg,
+                      transition_matrix)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -343,7 +344,7 @@ class TestBuildScg:
         # from the sink configuration the agent returns to the source
         sink_state = mdp.state_labels.index(("t",))
         start = mdp.state_labels.index(("s",))
-        row = mdp.transitions[sink_state * mdp.n_joint]
+        row = transition_matrix(mdp)[sink_state * mdp.n_joint]
         assert row.indices.tolist() == [start]
         assert mdp.rewards[0, sink_state, 0] == 0.25
 
@@ -356,7 +357,7 @@ class TestBuildDistancing:
                                     gamma=0.9)
         env = m.build_distancing(params)
         mdp = env.mdp
-        safe_rows = mdp.transitions[:mdp.n_joint]
+        safe_rows = transition_matrix(mdp)[:mdp.n_joint]
         assert set(safe_rows.indices.tolist()) == {0}
 
     def test_paper_shape_eight_agents_four_facilities(self):
@@ -375,9 +376,10 @@ class TestBuildDistancing:
         # counts 3 > 2: spread; counts (2, 1): no return
         crowd = np.ravel_multi_index((0, 0, 0), mdp.n_actions)
         spread_out = np.ravel_multi_index((0, 1, 0), mdp.n_actions)
-        assert mdp.transitions[0 * mdp.n_joint + crowd].indices[0] == 1
-        assert mdp.transitions[1 * mdp.n_joint + crowd].indices[0] == 1
-        assert mdp.transitions[1 * mdp.n_joint + spread_out].indices[0] == 1
+        P = transition_matrix(mdp)
+        assert P[0 * mdp.n_joint + crowd].indices[0] == 1
+        assert P[1 * mdp.n_joint + crowd].indices[0] == 1
+        assert P[1 * mdp.n_joint + spread_out].indices[0] == 1
 
     def test_deviation_identity_exhaustive_small_instance(self):
         # 3 agents, 2 facilities at gamma=0: stage rewards only

@@ -18,8 +18,8 @@ from mpglearn import exact
 from mpglearn.exact import joint_policy_table
 
 from conftest import (assert_same_bytes, chain_of, pairwise_mismatch,
-                      random_mdp, random_policy, sparse_mdp, truncated_values,
-                      truncated_visitation)
+                      random_mdp, random_policy, sparse_mdp, transition_matrix,
+                      truncated_values, truncated_visitation)
 
 
 def others_product(mdp, policy, agent):
@@ -62,7 +62,7 @@ class TestInducedChain:
         p_ref, r_ref = chain_of(mdp, pol)
         assert np.abs(p_pi - p_ref).max() < 1e-14
         # at gamma = 0 the values are the expected one-step rewards
-        myopic = m.MultiAgentMDP(mdp.n_actions, mdp.rewards, mdp.transitions,
+        myopic = m.MultiAgentMDP(mdp.n_actions, mdp.rewards, mdp.csr,
                                  0.0, mdp.mu)
         assert np.abs(m.evaluate(myopic, pol).v - r_ref).max() < 1e-14
 
@@ -95,7 +95,7 @@ class TestValueFunctions:
     def test_zero_rewards_zero_values(self):
         mdp = random_mdp(4, (2,), 0.95, seed=23)
         zero = m.MultiAgentMDP(mdp.n_actions, np.zeros_like(mdp.rewards),
-                               mdp.transitions, mdp.gamma, mdp.mu)
+                               mdp.csr, mdp.gamma, mdp.mu)
         v = m.evaluate(zero, random_policy(zero, 24)).v
         assert np.abs(v).max() == 0.0
 
@@ -200,7 +200,7 @@ class TestContraction:
         rep = m.evaluate(env, pol)
 
         S, A = mdp.n_states, mdp.n_joint
-        P = mdp.transitions.toarray()
+        P = transition_matrix(mdp).toarray()
         jt = np.ones((S, A))
         for i in range(mdp.n_agents):
             jt *= pol.probs[i][:, mdp.digits[:, i]]
@@ -301,7 +301,7 @@ class TestTriangularBranch:
         if name == "back-edge":
             mdp = sparse_mdp(4, (2, 2), 0.9, seed=130, max_width=2,
                              upper=True)
-            P = mdp.transitions.toarray()
+            P = transition_matrix(mdp).toarray()
             P[3 * mdp.n_joint] = np.eye(4)[0]   # state 3 back to state 0
             return m.Environment(mdp=m.MultiAgentMDP(
                 mdp.n_actions, mdp.rewards, P.reshape(4, 4, 4), mdp.gamma,
@@ -462,7 +462,7 @@ def reference_evaluate(target, policy, want_q=False, agents=None):
         sol = np.stack(rhs_cols, axis=1)
         if solver is not None:
             sol = solver.solve(sol)
-        nxt = (mdp.transitions @ sol).reshape(S, A, len(rhs_cols))
+        nxt = (transition_matrix(mdp) @ sol).reshape(S, A, len(rhs_cols))
         for k, i in enumerate(active):
             v[i] = sol[:, k]
             q_i = mdp.gamma * nxt[:, :, k]
@@ -572,7 +572,7 @@ class TestRunAxis:
 
 class TestBackup:
     """`exact.backup` sums P V as scipy's CSR product does: byte for byte
-    `mdp.transitions @ V`, on rows of one to three entries, deterministic
+    `transition_matrix(mdp) @ V`, on rows of one to three entries, deterministic
     or stochastic, with probabilities scaled off 1 as well, on one or three
     value rows of both signs and both zeros."""
 
@@ -611,11 +611,11 @@ class TestBackup:
                                mdp.mu, validate=False)
         assert_same_bytes(
             exact.backup(unit, np.full(table, -0.0), V).reshape(runs, -1),
-            np.ascontiguousarray((mdp.transitions @ V.T).T), "P V")
+            np.ascontiguousarray((transition_matrix(mdp) @ V.T).T), "P V")
         # stage + gamma * P V, as the CSR product was scaled and added
         want = np.zeros((runs,) + table)
         if gamma:
-            want[...] = (mdp.transitions @ V.T).T.reshape(want.shape)
+            want[...] = (transition_matrix(mdp) @ V.T).T.reshape(want.shape)
             want *= gamma
         want += stage
         scratch = exact.Scratch(mdp, runs)
@@ -704,7 +704,7 @@ class TestScratch:
         finally:
             tracemalloc.stop()
         assert_same_bytes(second, first)
-        assert peak < mdp.chain_cells[0].nbytes / 10
+        assert peak < scratch.rows().nbytes / 10
 
     def test_runs_and_mdp_checked(self, scg2):
         mdp = scg2.mdp
@@ -910,7 +910,7 @@ class TestMismatchBound:
         assume(exact.deterministic_policy_count(mdp) <= 256)
         if point_mass:
             mdp = m.MultiAgentMDP(mdp.n_actions, mdp.rewards,
-                                  mdp.transitions, gamma,
+                                  mdp.csr, gamma,
                                   np.eye(n_states)[0])
         ratio = m.enumerated_mismatch(mdp)
         assert ratio == pairwise_mismatch(mdp)

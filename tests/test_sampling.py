@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +14,8 @@ from mpglearn import sampling
 from mpglearn.cli import build_environment, load_config
 
 from conftest import (assert_same_bytes, random_mdp, random_policy,
-                      reference_settle_step, settling_mdp, sparse_mdp)
+                      reference_settle_step, settling_mdp, sparse_mdp,
+                      transition_matrix)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -59,14 +59,14 @@ class TestSampleEpisode:
     def test_one_step_marginal_matches_exact_distribution(self):
         # empirical distribution of s_1 vs sum_a pi(a|s0) P(.|s0, a)
         mdp = random_mdp(3, (2,), 0.9, seed=82)
-        mdp = m.MultiAgentMDP(mdp.n_actions, mdp.rewards, mdp.transitions,
+        mdp = m.MultiAgentMDP(mdp.n_actions, mdp.rewards, mdp.csr,
                               mdp.gamma, np.array([1.0, 0.0, 0.0]))
         pol = random_policy(mdp, 83)
         from mpglearn.sampling import _sample_batch
         states, _, _ = _sample_batch(mdp, pol, 2, seed=84, episode_offset=0,
                                      batch=100_000)
         counts = np.bincount(states[1], minlength=3) / states.shape[1]
-        P = mdp.transitions.toarray().reshape(3, 2, 3)
+        P = transition_matrix(mdp).toarray().reshape(3, 2, 3)
         exact = np.einsum("a,ap->p", pol.probs[0][0], P[0])
         assert 0.5 * np.abs(counts - exact).sum() < 0.01
 
@@ -86,7 +86,7 @@ class TestEstimateEval:
     def test_zero_rewards_give_exact_zero(self):
         mdp = random_mdp(3, (2, 2), 0.9, seed=85)
         zero = m.MultiAgentMDP(mdp.n_actions, np.zeros_like(mdp.rewards),
-                               mdp.transitions, mdp.gamma, mdp.mu)
+                               mdp.csr, mdp.gamma, mdp.mu)
         rep = m.estimate_eval(zero, random_policy(zero, 86),
                               m.SampleConfig(10, 50, seed=1))
         assert np.abs(rep.v).max() == 0.0
@@ -117,7 +117,7 @@ class TestEstimateEval:
         mdp = deterministic_line_mdp()
         # two actions, the second never played
         P = np.zeros((3, 2, 3))
-        P[:, 0] = mdp.transitions.toarray().reshape(3, 1, 3)[:, 0]
+        P[:, 0] = transition_matrix(mdp).toarray().reshape(3, 1, 3)[:, 0]
         P[:, 1] = P[:, 0]
         rewards = np.repeat(mdp.rewards, 2, axis=2)
         two = m.MultiAgentMDP((2,), rewards, P, 0.9, mdp.mu)
@@ -133,7 +133,7 @@ class TestEstimateEval:
         # lets sampled runs terminate
         mdp = deterministic_line_mdp()
         P = np.zeros((3, 2, 3))
-        P[:, 0] = mdp.transitions.toarray().reshape(3, 1, 3)[:, 0]
+        P[:, 0] = transition_matrix(mdp).toarray().reshape(3, 1, 3)[:, 0]
         P[:, 1] = P[:, 0]
         rewards = np.repeat(mdp.rewards, 2, axis=2)
         two = m.MultiAgentMDP((2,), rewards, P, 0.9, mdp.mu)
@@ -342,7 +342,7 @@ class TestStreamDraws:
         cfg = m.SampleConfig(horizon=5, batch=4, seed=1)
         bank = sampling._StreamBank(det, cfg)
         key = re.escape(f"{det!r}, 5, 4, [1]), batch needs ({sto!r}, 5, 4, "
-                        f"[1])")
+                        f"[1]): differs in mdp (another MDP object)")
         with pytest.raises(ValueError, match=r"stream bank keyed \(mdp, "
                            r"horizon, batch, seeds\) = \(" + key):
             m.estimate_eval(sto, random_policy(sto, 108), cfg, bank=bank)
@@ -459,7 +459,7 @@ def csr_loop_sample_batch(mdp, policy, horizon, seed, episode_offset,
     mu_cdf = np.cumsum(mdp.mu)
     s = np.minimum(np.searchsorted(mu_cdf, env_u[0] * mu_cdf[-1],
                                    side="right"), mdp.n_states - 1)
-    P = mdp.transitions
+    P = transition_matrix(mdp)
     states = np.empty((T, B), dtype=np.int64)
     actions = np.empty((T, B, n), dtype=np.int64)
     rewards = np.empty((T, B, n))
@@ -481,34 +481,24 @@ def csr_loop_sample_batch(mdp, policy, horizon, seed, episode_offset,
     return states, actions, rewards
 
 
-def unsorted_csr_mdp():
-    """1 agent, 2 actions, 2 states, stored as a CSR matrix whose rows 0 and
-    2 list their columns out of order and row 2 repeats column 0; also
-    returns the same game's dense (S, A, S) tensor."""
-    data = [0.7, 0.3, 1.0, 0.2, 0.6, 0.2, 0.5, 0.5]
-    indices = [1, 0, 1, 0, 1, 0, 1, 0]
-    P = sp.csr_matrix((data, indices, [0, 2, 3, 6, 8]), shape=(4, 2))
-    dense = np.array([[[0.3, 0.7], [0.0, 1.0]], [[0.4, 0.6], [0.5, 0.5]]])
-    rewards = np.array([[[0.0, 1.0], [0.5, 0.25]]])
-    return P, dense, rewards
-
-
 class TestTransitionDraw:
     """The padded successor-table draw, bit for bit against the per-episode
     CSR loop."""
 
     @pytest.mark.parametrize("kind", ["dense", "mixed-width", "deterministic",
-                                      "unsorted-csr"])
+                                      "two-state"])
     def test_matches_per_episode_csr_loop(self, kind):
-        if kind == "unsorted-csr":
-            P, _, rewards = unsorted_csr_mdp()
-            mdp = m.MultiAgentMDP((2,), rewards, P, 0.9, [0.5, 0.5])
+        if kind == "two-state":         # 1 agent, rows of one and two entries
+            dense = np.array([[[0.3, 0.7], [0.0, 1.0]],
+                              [[0.4, 0.6], [0.5, 0.5]]])
+            rewards = np.array([[[0.0, 1.0], [0.5, 0.25]]])
+            mdp = m.MultiAgentMDP((2,), rewards, dense, 0.9, [0.5, 0.5])
         else:
             width = {"dense": 6, "mixed-width": 4, "deterministic": 1}[kind]
             mdp = sparse_mdp(6, (2, 3), 0.9, seed=99, max_width=width)
         succ, cdf, _ = mdp.successors
         assert succ.shape[1] == (1 if kind == "deterministic"
-                                 else np.diff(mdp.transitions.indptr).max())
+                                 else np.diff(mdp.csr[2]).max())
         assert (cdf is None) == (kind == "deterministic")
         pol = random_policy(mdp, 100)
         draw = sampling._sample_batch(mdp, pol, 30, seed=7, episode_offset=3,
@@ -517,23 +507,6 @@ class TestTransitionDraw:
         for x, y in zip(draw, loop):
             assert np.array_equal(x, y)
         assert len(np.unique(draw[0])) > 1
-
-    def test_unsorted_csr_is_the_game_of_its_dense_tensor(self):
-        P, dense, rewards = unsorted_csr_mdp()
-        before = [a.copy() for a in (P.data, P.indices, P.indptr)]
-        mdp = m.MultiAgentMDP((2,), rewards, P, 0.9, [0.5, 0.5])
-        for a, b in zip((P.data, P.indices, P.indptr), before):
-            assert np.array_equal(a, b)     # the caller's matrix is untouched
-        assert mdp.transitions.has_canonical_format
-        twin = m.MultiAgentMDP((2,), rewards, dense, 0.9, [0.5, 0.5])
-        pol = random_policy(mdp, 101)
-        for x, y in zip(sampling._sample_batch(mdp, pol, 30, 7, 0, 200),
-                        sampling._sample_batch(twin, pol, 30, 7, 0, 200)):
-            assert np.array_equal(x, y)
-        rep = m.evaluate(mdp, pol, want_q=True)
-        rep_twin = m.evaluate(twin, pol, want_q=True)
-        for field in ("v", "visitation", "q"):
-            assert np.array_equal(getattr(rep, field), getattr(rep_twin, field))
 
 
 def zero_first_actions(policy):
@@ -855,21 +828,28 @@ class TestIndexPlan:
         assert builds == [2, 2, 2, 2, 1]
 
     def test_bank_for_another_mdp_or_batch_rejected(self):
+        # the twin is another MDP object of the same shape, so both keys
+        # print alike: the message names the field that differs
         mdp = sparse_mdp(4, (3, 2), 0.9, seed=116, max_width=2)
         twin = sparse_mdp(4, (3, 2), 0.9, seed=116, max_width=2)
+        assert repr(twin) == repr(mdp)
         pol = random_policy(mdp, 117)
         cfg = m.SampleConfig(horizon=7, batch=4, seed=3)
         bank = sampling._StreamBank(mdp, cfg)
         m.estimate_eval(mdp, pol, cfg, bank=bank)
         keyed = (r"stream bank keyed \(mdp, horizon, batch, seeds\) = "
                  r"\(MultiAgentMDP\(.*\), 7, 4, \[3\]\), batch needs ")
-        for game, other, needs in (
-                (twin, cfg, r"7, 4, \[3\]"),
-                (mdp, m.SampleConfig(7, 5, seed=3), r"7, 5, \[3\]"),
-                (mdp, m.SampleConfig(8, 4, seed=3), r"8, 4, \[3\]"),
-                (mdp, m.SampleConfig(7, 4, seed=4), r"7, 4, \[4\]")):
+        for game, other, needs, differs in (
+                (twin, cfg, r"7, 4, \[3\]", r"mdp \(another MDP object\)"),
+                (mdp, m.SampleConfig(7, 5, seed=3), r"7, 5, \[3\]", "batch"),
+                (mdp, m.SampleConfig(8, 4, seed=3), r"8, 4, \[3\]",
+                 "horizon"),
+                (mdp, m.SampleConfig(7, 4, seed=4), r"7, 4, \[4\]", "seeds"),
+                (twin, m.SampleConfig(8, 4, seed=4), r"8, 4, \[4\]",
+                 r"mdp \(another MDP object\), horizon, seeds")):
             with pytest.raises(ValueError, match=(
-                    keyed + r"\(MultiAgentMDP\(.*\), " + needs + r"\)$")):
+                    keyed + r"\(MultiAgentMDP\(.*\), " + needs
+                    + r"\): differs in " + differs + "$")):
                 m.estimate_eval(game, pol, other, bank=bank)
 
 

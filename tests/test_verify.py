@@ -168,7 +168,7 @@ class TestCheckPotential:
         start = scg3.mdp.state_labels.index(("s", "s", "s"))
         rewards[0, start, 0] += 0.01
         broken_mdp = m.MultiAgentMDP(scg3.mdp.n_actions, rewards,
-                                     scg3.mdp.transitions, scg3.mdp.gamma,
+                                     scg3.mdp.csr, scg3.mdp.gamma,
                                      scg3.mdp.mu,
                                      state_labels=scg3.mdp.state_labels)
         broken = m.Environment(mdp=broken_mdp,
@@ -302,7 +302,7 @@ class TestVerifyEnvironment:
         rewards = np.array(parallel2.mdp.rewards)
         rewards[0, 0, 0] = min(1.0, rewards[0, 0, 0] + 0.02)
         broken_mdp = m.MultiAgentMDP(
-            parallel2.mdp.n_actions, rewards, parallel2.mdp.transitions,
+            parallel2.mdp.n_actions, rewards, parallel2.mdp.csr,
             parallel2.mdp.gamma, parallel2.mdp.mu,
             state_labels=parallel2.mdp.state_labels)
         broken = m.Environment(
